@@ -398,6 +398,15 @@ def _load_dataset(path: str) -> simgen.Dataset:
         raise ValidationFailure(f"cannot load dataset {path}: {err}") from err
 
 
+def _optimizer_block(result: geostat.OptimizeResult) -> dict:
+    """The optimizer record of fit.json, with one trace entry per evaluation."""
+    return {
+        "n_evaluations": result.n_evaluations,
+        "best_restart": result.best_restart,
+        "trace": result.trace,
+    }
+
+
 def cmd_fit(args) -> int:
     started = time.time()
     raw = _load_json(args.config, "fit config")
@@ -443,10 +452,7 @@ def cmd_fit(args) -> int:
     elif args.kind == "mbg":
         run = pipeline.run_insample(data, spec, seed=seed)
         summary = run.fit.summary()
-        summary["optimizer"] = {
-            "n_evaluations": run.optimize.n_evaluations,
-            "best_restart": run.optimize.best_restart,
-        }
+        summary["optimizer"] = _optimizer_block(run.optimize)
         out.write_json("fit.json", summary)
         out.write("predictions.csv", lambda p: geostat.write_prediction_csv(run.prediction, p))
         extra["converged"] = bool(run.fit.converged)
@@ -473,10 +479,7 @@ def cmd_fit(args) -> int:
             result.fit, n_draws=spec.n_draws, seed=seed, level=spec.level,
         )
         summary = result.fit.summary()
-        summary["optimizer"] = {
-            "n_evaluations": result.n_evaluations,
-            "best_restart": result.best_restart,
-        }
+        summary["optimizer"] = _optimizer_block(result)
         out.write_json("fit.json", summary)
         out.write("attention.csv", lambda p: gatv2.write_attention_csv(export, p))
         out.write("predictions.csv", lambda p: geostat.write_prediction_csv(prediction, p))

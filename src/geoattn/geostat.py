@@ -39,9 +39,7 @@ from .simgen import Dataset, gneiting_cov, logistic
 
 DEFAULT_FIXED_EFFECT_SD = math.sqrt(1000.0)
 
-NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
-NEWTON_GRAD_TOL = 1e-6
 
 _STREAM_PREDICT = 201  # stream id reserved for predictive draws
 
@@ -237,7 +235,11 @@ def _attention_cov(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
 
 @dataclass
 class FitOperators:
-    """Dense operators kept for posterior recovery and prediction."""
+    """Dense operators kept for posterior recovery and prediction.
+
+    The Cholesky factor of Sigma_u and the posterior covariance of u are
+    built on first use and kept, so a fit and its predictions share them.
+    """
 
     sigma_u: np.ndarray
     sigma_s: np.ndarray
@@ -250,11 +252,19 @@ class FitOperators:
     t: np.ndarray
     ids: np.ndarray
     chol_sigma_u: np.ndarray | None = None
+    post_cov_u: np.ndarray | None = None
 
     def chol_su(self) -> np.ndarray:
         if self.chol_sigma_u is None:
             self.chol_sigma_u = cholesky(self.sigma_u, jitter=1e-10)
         return self.chol_sigma_u
+
+    def posterior_cov_u(self) -> np.ndarray:
+        """V_u = Sigma_u - Sigma_u W^1/2 B^{-1} W^1/2 Sigma_u."""
+        if self.post_cov_u is None:
+            t_mat = self.sq_w[:, None] * self.sigma_u
+            self.post_cov_u = self.sigma_u - t_mat.T @ solve_chol(self.chol_b, t_mat)
+        return self.post_cov_u
 
 
 @dataclass
@@ -330,8 +340,16 @@ def laplace_fit(
     ``gaussian_obs_sd``) swaps in y_i ~ N(offset_i + u_i, sd^2), which is a
     test hook: the mode then has the closed GLS/kriging form.
 
-    Newton iterations stop when the largest update falls below 1e-8 (or at
-    100 iterations); the objective is kept non-decreasing by step halving.
+    Each Newton iteration computes the full step u_new - u and its Newton
+    decrement ½ (g - a)·(u_new - u), the gain in the objective psi that the
+    full step predicts (Boyd & Vandenberghe, 2004, §9.5.1). The step is
+    taken with step halving, which keeps psi non-decreasing. The loop then
+    stops with ``converged=True`` if the decrement was at most
+    1e-10 · max(1, |psi|): no step can raise psi beyond round-off, so the
+    mode has been found. The test is affine-invariant, so it holds whatever
+    the scale of the prior (such as the fixed-effect sd) or of the counts.
+    ``converged`` is False when the loop reaches 100 iterations or the line
+    search finds no ascent.
     """
     if spec.kind == "gat_only":
         raise ValueError("gat_only is scored directly; nothing to fit")
@@ -395,16 +413,17 @@ def laplace_fit(
         t_vec = sigma_u @ rhs
         a_new = rhs - sq_w * solve_chol(chol_b, sq_w * t_vec)
         u_new = sigma_u @ a_new
+        decrement = 0.5 * float((g - a) @ (u_new - u))
+        tol = 1e-10 * max(1.0, abs(psi))
 
         # step halving keeps the objective non-decreasing
         step = 1.0
         accepted = False
-        slack = 1e-10 * max(1.0, abs(psi))
         for _ in range(31):
             u_try = u + step * (u_new - u)
             a_try = a + step * (a_new - a)
             psi_try = loglik(offset + u_try) - 0.5 * a_try @ u_try
-            if np.isfinite(psi_try) and psi_try >= psi - slack:
+            if np.isfinite(psi_try) and psi_try >= psi - tol:
                 accepted = True
                 break
             step *= 0.5
@@ -413,17 +432,14 @@ def laplace_fit(
                 raise NewtonDivergence(f"non-finite objective at iteration {it}")
             break  # no ascent direction left; treat current point as the mode
 
-        last_step = float(np.max(np.abs(u_try - u)))
         u, a, psi = u_try, a_try, psi_try
         psi_trace.append(float(psi))
-        if last_step <= NEWTON_TOL:
+        if decrement <= tol:
             converged = True
             break
 
     eta = offset + u
     g, w = grad_w(eta)
-    if converged and np.max(np.abs(g - a)) > NEWTON_GRAD_TOL:
-        converged = False
     sq_w = np.sqrt(w)
     b_mat = sq_w[:, None] * sigma_u * sq_w[None, :]
     b_mat[np.diag_indices_from(b_mat)] += 1.0
@@ -456,9 +472,8 @@ def laplace_fit(
             y=data.y.copy(),
             t=data.t.copy(),
             ids=data.ids.copy(),
+            chol_sigma_u=chol_su_warm,
         )
-        if chol_su_warm is not None:
-            ops.chol_sigma_u = chol_su_warm
         result.ops = ops
         if spec.kind == "mbg":
             # Var(beta | z) = C_beta + R V_u R' with R = sd2 D' Sigma_u^{-1}
@@ -467,16 +482,9 @@ def laplace_fit(
             siu_d = solve_chol(ops.chol_su(), d)
             c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
             r_mat = sd2 * siu_d.T
-            v_u = _posterior_cov_u(ops)
-            post = c_beta + r_mat @ v_u @ r_mat.T
+            post = c_beta + r_mat @ ops.posterior_cov_u() @ r_mat.T
             result.beta_sd = np.sqrt(np.maximum(np.diag(post), 0.0))
     return result
-
-
-def _posterior_cov_u(ops: FitOperators) -> np.ndarray:
-    """V_u = Sigma_u - Sigma_u W^1/2 B^{-1} W^1/2 Sigma_u."""
-    t_mat = ops.sq_w[:, None] * ops.sigma_u
-    return ops.sigma_u - t_mat.T @ solve_chol(ops.chol_b, t_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +578,10 @@ def optimize_hyperparameters(
     parameters when ``bounds`` is None): logs of the kernel parameters plus
     the attention (theta1, theta2) for hybrid fits. Runs Nelder-Mead from
     the template values and ``restarts - 1`` additional seeded starts drawn
-    uniformly inside the bounds; every evaluation lands in the trace.
+    uniformly inside the bounds. Every evaluation lands in the trace with its
+    ``params``, ``logml``, ``newton_iterations`` and ``converged``; an
+    evaluation whose fit failed numerically scores ``logml`` = -1e12 and
+    records ``newton_iterations`` None.
     """
     if spec_template.kind == "gat_only":
         raise ValueError("gat_only has no hyperparameters")
@@ -595,6 +606,7 @@ def optimize_hyperparameters(
 
     def objective(theta: np.ndarray) -> float:
         spec = _spec_from_params(spec_template, names, theta)
+        iterations, converged = None, False
         try:
             fit = laplace_fit(
                 data, spec,
@@ -604,10 +616,16 @@ def optimize_hyperparameters(
                 sigma_builder=builder,
             )
             value = fit.logml
+            iterations, converged = fit.newton_iterations, bool(fit.converged)
             warm["u"] = fit.u_mode
         except (NotPositiveDefinite, NewtonDivergence):
             value = -_PENALTY
-        trace.append({"params": dict(zip(names, map(float, theta))), "logml": float(value)})
+        trace.append({
+            "params": dict(zip(names, map(float, theta))),
+            "logml": float(value),
+            "newton_iterations": iterations,
+            "converged": converged,
+        })
         return -value
 
     best = None
@@ -680,9 +698,7 @@ def _summarize_draws(ids, eta_draws: np.ndarray, level: float) -> Prediction:
 
 
 def _draw_u(fit: FitResult, n_draws: int, rng: RngStream) -> np.ndarray:
-    ops = fit.ops
-    v_u = _posterior_cov_u(ops)
-    chol_v = cholesky(v_u, jitter=1e-10)
+    chol_v = cholesky(fit.ops.posterior_cov_u(), jitter=1e-10)
     z = rng.standard_normal((len(fit.u_mode), n_draws))
     return fit.u_mode[:, None] + chol_v @ z
 
@@ -805,10 +821,25 @@ def write_prediction_csv(pred: Prediction, path: str | Path) -> None:
 
 
 def read_prediction_csv(path: str | Path) -> Prediction:
+    """Prediction from a CSV written by :func:`write_prediction_csv`.
+
+    Raises ValueError naming the data row (1-based, after the header) that
+    has the wrong number of fields or a value that does not parse.
+    """
     rows = Path(path).read_text().strip().splitlines()
     if not rows or rows[0] != "id,mean,lo95,hi95,sd_linpred":
         raise ValueError("not a prediction CSV")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    if len(rows) == 1:
+        raise ValueError("prediction CSV has no rows")
+    data = np.empty((len(rows) - 1, 5))
+    for k, row in enumerate(rows[1:], start=1):
+        fields = row.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"prediction CSV row {k} has {len(fields)} fields, expected 5")
+        try:
+            data[k - 1] = [float(v) for v in fields]
+        except ValueError as err:
+            raise ValueError(f"prediction CSV row {k}: {err}") from None
     return Prediction(
         ids=data[:, 0].astype(int), mean=data[:, 1], lo=data[:, 2],
         hi=data[:, 3], sd_linpred=data[:, 4],

@@ -88,6 +88,10 @@ class Dataset:
                 raise ValueError(f"column {name!r} length mismatch")
         if self.covariates.shape[0] != n:
             raise ValueError("covariate row count mismatch")
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+            raise ValueError("coordinates x and y must be finite")
+        if np.any(self.n_tested < 1):
+            raise ValueError("need n_tested >= 1")
         if np.any(self.n_pos < 0) or np.any(self.n_pos > self.n_tested):
             raise ValueError("need 0 <= n_pos <= n_tested")
 
@@ -311,11 +315,20 @@ def write_dataset_csv(data: Dataset, path: str | Path, include_truth: bool = Tru
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:
+    """Dataset from a CSV written by :func:`write_dataset_csv`.
+
+    Raises ValueError naming the data row (1-based, after the header) when a
+    row has the wrong number of fields or a value that does not parse.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         rows = [row for row in reader if row]
+    if header is None:
+        raise ValueError("dataset CSV is empty")
+    if not rows:
+        raise ValueError("dataset CSV has no records")
     cov_cols = [i for i, name in enumerate(header) if name.startswith("cov_")]
     idx = {name: i for i, name in enumerate(header)}
     required = ["id", "x", "y", "t", "n_tested", "n_pos"]
@@ -323,13 +336,24 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     if missing:
         raise ValueError(f"dataset CSV missing columns: {missing}")
     with_truth = "true_p" in idx and "true_S" in idx
+    for k, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(
+                f"dataset CSV row {k} has {len(row)} fields, the header has {len(header)}"
+            )
 
     def col(name, dtype):
-        return np.array([dtype(row[idx[name]]) for row in rows])
+        values = []
+        for k, row in enumerate(rows, start=1):
+            try:
+                values.append(dtype(row[idx[name]]))
+            except ValueError as err:
+                raise ValueError(f"dataset CSV row {k}, column {name!r}: {err}") from None
+        return np.array(values)
 
-    covariates = np.array(
-        [[float(row[i]) for i in cov_cols] for row in rows], dtype=float
-    ).reshape(len(rows), len(cov_cols))
+    covariates = np.empty((len(rows), len(cov_cols)))
+    for j, i in enumerate(cov_cols):
+        covariates[:, j] = col(header[i], float)
     return Dataset(
         ids=col("id", int),
         x=col("x", float),

@@ -166,9 +166,7 @@ class TestLaplaceFit:
         kernel = KernelSpec(family="matern", sigma2=4.0, rho=0.5, nu=1.5)
         spec = ModelSpec(kind="mbg", kernel=kernel, design=np.ones((50, 1)))
         fit = laplace_fit(data, spec)
-        # the converged flag is deliberately not asserted: its absolute
-        # gradient tolerance is in count units and sits at round-off for
-        # n_i = 1e6; the mode accuracy below is the contract under test
+        assert fit.converged
         assert np.abs(fit.u_mode - eta_star).max() <= 0.05
 
     def test_zero_variance_kernel_matches_ridge_logistic_oracle(self):
@@ -212,6 +210,34 @@ class TestLaplaceFit:
         fit = laplace_fit(data, spec)
         assert fit.converged
         assert np.isfinite(fit.logml)
+
+    def test_mbg_stops_at_the_mode(self):
+        # the sqrt(1000) fixed-effect prior sd puts an absolute step test
+        # below round-off; the decrement test must still stop early
+        data = make_data(n_times=8, locs=(125, 125), seed=2)
+        assert len(data) == 1000
+        spec = ModelSpec(
+            kind="mbg", kernel=KernelSpec(family="gneiting"), design=build_design(data),
+        )
+        fit = laplace_fit(data, spec)
+        assert fit.converged
+        assert fit.newton_iterations < 20
+
+    def test_mode_is_a_fixed_point(self):
+        # restarting at the reported mode must stop at once with the same
+        # marginal likelihood, to the stop rule's own 1e-10 relative
+        # tolerance: the rule only fires at the mode
+        data = make_data(n_times=4, locs=(50, 60), seed=7)
+        spec = ModelSpec(
+            kind="mbg",
+            kernel=KernelSpec(family="gneiting", sigma2=0.6),
+            design=build_design(data),
+        )
+        fit = laplace_fit(data, spec)
+        again = laplace_fit(data, spec, warm_u=fit.u_mode)
+        assert fit.converged and again.converged
+        assert again.newton_iterations == 1
+        assert abs(again.logml - fit.logml) <= 1e-10 * abs(fit.logml)
 
     def test_requires_positive_trials(self):
         data = make_data(n_times=2, locs=(5, 6), seed=1)
