@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -157,7 +158,12 @@ def _parse_bounds(obj, context: str):
             raise ValidationFailure(f"{context}: unknown bound name {name!r}")
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValidationFailure(f"{context}: bound {name!r} must be [lo, hi]")
-        out[name] = (float(pair[0]), float(pair[1]))
+        lo, hi = float(pair[0]), float(pair[1])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValidationFailure(
+                f"{context}: bound {name!r} must be finite with lo < hi, got [{lo}, {hi}]"
+            )
+        out[name] = (lo, hi)
     return out
 
 
@@ -441,6 +447,9 @@ def cmd_fit(args) -> int:
             },
         ))
         out.write("attention.csv", lambda p: gatv2.write_attention_csv(gat.export, p))
+        out.write_text("loss_trace.csv", "epoch,loss\n" + "".join(
+            f"{epoch},{float(loss)!r}\n" for epoch, loss in enumerate(gat.loss_trace)
+        ))
         out.write_json("fit.json", {
             "kind": "gat_only",
             "epochs": spec.gat.epochs,

@@ -3,9 +3,13 @@
 Implements dynamic multi-head attention (the score nonlinearity precedes the
 attention dot product), exact analytic backpropagation, full-batch MSE
 training, and export of per-edge mean attention coefficients. All tensor
-work is plain numpy; per-destination reductions use ``np.add.reduceat`` over
-a canonical edge ordering so results are bit-reproducible and independent of
-the caller's edge-list order.
+work is plain numpy. The score weights W act on [h_dst ; h_src], so every
+layer projects node features once per node (n rows) and gathers the results
+onto edges; backward scatters the edge gradients to nodes first and then
+takes the weight and input gradients as node-level GEMMs. Only the
+elementwise score, softmax and message weighting run per edge.
+Per-destination reductions work over a canonical edge ordering so results
+are bit-reproducible and independent of the caller's edge-list order.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ DEFAULT_K_NEIGHBORS = 8
 DEFAULT_TIME_SCALE = 0.1
 
 PREVALENCE_CLAMP = 1e-6  # predictions clamped to [eps, 1-eps] before logit
+
+_KNN_BLOCK_ROWS = 256  # rows of the distance matrix held at once in build_graph
 
 
 # ---------------------------------------------------------------------------
@@ -123,33 +129,42 @@ def build_graph(
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
+    if not (np.isfinite(time_scale) and time_scale >= 0):
+        raise ValueError("time_scale must be finite and >= 0")
     n = len(records)
     if n == 0:
         raise ValueError("empty record set")
-    dx = records.x[:, None] - records.x[None, :]
-    dy = records.y[:, None] - records.y[None, :]
-    dt = records.t[:, None].astype(float) - records.t[None, :]
-    dist = np.sqrt(dx * dx + dy * dy + (time_scale * dt) ** 2)
-
-    # stable argsort ties rank equal distances by ascending id
-    order = np.argsort(dist, axis=1, kind="stable")
     k = min(k_neighbors, n - 1)
-    src_list = [np.arange(n)]
-    dst_list = [np.arange(n)]
-    for i in range(n):
-        row = order[i]
-        neigh = row[row != i][:k]
-        src_list.append(neigh)
-        dst_list.append(np.full(len(neigh), i))
-        src_list.append(np.full(len(neigh), i))
-        dst_list.append(neigh)
+    # self-loops; the mirrored copies below are deduplicated by GraphSpec
+    node_parts, neigh_parts = [np.arange(n)], [np.arange(n)]
+    # row blocks keep memory at O(block * n) instead of O(n^2)
+    for start in range(0, n if k > 0 else 0, _KNN_BLOCK_ROWS):
+        rows = np.arange(start, min(start + _KNN_BLOCK_ROWS, n))
+        dx = records.x[rows, None] - records.x[None, :]
+        dy = records.y[rows, None] - records.y[None, :]
+        dt = records.t[rows, None].astype(float) - records.t[None, :]
+        dist = np.sqrt(dx * dx + dy * dy + (time_scale * dt) ** 2)
+        local = np.arange(len(rows))
+        dist[local, rows] = np.inf
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        below = dist < kth
+        tie = dist == kth
+        tie[local, rows] = False
+        # fill the remaining slots from the ties in ascending id
+        missing = k - below.sum(axis=1, keepdims=True)
+        chosen = below | (tie & (np.cumsum(tie, axis=1) <= missing))
+        node, neigh = np.nonzero(chosen)
+        node_parts.append(rows[node])
+        neigh_parts.append(neigh)
 
+    nodes = np.concatenate(node_parts)
+    neighs = np.concatenate(neigh_parts)
     mask = np.ones(n, dtype=bool) if train_mask is None else np.asarray(train_mask, bool)
     return GraphSpec(
         n_nodes=n,
         features=graph_features(records),
-        src=np.concatenate(src_list),
-        dst=np.concatenate(dst_list),
+        src=np.concatenate([neighs, nodes]),
+        dst=np.concatenate([nodes, neighs]),
         train_mask=mask,
     )
 
@@ -173,10 +188,16 @@ class GatConfig:
     def __post_init__(self):
         if len(self.widths) < 1:
             raise ValueError("need at least one layer")
+        if min(self.widths) < 1:
+            raise ValueError("layer widths must be >= 1")
         if self.heads < 1:
             raise ValueError("need at least one head")
         if not (0.0 < self.leaky_slope < 1.0):
             raise ValueError("leaky_slope must lie in (0, 1)")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass
@@ -221,20 +242,6 @@ class GatModel:
         return sum(l.w.size + l.a.size + l.v.size for l in self.layers) + self.w_out.size + 1
 
 
-@dataclass
-class GatGrads:
-    layers: list[LayerParams]
-    w_out: np.ndarray
-    b_out: float
-
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for lay in self.layers:
-            parts += [lay.w.ravel(), lay.a.ravel(), lay.v.ravel()]
-        parts += [self.w_out.ravel(), np.array([self.b_out])]
-        return np.concatenate(parts)
-
-
 _STREAM_INIT = 101  # stream id reserved for weight initialization
 
 
@@ -268,12 +275,12 @@ def init_model(d_in: int, config: GatConfig) -> GatModel:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
-
-
-def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, 1.0, slope)
+def _leaky_factor(pos: np.ndarray, slope: float) -> np.ndarray:
+    """LeakyReLU slope per entry, exactly 1.0 where ``pos`` and ``slope``
+    elsewhere. Multiplying by it is bit-identical to ``np.maximum(z, slope*z)``
+    forward and ``np.where(pos, d, slope*d)`` backward, and avoids their slow
+    branching on unpredictable sign masks."""
+    return pos * (1.0 - slope) + slope
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -298,9 +305,7 @@ class AttentionExport:
 
 @dataclass
 class _LayerCache:
-    h_in: np.ndarray     # (n, d_in)
-    h_dst: np.ndarray    # (E, d_in) gathered destination features
-    h_src: np.ndarray    # (E, d_in) gathered source features
+    h_in: np.ndarray     # (n, d_in) layer input
     u: np.ndarray        # (E, K*d) LeakyReLU(z)
     pos: np.ndarray      # (E, K*d) bool, z > 0
     msg: np.ndarray      # (E, K*d) value-projected source features
@@ -323,13 +328,11 @@ def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
     w_flat = lay.w.reshape(k * d, two_din)
     v_flat = lay.v.reshape(k * d, din)
 
-    h_dst = h[graph.dst]
-    h_src = h[graph.src]
-    # z = [h_dst ; h_src] @ W', evaluated as two half-gemms
-    z = h_dst @ w_flat[:, :din].T
-    z += h_src @ w_flat[:, din:].T
+    # z = W [h_dst ; h_src]: project each node once, then gather onto edges
+    z = (h @ w_flat[:, :din].T)[graph.dst]
+    z += (h @ w_flat[:, din:].T)[graph.src]
     pos = z > 0
-    u = np.maximum(z, slope * z)
+    u = z * _leaky_factor(pos, slope)
     scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a)
 
     smax = np.maximum.reduceat(scores, graph.dst_starts, axis=0)
@@ -337,7 +340,7 @@ def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
     denom = graph.scatter_dst(ex)
     alpha = ex / denom[graph.dst]
 
-    msg = h_src @ v_flat.T
+    msg = (h @ v_flat.T)[graph.src]
     weighted = msg.reshape(-1, k, d) * alpha[:, :, None]
     agg = graph.scatter_dst(weighted.reshape(-1, k * d)).reshape(graph.n_nodes, k, d)
 
@@ -345,10 +348,7 @@ def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
         out = _elu(agg.mean(axis=1))
     else:
         out = _elu(agg).reshape(graph.n_nodes, k * d)
-    cache = _LayerCache(
-        h_in=h, h_dst=h_dst, h_src=h_src, u=u, pos=pos, msg=msg,
-        alpha=alpha, agg=agg,
-    )
+    cache = _LayerCache(h_in=h, u=u, pos=pos, msg=msg, alpha=alpha, agg=agg)
     return out, cache
 
 
@@ -402,8 +402,11 @@ def _layer_backward(graph: GraphSpec, lay: LayerParams, cache: _LayerCache,
     msg3 = cache.msg.reshape(-1, k, d)
     d_alpha = np.einsum("ekd,ekd->ek", d_weighted3, msg3)
     d_msg = (d_weighted3 * cache.alpha[:, :, None]).reshape(-1, k * d)
-
-    d_v = (d_msg.T @ cache.h_src).reshape(k, d, din)
+    # every projection is per node, so scatter the edge gradients to nodes
+    # once and take the weight and input gradients as node-level gemms
+    h = cache.h_in
+    s_msg = graph.scatter_src(d_msg)                         # (n, K*d)
+    d_v = (s_msg.T @ h).reshape(k, d, din)
 
     # softmax backward per (destination, head)
     s_node = graph.scatter_dst(cache.alpha * d_alpha)
@@ -411,17 +414,17 @@ def _layer_backward(graph: GraphSpec, lay: LayerParams, cache: _LayerCache,
 
     d_a = np.einsum("ek,ekd->kd", d_score, cache.u.reshape(-1, k, d))
     d_u = (d_score[:, :, None] * lay.a[None]).reshape(-1, k * d)
-    d_z = np.where(cache.pos, d_u, slope * d_u)
+    d_z = d_u * _leaky_factor(cache.pos, slope)
+    z_dst = graph.scatter_dst(d_z)                           # (n, K*d)
+    z_src = graph.scatter_src(d_z)                           # (n, K*d)
 
     d_w = np.empty((k * d, two_din))
-    d_w[:, :din] = d_z.T @ cache.h_dst
-    d_w[:, din:] = d_z.T @ cache.h_src
+    d_w[:, :din] = z_dst.T @ h
+    d_w[:, din:] = z_src.T @ h
 
     d_h = None
     if need_input_grad:
-        d_h = graph.scatter_src(d_msg @ v_flat)
-        d_h += graph.scatter_dst(d_z @ w_flat[:, :din])
-        d_h += graph.scatter_src(d_z @ w_flat[:, din:])
+        d_h = s_msg @ v_flat + z_dst @ w_flat[:, :din] + z_src @ w_flat[:, din:]
 
     return LayerParams(w=d_w.reshape(k, d, two_din), a=d_a, v=d_v), d_h
 
@@ -431,8 +434,9 @@ def gradient(
     graph: GraphSpec,
     targets: np.ndarray,
     cache: ForwardCache | None = None,
-) -> GatGrads:
-    """Exact gradients of the train-node MSE for every parameter."""
+) -> GatModel:
+    """Exact gradients of the train-node MSE for every parameter, shaped
+    like ``model`` (``flatten`` lines them up with ``model.flatten``)."""
     if cache is None:
         _, _, cache = forward(model, graph)
     mask = graph.train_mask
@@ -453,7 +457,7 @@ def gradient(
             is_final=li == n_layers - 1,
             need_input_grad=li > 0,
         )
-    return GatGrads(layers=grads, w_out=d_w_out, b_out=d_b_out)
+    return GatModel(layers=grads, w_out=d_w_out, b_out=d_b_out, config=model.config)
 
 
 def train(

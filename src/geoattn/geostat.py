@@ -73,6 +73,8 @@ class KernelSpec:
             raise ValueError("sigma2 must be positive")
         if self.family == "matern" and self.rho <= 0:
             raise ValueError("rho must be positive")
+        if self.family == "matern" and self.nu not in _MATERN_SCALE:
+            raise ValueError(f"matern nu must be one of 0.5, 1.5, 2.5, got {self.nu}")
         if self.family == "gneiting" and (self.phi_s <= 0 or self.phi_t <= 0 or self.gamma < 0):
             raise ValueError("need phi_s, phi_t > 0 and gamma >= 0")
 
@@ -581,7 +583,9 @@ def optimize_hyperparameters(
     uniformly inside the bounds. Every evaluation lands in the trace with its
     ``params``, ``logml``, ``newton_iterations`` and ``converged``; an
     evaluation whose fit failed numerically scores ``logml`` = -1e12 and
-    records ``newton_iterations`` None.
+    records ``newton_iterations`` None. The final refit at the best point,
+    which also builds the posterior operators, starts from the mode that
+    the best evaluation found.
     """
     if spec_template.kind == "gat_only":
         raise ValueError("gat_only has no hyperparameters")
@@ -602,7 +606,9 @@ def optimize_hyperparameters(
 
     builder = CovarianceBuilder(data.x, data.y, data.t)
     trace: list[dict] = []
-    warm: dict = {"u": None}
+    # "u" warm-starts the next evaluation; "best_u" is the mode at the best
+    # point so far, which warm-starts the final refit there
+    warm: dict = {"u": None, "best_logml": -np.inf, "best_u": None}
 
     def objective(theta: np.ndarray) -> float:
         spec = _spec_from_params(spec_template, names, theta)
@@ -618,6 +624,8 @@ def optimize_hyperparameters(
             value = fit.logml
             iterations, converged = fit.newton_iterations, bool(fit.converged)
             warm["u"] = fit.u_mode
+            if value > warm["best_logml"]:
+                warm["best_logml"], warm["best_u"] = value, fit.u_mode
         except (NotPositiveDefinite, NewtonDivergence):
             value = -_PENALTY
         trace.append({
@@ -654,6 +662,7 @@ def optimize_hyperparameters(
         data, best_spec,
         gaussian_response=gaussian_response,
         gaussian_obs_sd=gaussian_obs_sd,
+        warm_u=warm["best_u"],
         want_operators=True,
         sigma_builder=builder,
     )

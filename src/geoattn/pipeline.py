@@ -37,6 +37,14 @@ class PipelineModelSpec:
     def __post_init__(self):
         if self.kind not in geostat.MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.k_neighbors < 1:
+            raise ValueError("k_neighbors must be >= 1")
+        if not (np.isfinite(self.time_scale) and self.time_scale >= 0):
+            raise ValueError("time_scale must be finite and >= 0")
+        if self.n_draws < 1:
+            raise ValueError("n_draws must be >= 1")
+        if not (0.0 < self.level < 1.0):
+            raise ValueError("level must lie in (0, 1)")
 
 
 def concat_datasets(a: Dataset, b: Dataset) -> Dataset:

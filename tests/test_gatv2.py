@@ -1,5 +1,7 @@
 """Graph attention network: forward oracle, exact gradients, training."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,86 @@ class TestGradient:
         assert max_rel_error(analytic, numeric) <= 1e-4
 
 
+def per_edge_layer_forward(graph, lay, h, slope, is_final):
+    """Reference layer: gather features onto edges, then project per edge."""
+    k, d, two_din = lay.w.shape
+    din = two_din // 2
+    w = lay.w.reshape(k * d, two_din)
+    h_dst, h_src = h[graph.dst], h[graph.src]
+    z = h_dst @ w[:, :din].T + h_src @ w[:, din:].T
+    u = np.maximum(z, slope * z)
+    scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a)
+    ex = np.exp(scores - np.maximum.reduceat(scores, graph.dst_starts)[graph.dst])
+    alpha = ex / graph.scatter_dst(ex)[graph.dst]
+    msg = h_src @ lay.v.reshape(k * d, din).T
+    weighted = (msg.reshape(-1, k, d) * alpha[:, :, None]).reshape(-1, k * d)
+    agg = graph.scatter_dst(weighted).reshape(-1, k, d)
+    out = gatv2._elu(agg.mean(axis=1)) if is_final else gatv2._elu(agg).reshape(len(h), -1)
+    return out, SimpleNamespace(h_dst=h_dst, h_src=h_src, z=z, u=u, msg=msg,
+                                alpha=alpha, agg=agg)
+
+
+def per_edge_layer_backward(graph, lay, c, d_out, slope, is_final, need_input_grad=True):
+    """Reference backward: every weight and input gradient is a GEMM over edges."""
+    k, d, two_din = lay.w.shape
+    din = two_din // 2
+    w, v = lay.w.reshape(k * d, two_din), lay.v.reshape(k * d, din)
+    if is_final:
+        d_pre = d_out * gatv2._elu_grad(c.agg.mean(axis=1)) / k
+        d_agg = np.repeat(d_pre[:, None, :], k, axis=1)
+    else:
+        d_agg = d_out.reshape(-1, k, d) * gatv2._elu_grad(c.agg)
+    d_weighted = d_agg[graph.dst]
+    d_alpha = np.einsum("ekd,ekd->ek", d_weighted, c.msg.reshape(-1, k, d))
+    d_msg = (d_weighted * c.alpha[:, :, None]).reshape(-1, k * d)
+    d_score = c.alpha * (d_alpha - graph.scatter_dst(c.alpha * d_alpha)[graph.dst])
+    d_u = (d_score[:, :, None] * lay.a[None]).reshape(-1, k * d)
+    d_z = np.where(c.z > 0, d_u, slope * d_u)
+    grads = LayerParams(
+        w=np.hstack([d_z.T @ c.h_dst, d_z.T @ c.h_src]).reshape(k, d, two_din),
+        a=np.einsum("ek,ekd->kd", d_score, c.u.reshape(-1, k, d)),
+        v=(d_msg.T @ c.h_src).reshape(k, d, din),
+    )
+    d_h = None
+    if need_input_grad:
+        d_h = (graph.scatter_src(d_msg @ v) + graph.scatter_dst(d_z @ w[:, :din])
+               + graph.scatter_src(d_z @ w[:, din:]))
+    return grads, d_h
+
+
+class TestPerEdgeReference:
+    def test_forward_and_gradient_match_per_edge_layers(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        n = 30
+        src = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
+        dst = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
+        mask = rng.uniform(size=n) < 0.7
+        mask[0] = True
+        graph = GraphSpec(n_nodes=n, features=rng.standard_normal((n, 3)),
+                          src=src, dst=dst, train_mask=mask)
+        assert not mask.all()  # predict-role nodes pass messages only
+        model = init_model(3, GatConfig(widths=(4, 3), heads=3, seed=8))
+        targets = rng.uniform(0, 1, n)
+
+        def run():
+            preds, export, cache = forward(model, graph)
+            grads = gradient(model, graph, targets, cache)
+            return preds, export.alpha_mean, cache.alphas, grads.flatten()
+
+        preds, alpha, alphas, grads = run()
+        monkeypatch.setattr(gatv2, "_layer_forward", per_edge_layer_forward)
+        monkeypatch.setattr(gatv2, "_layer_backward", per_edge_layer_backward)
+        ref_preds, ref_alpha, ref_alphas, ref_grads = run()
+
+        np.testing.assert_allclose(preds, ref_preds, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-12, atol=0)
+        for got, want in zip(alphas, ref_alphas):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        # entries near zero are held to 1e-12 of the largest gradient entry
+        np.testing.assert_allclose(grads, ref_grads, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_grads).max())
+
+
 class TestTrain:
     def test_constant_targets(self):
         graph = ring_graph(12, d0=3, seed=6)
@@ -300,6 +382,34 @@ class TestBuildGraph:
             d[i] = np.inf
             for j in np.argsort(d)[:8]:
                 assert (j, i) in edge_set and (i, j) in edge_set
+
+    @pytest.mark.parametrize("time_scale", [0.0, 1.0 / 7.0])
+    def test_matches_brute_force_on_tied_grid(self, time_scale):
+        # 8 x 8 grid repeated over 5 times: 320 nodes (more than one row
+        # block) with many exactly equal distances, all zero at time_scale 0
+        side = np.arange(8) * 0.125
+        gx, gy = np.meshgrid(side, side)
+        n_times, k = 5, 8
+        data = self.small_dataset(
+            np.tile(gx.ravel(), n_times), np.tile(gy.ravel(), n_times),
+            t=np.repeat(np.arange(1, n_times + 1), gx.size),
+        )
+        n = len(data)
+        assert n > gatv2._KNN_BLOCK_ROWS
+        src, dst = [np.arange(n)], [np.arange(n)]
+        for i in range(n):
+            dx, dy = data.x[i] - data.x, data.y[i] - data.y
+            dt = float(data.t[i]) - data.t
+            dist = np.sqrt(dx * dx + dy * dy + (time_scale * dt) ** 2)
+            order = np.argsort(dist, kind="stable")
+            neigh = order[order != i][:k]
+            src += [neigh, np.full(k, i)]
+            dst += [np.full(k, i), neigh]
+        want = GraphSpec(n_nodes=n, features=np.zeros((n, 1)), src=np.concatenate(src),
+                         dst=np.concatenate(dst), train_mask=np.ones(n, bool))
+        got = build_graph(data, k_neighbors=k, time_scale=time_scale)
+        np.testing.assert_array_equal(got.src, want.src)
+        np.testing.assert_array_equal(got.dst, want.dst)
 
     def test_features_include_scaled_time(self):
         data = self.small_dataset([0.1, 0.2], [0.3, 0.4], t=[1, 2])
