@@ -10,7 +10,6 @@ unconstrained scales (log precision, logit dependence).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -53,6 +52,13 @@ class AttentionField:
     c: np.ndarray        # scaled Laplacian L / median(degrees)
     lam_max: float
     degenerate: bool = False
+    c_eigh: tuple[np.ndarray, np.ndarray] | None = None
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of ``c``, computed on first use and kept."""
+        if self.c_eigh is None:
+            self.c_eigh = np.linalg.eigh(self.c)
+        return self.c_eigh
 
 
 def symmetrize(export: AttentionExport, n_nodes: int) -> np.ndarray:
@@ -130,9 +136,3 @@ def precision(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
     if field.lam_max <= 0.0 or field.degenerate:
         return tau * eye
     return tau * (eye - (beta / field.lam_max) * field.c)
-
-
-def write_field_csv(field: AttentionField, path_c: str | Path, path_degrees: str | Path) -> None:
-    """Structure matrix and degrees as CSV for inspection."""
-    np.savetxt(path_c, field.c, delimiter=",")
-    np.savetxt(path_degrees, field.degrees, delimiter=",")

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attnfield, evalkit, gatv2, geostat, pipeline, simgen
+from . import evalkit, gatv2, geostat, pipeline, simgen
 from .errors import GeoattnError
 
 ARTIFACT_VERSION = 1
@@ -212,7 +212,7 @@ def parse_model_config(obj: dict, name: str = "model", kind: str | None = None,
             time_scale=float(graph["time_scale"]),
             gat=gat_config,
             kernel=_parse_kernel(cfg["kernel"], f"{context}.kernel"),
-            attn_start=attnfield.AttnHyper(float(attn["theta1"]), float(attn["theta2"])),
+            attn_start=geostat.AttnHyper(float(attn["theta1"]), float(attn["theta2"])),
             bounds=_parse_bounds(opt["bounds"], f"{context}.optimizer"),
             restarts=int(opt["restarts"]),
             nm_max_iter=int(opt["max_iter"]),
@@ -434,10 +434,32 @@ def cmd_fit(args) -> int:
                        extra={"dry_run": True})
         return EXIT_OK
 
+    model = None
+    if args.kind == "hybrid":
+        try:
+            model, ckpt_extra = gatv2.load_checkpoint(args.gat_checkpoint)
+        except (OSError, ValueError, KeyError) as err:
+            raise ValidationFailure(f"cannot load checkpoint: {err}") from err
+        n_inputs = model.layers[0].v.shape[2]
+        n_features = gatv2.graph_features(data).shape[1]
+        if n_inputs != n_features:
+            raise ValidationFailure(
+                f"checkpoint expects {n_inputs} node features, the dataset gives {n_features}"
+            )
+        # the network runs on the graph it was trained on
+        try:
+            spec = replace(
+                spec,
+                k_neighbors=int(ckpt_extra.get("k_neighbors", spec.k_neighbors)),
+                time_scale=float(ckpt_extra.get("time_scale", spec.time_scale)),
+            )
+        except (TypeError, ValueError) as err:
+            raise ValidationFailure(f"checkpoint extra: {err}") from err
+    run = pipeline.run_insample(data, spec, seed=seed, model=model)
+
     extra: dict = {"kind": args.kind, "n_records": len(data)}
+    gat = run.gat
     if args.kind == "gat_only":
-        run = pipeline.run_insample(data, spec, seed=seed)
-        gat = run.gat
         out.write("checkpoint.json", lambda p: gatv2.save_checkpoint(
             gat.model, p,
             extra={
@@ -457,46 +479,19 @@ def cmd_fit(args) -> int:
             "initial_loss": float(gat.loss_trace[0]),
             "n_parameters": gat.model.n_params,
         })
-        out.write("predictions.csv", lambda p: geostat.write_prediction_csv(run.prediction, p))
-    elif args.kind == "mbg":
-        run = pipeline.run_insample(data, spec, seed=seed)
-        summary = run.fit.summary()
+    else:
+        summary = run.optimize.fit.summary()
         summary["optimizer"] = _optimizer_block(run.optimize)
         out.write_json("fit.json", summary)
-        out.write("predictions.csv", lambda p: geostat.write_prediction_csv(run.prediction, p))
-        extra["converged"] = bool(run.fit.converged)
-    else:  # hybrid
-        try:
-            model, ckpt_extra = gatv2.load_checkpoint(args.gat_checkpoint)
-        except (OSError, ValueError, KeyError) as err:
-            raise ValidationFailure(f"cannot load checkpoint: {err}") from err
-        k_neighbors = int(ckpt_extra.get("k_neighbors", spec.k_neighbors))
-        time_scale = float(ckpt_extra.get("time_scale", spec.time_scale))
-        graph = gatv2.build_graph(data, k_neighbors=k_neighbors, time_scale=time_scale)
-        preds, export, _ = gatv2.forward(model, graph)
-        field = attnfield.build_field(export, len(data))
-        offsets = gatv2.logit_offset(preds)
-        template = geostat.ModelSpec(
-            kind="hybrid", kernel=spec.kernel, offset=offsets,
-            attention=(field, spec.attn_start),
-        )
-        result = geostat.optimize_hyperparameters(
-            data, template, bounds=spec.bounds, restarts=spec.restarts,
-            seed=seed, max_iter=spec.nm_max_iter,
-        )
-        prediction = geostat.predict_insample(
-            result.fit, n_draws=spec.n_draws, seed=seed, level=spec.level,
-        )
-        summary = result.fit.summary()
-        summary["optimizer"] = _optimizer_block(result)
-        out.write_json("fit.json", summary)
-        out.write("attention.csv", lambda p: gatv2.write_attention_csv(export, p))
-        out.write("predictions.csv", lambda p: geostat.write_prediction_csv(prediction, p))
+        extra["converged"] = bool(run.optimize.fit.converged)
+    if args.kind == "hybrid":
+        field = run.field
+        out.write("attention.csv", lambda p: gatv2.write_attention_csv(gat.export, p))
         if args.export_field:
             out.write("field_structure.csv", lambda p: np.savetxt(p, field.c, delimiter=","))
             out.write("field_degrees.csv", lambda p: np.savetxt(p, field.degrees, delimiter=","))
         extra["lambda_max"] = field.lam_max
-        extra["converged"] = bool(result.fit.converged)
+    out.write("predictions.csv", lambda p: geostat.write_prediction_csv(run.prediction, p))
     write_manifest(out, f"fit:{args.kind}", raw, seed, inputs, started, extra=extra)
     return EXIT_OK
 

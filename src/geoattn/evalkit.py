@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -194,15 +193,6 @@ def kmeans_spatial(
     return FoldAssignment(cluster=assign, n_clusters=k, centroids=centroids)
 
 
-def within_cluster_ss(coords: np.ndarray, assign: FoldAssignment) -> float:
-    coords = np.asarray(coords, dtype=float)
-    total = 0.0
-    for j in range(assign.n_clusters):
-        pts = coords[assign.cluster == j]
-        total += float(np.sum((pts - pts.mean(axis=0)) ** 2))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Spatial cross-validation
 # ---------------------------------------------------------------------------
@@ -237,7 +227,10 @@ def spatial_cv(
     report incomplete instead of aborting the run.
     """
     if runner is None:
-        from .pipeline import fit_and_predict as runner  # avoids an import cycle
+        from .pipeline import fit_and_predict  # avoids an import cycle
+
+        def runner(train, test, spec, seed):
+            return fit_and_predict(train, test, spec, seed=seed).prediction
 
     if len(folds.cluster) != len(data):
         raise ValueError("fold assignment must cover every record")
@@ -340,10 +333,6 @@ def write_ranking_csv(rows: list[dict], path: str | Path) -> None:
             f"{row['rank_rbs']},{row['rank_mae']},{int(row['complete'])}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_report_json(report: MetricReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def report_csv_rows(spec_name: str, fold: str, report: MetricReport) -> list[str]:

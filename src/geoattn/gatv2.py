@@ -576,20 +576,3 @@ def write_attention_csv(export: AttentionExport, path: str | Path) -> None:
         for s, d, a in zip(export.src, export.dst, export.alpha_mean)
     ]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_attention_csv(path: str | Path) -> AttentionExport:
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0] != "src,dst,alpha_mean":
-        raise ValueError("not an attention export CSV")
-    src, dst, alpha = [], [], []
-    for row in rows[1:]:
-        s, d, a = row.split(",")
-        src.append(int(s))
-        dst.append(int(d))
-        alpha.append(float(a))
-    return AttentionExport(
-        src=np.asarray(src, dtype=np.int64),
-        dst=np.asarray(dst, dtype=np.int64),
-        alpha_mean=np.asarray(alpha, dtype=float),
-    )

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedSmoothness,
 )
 from .numkit import DEFAULT_KERNEL_JITTER, RngStream, cholesky, solve_chol
-from .simgen import Dataset, gneiting_cov, logistic
+from .simgen import Dataset, gneiting_cov, logistic, pair_distances
 
 DEFAULT_FIXED_EFFECT_SD = math.sqrt(1000.0)
 
@@ -108,21 +108,6 @@ def matern_cov(d, sigma2: float, rho: float, nu: float):
     return out if out.ndim else float(out)
 
 
-def separable_cov(d_s, d_t, spatial_kernel, temporal_kernel):
-    """Product of a spatial and a temporal covariance evaluated at the lags."""
-    return np.asarray(spatial_kernel(d_s)) * np.asarray(temporal_kernel(d_t))
-
-
-def _pair_distances(xa, ya, ta, xb=None, yb=None, tb=None):
-    if xb is None:
-        xb, yb, tb = xa, ya, ta
-    dx = xa[:, None] - xb[None, :]
-    dy = ya[:, None] - yb[None, :]
-    d_s = np.sqrt(dx * dx + dy * dy)
-    d_t = np.abs(ta[:, None].astype(float) - tb[None, :])
-    return d_s, d_t
-
-
 class CovarianceBuilder:
     """Kernel matrices over fixed point sets with cached distances.
 
@@ -131,7 +116,7 @@ class CovarianceBuilder:
     """
 
     def __init__(self, xa, ya, ta, xb=None, yb=None, tb=None):
-        self.d_s, self.d_t = _pair_distances(
+        self.d_s, self.d_t = pair_distances(
             np.asarray(xa, float), np.asarray(ya, float), np.asarray(ta),
             None if xb is None else np.asarray(xb, float),
             None if xb is None else np.asarray(yb, float),
@@ -144,15 +129,6 @@ class CovarianceBuilder:
         return kernel.sigma2 * gneiting_cov(
             self.d_s, self.d_t, kernel.phi_s, kernel.phi_t, kernel.gamma
         )
-
-
-def kernel_matrix(kernel: KernelSpec, data_a: Dataset, data_b: Dataset | None = None) -> np.ndarray:
-    """Covariance matrix between two record sets (or one with itself)."""
-    if data_b is None:
-        builder = CovarianceBuilder(data_a.x, data_a.y, data_a.t)
-    else:
-        builder = CovarianceBuilder(data_a.x, data_a.y, data_a.t, data_b.x, data_b.y, data_b.t)
-    return builder(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +195,10 @@ def _syrk(a: np.ndarray) -> np.ndarray:
 
 
 def _attention_cov(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
-    """Q(tau, beta)^{-1} via the cached eigendecomposition of C."""
+    """Q(tau, beta)^{-1} via the field's eigendecomposition of C."""
     if field.lam_max <= 0.0 or field.degenerate:
         return (1.0 / hyper.tau) * np.eye(field.n_nodes)
-    eig = getattr(field, "_eig_cache", None)
-    if eig is None:
-        eig = np.linalg.eigh(field.c)
-        field._eig_cache = eig
-    lam, vec = eig
+    lam, vec = field.eigh()
     q_eigs = hyper.tau * (1.0 - hyper.beta * lam / field.lam_max)
     return _syrk(vec * np.sqrt(1.0 / q_eigs))
 
@@ -756,13 +728,8 @@ def predict(
     u_draws = _draw_u(fit, n_draws, rng)
 
     # spatial field: component draws at observed points, then kriging
-    obs_like = Dataset(
-        ids=ops.ids, x=ops.x, y=ops.y, t=ops.t,
-        n_tested=np.ones(n_obs, dtype=int), n_pos=np.zeros(n_obs, dtype=int),
-        covariates=np.zeros((n_obs, 0)),
-    )
-    k_cross = kernel_matrix(fit.kernel, new_data, obs_like)
-    k_new = kernel_matrix(fit.kernel, new_data)
+    k_cross = CovarianceBuilder(new_data.x, new_data.y, new_data.t, ops.x, ops.y, ops.t)(fit.kernel)
+    k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(fit.kernel)
     sigma_s_obs = ops.sigma_s.copy()
     sigma_s_obs[np.diag_indices_from(sigma_s_obs)] += DEFAULT_KERNEL_JITTER
     chol_s_obs = cholesky(sigma_s_obs)

@@ -39,10 +39,6 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, stream_id: int) -> "RngStream":
-        """Fresh independent stream under the same seed."""
-        return RngStream(self.seed, stream_id)
-
     def standard_normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
 
@@ -85,18 +81,6 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     if info < 0:  # pragma: no cover - argument errors are caught above
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return c
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray, jitter: float = 0.0) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite ``a``."""
-    a = _as_square(a)
-    b = np.asarray(b, dtype=float)
-    vector_rhs = b.ndim == 1
-    factor = cholesky(a, jitter)
-    x, info = _lapack.dpotrs(factor, b.reshape(b.shape[0], -1), lower=1)
-    if info != 0:  # pragma: no cover
-        raise ValueError(f"dpotrs failed with info={info}")
-    return x[:, 0] if vector_rhs else x
 
 
 def solve_chol(factor: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """End-to-end wiring: graph + network training + attention field + fits.
 
 One :class:`PipelineModelSpec` describes everything needed to fit one model
-kind on a training slice and predict held-out records; cross-validation and
-the command-line front end both run through :func:`fit_and_predict` /
-:func:`run_insample`.
+kind. :func:`fit_and_predict` is the only place a spec becomes a fit: it
+trains the GATv2 network (or runs a given trained one), turns its
+predictions into a logit offset and its attention into a GMRF prior, fits
+the latent Gaussian model, and predicts at held-out records or, with none,
+at the training records. Cross-validation calls it once per fold; the
+command-line ``fit`` goes through :func:`run_insample`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ class PipelineModelSpec:
             raise ValueError("k_neighbors must be >= 1")
         if not (np.isfinite(self.time_scale) and self.time_scale >= 0):
             raise ValueError("time_scale must be finite and >= 0")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.nm_max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
         if self.n_draws < 1:
             raise ValueError("n_draws must be >= 1")
         if not (0.0 < self.level < 1.0):
@@ -73,7 +80,7 @@ class GatArtifacts:
     graph: gatv2.GraphSpec
     preds: np.ndarray
     export: gatv2.AttentionExport
-    loss_trace: np.ndarray
+    loss_trace: np.ndarray | None  # None when a trained model was given
 
 
 def train_gat(
@@ -81,113 +88,104 @@ def train_gat(
     train_mask: np.ndarray,
     spec: PipelineModelSpec,
     seed: int,
+    model: gatv2.GatModel | None = None,
 ) -> GatArtifacts:
-    """Transductive training: predict-role nodes join message passing only."""
+    """Transductive training: predict-role nodes join message passing only.
+
+    A given trained ``model`` is run on the graph instead of training one.
+    """
     graph = gatv2.build_graph(
         joint, k_neighbors=spec.k_neighbors, time_scale=spec.time_scale,
         train_mask=train_mask,
     )
-    config = replace(spec.gat, seed=seed)
-    model, trace = gatv2.train(graph, joint.empirical_prevalence, config)
+    trace = None
+    if model is None:
+        config = replace(spec.gat, seed=seed)
+        model, trace = gatv2.train(graph, joint.empirical_prevalence, config)
     preds, export, _ = gatv2.forward(model, graph)
     return GatArtifacts(model=model, graph=graph, preds=preds, export=export, loss_trace=trace)
 
 
-def _optimize(data, template, spec: PipelineModelSpec, seed: int):
-    return geostat.optimize_hyperparameters(
-        data, template,
+@dataclass
+class PipelineRun:
+    """One fit: the predictions and what was fitted on the way to them."""
+
+    prediction: geostat.Prediction
+    optimize: geostat.OptimizeResult | None = None  # mbg and hybrid
+    gat: GatArtifacts | None = None                 # gat_only and hybrid
+    field: attnfield.AttentionField | None = None   # hybrid: over train + test records
+
+
+def fit_and_predict(
+    train: Dataset,
+    test: Dataset | None,
+    spec: PipelineModelSpec,
+    seed: int = 0,
+    model: gatv2.GatModel | None = None,
+) -> PipelineRun:
+    """Fit on ``train`` and predict prevalence at ``test`` records.
+
+    With ``test`` None the predictions are at the ``train`` records. A given
+    trained ``model`` stands in for training the network (mbg has none).
+    """
+    n_tr = len(train)
+    gat = fld = offsets = None
+    if spec.kind == "mbg":
+        template = geostat.ModelSpec(
+            kind="mbg", kernel=spec.kernel, design=geostat.build_design(train),
+        )
+    else:
+        joint = train if test is None else concat_datasets(train, test)
+        n_joint = len(joint)
+        gat = train_gat(joint, np.arange(n_joint) < n_tr, spec, seed, model)
+        if spec.kind == "gat_only":
+            new = slice(None) if test is None else slice(n_tr, None)
+            pred = geostat.gat_only_prediction(joint.ids[new], gat.preds[new])
+            return PipelineRun(prediction=pred, gat=gat)
+        fld = attnfield.build_field(gat.export, n_joint)
+        train_field = fld if test is None else attnfield.restrict_field(fld, np.arange(n_tr))
+        offsets = gatv2.logit_offset(gat.preds)
+        template = geostat.ModelSpec(
+            kind="hybrid",
+            kernel=spec.kernel,
+            offset=offsets[:n_tr],
+            attention=(train_field, spec.attn_start),
+        )
+    result = geostat.optimize_hyperparameters(
+        train, template,
         bounds=spec.bounds,
         restarts=spec.restarts,
         seed=seed,
         max_iter=spec.nm_max_iter,
     )
-
-
-def fit_and_predict(
-    train: Dataset,
-    test: Dataset,
-    spec: PipelineModelSpec,
-    seed: int = 0,
-) -> geostat.Prediction:
-    """Fit on ``train`` and predict prevalence at ``test`` records."""
-    n_tr, n_te = len(train), len(test)
-    if spec.kind == "mbg":
-        template = geostat.ModelSpec(
-            kind="mbg", kernel=spec.kernel, design=geostat.build_design(train),
-        )
-        result = _optimize(train, template, spec, seed)
-        return geostat.predict(
-            result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level,
-        )
-
-    joint = concat_datasets(train, test)
-    mask = np.zeros(n_tr + n_te, dtype=bool)
-    mask[:n_tr] = True
-    gat = train_gat(joint, mask, spec, seed)
-
-    if spec.kind == "gat_only":
-        return geostat.gat_only_prediction(test.ids, gat.preds[n_tr:])
-
-    joint_field = attnfield.build_field(gat.export, n_tr + n_te)
-    train_field = attnfield.restrict_field(joint_field, np.arange(n_tr))
-    offsets = gatv2.logit_offset(gat.preds)
-    template = geostat.ModelSpec(
-        kind="hybrid",
-        kernel=spec.kernel,
-        offset=offsets[:n_tr],
-        attention=(train_field, spec.attn_start),
-    )
-    result = _optimize(train, template, spec, seed)
-    return geostat.predict(
-        result.fit, test,
-        n_draws=spec.n_draws, seed=seed, level=spec.level,
-        new_offsets=offsets[n_tr:],
-        joint_field=joint_field,
-        obs_nodes=np.arange(n_tr),
-        new_nodes=np.arange(n_tr, n_tr + n_te),
-    )
-
-
-@dataclass
-class InsampleRun:
-    """Fit on the whole dataset with predictions at the fitted records."""
-
-    spec: PipelineModelSpec
-    prediction: geostat.Prediction
-    fit: geostat.FitResult | None = None
-    optimize: geostat.OptimizeResult | None = None
-    gat: GatArtifacts | None = None
-    field: attnfield.AttentionField | None = None
-
-
-def run_insample(data: Dataset, spec: PipelineModelSpec, seed: int = 0) -> InsampleRun:
-    """Full-data fit of one model with predictions at the observed records."""
-    n = len(data)
-    if spec.kind == "mbg":
-        template = geostat.ModelSpec(
-            kind="mbg", kernel=spec.kernel, design=geostat.build_design(data),
-        )
-        result = _optimize(data, template, spec, seed)
+    if test is None:
         pred = geostat.predict_insample(
             result.fit, n_draws=spec.n_draws, seed=seed, level=spec.level,
         )
-        return InsampleRun(spec=spec, prediction=pred, fit=result.fit, optimize=result)
+    else:
+        pred = geostat.predict(
+            result.fit, test,
+            n_draws=spec.n_draws, seed=seed, level=spec.level,
+            new_offsets=None if offsets is None else offsets[n_tr:],
+            joint_field=fld,
+            obs_nodes=np.arange(n_tr),
+            new_nodes=np.arange(n_tr, n_tr + len(test)),
+        )
+    return PipelineRun(prediction=pred, optimize=result, gat=gat, field=fld)
 
-    gat = train_gat(data, np.ones(n, dtype=bool), spec, seed)
-    if spec.kind == "gat_only":
-        pred = geostat.gat_only_prediction(data.ids, gat.preds)
-        return InsampleRun(spec=spec, prediction=pred, gat=gat)
 
-    fld = attnfield.build_field(gat.export, n)
-    offsets = gatv2.logit_offset(gat.preds)
-    template = geostat.ModelSpec(
-        kind="hybrid", kernel=spec.kernel, offset=offsets,
-        attention=(fld, spec.attn_start),
-    )
-    result = _optimize(data, template, spec, seed)
-    pred = geostat.predict_insample(
-        result.fit, n_draws=spec.n_draws, seed=seed, level=spec.level,
-    )
-    return InsampleRun(
-        spec=spec, prediction=pred, fit=result.fit, optimize=result, gat=gat, field=fld,
-    )
+def run_insample(
+    data: Dataset,
+    spec: PipelineModelSpec,
+    seed: int = 0,
+    model: gatv2.GatModel | None = None,
+) -> PipelineRun:
+    """Full-data fit of one model with predictions at the observed records.
+
+    This is :func:`fit_and_predict` with no held-out records. It stays a
+    function of its own because the benchmark's tracer
+    (``perfbench/spans.py``) looks up every traced name, this one included,
+    with ``getattr``: removing or renaming a traced function breaks every
+    traced benchmark run.
+    """
+    return fit_and_predict(data, None, spec, seed=seed, model=model)

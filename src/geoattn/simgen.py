@@ -9,8 +9,7 @@ sampling of observed case counts. Everything is seeded and replayable.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +145,21 @@ def gneiting_cov(d_s, d_t, phi_s: float, phi_t: float, gamma: float):
     return out if out.ndim else float(out)
 
 
+def pair_distances(xa, ya, ta, xb=None, yb=None, tb=None):
+    """Spatial and temporal lags (d_s, d_t) between two record sets.
+
+    Arrays are (len(a), len(b)); with no second set, between set a and
+    itself.
+    """
+    if xb is None:
+        xb, yb, tb = xa, ya, ta
+    dx = xa[:, None] - xb[None, :]
+    dy = ya[:, None] - yb[None, :]
+    d_s = np.sqrt(dx * dx + dy * dy)
+    d_t = np.abs(ta[:, None].astype(float) - tb[None, :])
+    return d_s, d_t
+
+
 def _standardize(col: np.ndarray, noise_rng: RngStream) -> np.ndarray:
     """Column to mean 0, sample std 1; constant columns fall back to noise.
 
@@ -194,22 +208,6 @@ def build_covariates(coords: np.ndarray, p: int, rng: RngStream) -> np.ndarray:
     return np.column_stack([_standardize(c, rng) for c in cols])
 
 
-def spacetime_covariance(
-    x: np.ndarray,
-    y: np.ndarray,
-    t: np.ndarray,
-    phi_s: float,
-    phi_t: float,
-    gamma: float,
-) -> np.ndarray:
-    """Dense correlation matrix of the latent field over all record pairs."""
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    d_s = np.sqrt(dx * dx + dy * dy)
-    d_t = np.abs(t[:, None].astype(float) - t[None, :])
-    return gneiting_cov(d_s, d_t, phi_s, phi_t, gamma)
-
-
 def logistic(eta):
     """Numerically-stable inverse logit."""
     eta = np.asarray(eta, dtype=float)
@@ -252,7 +250,8 @@ def simulate(config: SimConfig) -> Dataset:
 
     covariates = build_covariates(np.column_stack([x, y, t]), p, cov_rng)
 
-    sigma = spacetime_covariance(x, y, t, config.phi_s, config.phi_t, config.gamma)
+    d_s, d_t = pair_distances(x, y, t)
+    sigma = gneiting_cov(d_s, d_t, config.phi_s, config.phi_t, config.gamma)
     s = mvn_sample(np.zeros(n), sigma, latent_rng, jitter=DEFAULT_KERNEL_JITTER)
 
     eta = config.beta0 + covariates @ beta + config.delta * s
@@ -384,13 +383,3 @@ def simulation_manifest(config: SimConfig, data: Dataset) -> dict:
         "beta": [float(b) for b in data.beta] if data.beta is not None else None,
         "n_records": len(data),
     }
-
-
-def config_with_beta(config: SimConfig, manifest: dict) -> SimConfig:
-    """Rebuild a config that fixes beta to a previously drawn vector."""
-    beta = manifest.get("beta")
-    return replace(config, beta=tuple(beta) if beta is not None else None)
-
-
-def write_manifest(manifest: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -180,9 +180,3 @@ class TestBuildField:
         assert sub.degrees.shape == (12,)
         # degrees and lam_max come from the subgraph, not sliced from the parent
         assert not np.allclose(sub.degrees, field.degrees[:12])
-
-    def test_field_csv_export(self, tmp_path):
-        field = build_field(random_export(6, seed=7), 6)
-        attnfield.write_field_csv(field, tmp_path / "c.csv", tmp_path / "deg.csv")
-        c = np.loadtxt(tmp_path / "c.csv", delimiter=",")
-        np.testing.assert_allclose(c, field.c, rtol=1e-12)

@@ -1,10 +1,12 @@
 """Command-line front end: bad inputs exit with code 2, fit artifacts."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from geoattn import cli, simgen
+from geoattn import attnfield, cli, gatv2, geostat, simgen
 
 
 @pytest.fixture
@@ -36,6 +38,36 @@ def fit_mbg(dataset, config, out):
         "fit", "--kind", "mbg", "--dataset", str(dataset),
         "--config", str(config), "--out", str(out),
     ])
+
+
+def fit_gat_then_hybrid(tmp_path, gat_dataset, hybrid_dataset, edit_checkpoint=None):
+    """``fit gat_only`` on one dataset, then ``fit hybrid`` with its checkpoint."""
+    gat_config = tmp_path / "gat.json"
+    # a graph other than the default, which the hybrid fit must take from the checkpoint
+    gat_config.write_text(json.dumps({
+        "version": 1, "graph": {"k_neighbors": 5, "time_scale": 0.5},
+        "gat": {"epochs": 3, "widths": [4]},
+    }))
+    assert cli.main([
+        "fit", "--kind", "gat_only", "--dataset", str(gat_dataset),
+        "--config", str(gat_config), "--out", str(tmp_path / "gat"),
+    ]) == cli.EXIT_OK
+    checkpoint = tmp_path / "gat" / "checkpoint.json"
+    if edit_checkpoint is not None:
+        payload = json.loads(checkpoint.read_text())
+        edit_checkpoint(payload)
+        checkpoint.write_text(json.dumps(payload))
+    hybrid_config = tmp_path / "hybrid.json"
+    hybrid_config.write_text(json.dumps({
+        "version": 1, "seed": 5, "n_draws": 50,
+        "optimizer": {"max_iter": 2, "bounds": {"theta2": [-15.0, 15.0]}},
+    }))
+    code = cli.main([
+        "fit", "--kind", "hybrid", "--dataset", str(hybrid_dataset),
+        "--config", str(hybrid_config), "--out", str(tmp_path / "hybrid"),
+        "--gat-checkpoint", str(checkpoint), "--export-field",
+    ])
+    return code, checkpoint, hybrid_config
 
 
 class TestBadInputExitsTwo:
@@ -85,6 +117,8 @@ BAD_MODEL_CONFIGS = {
     ),
     "zero_neighbors": ({"graph": {"k_neighbors": 0}}, "k_neighbors must be >= 1"),
     "nan_time_scale": ({"graph": {"time_scale": float("nan")}}, "time_scale must be finite"),
+    "negative_max_iter": ({"optimizer": {"max_iter": -1}}, "max_iter must be >= 0"),
+    "negative_restarts": ({"optimizer": {"restarts": -2}}, "restarts must be >= 1"),
 }
 
 
@@ -128,3 +162,73 @@ class TestFitArtifacts:
         assert float(losses[-1]) == fit["final_loss"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert "loss_trace.csv" in manifest["outputs"]
+
+
+class TestBadCheckpointExitsTwo:
+    def test_checkpoint_from_wider_covariates(self, tmp_path, dataset_csv, capsys):
+        narrow = simgen.simulate(simgen.SimConfig(
+            n_times=2, locs_per_time=(10, 10), n_covariates=5, seed=4,
+        ))
+        narrow_csv = tmp_path / "narrow.csv"
+        simgen.write_dataset_csv(narrow, narrow_csv)
+        code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, narrow_csv)
+        assert code == cli.EXIT_VALIDATION
+        assert "checkpoint expects 13 node features, the dataset gives 8" in capsys.readouterr().err
+
+    def test_checkpoint_with_zero_neighbors(self, tmp_path, dataset_csv, capsys):
+        def zero_neighbors(payload):
+            payload["extra"]["k_neighbors"] = 0
+
+        code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, dataset_csv, zero_neighbors)
+        assert code == cli.EXIT_VALIDATION
+        assert "k_neighbors must be >= 1" in capsys.readouterr().err
+
+
+class TestHybridFitMatchesInlineReference:
+    def test_predictions_and_exported_field(self, tmp_path):
+        data = simgen.simulate(simgen.SimConfig(n_times=3, locs_per_time=(15, 15), seed=8))
+        assert len(data) == 45
+        dataset = tmp_path / "dataset.csv"
+        simgen.write_dataset_csv(data, dataset)
+        code, checkpoint, config = fit_gat_then_hybrid(tmp_path, dataset, dataset)
+        assert code == cli.EXIT_OK
+        out = tmp_path / "hybrid"
+
+        # the hybrid fit as the command wired it before it went through the pipeline
+        data = simgen.read_dataset_csv(dataset)
+        spec = cli.parse_model_config(json.loads(config.read_text()), kind="hybrid")
+        model, extra = gatv2.load_checkpoint(checkpoint)
+        graph = gatv2.build_graph(
+            data, k_neighbors=int(extra["k_neighbors"]), time_scale=float(extra["time_scale"]),
+        )
+        preds, export, _ = gatv2.forward(model, graph)
+        field = attnfield.build_field(export, len(data))
+        template = geostat.ModelSpec(
+            kind="hybrid", kernel=spec.kernel, offset=gatv2.logit_offset(preds),
+            attention=(field, spec.attn_start),
+        )
+        result = geostat.optimize_hyperparameters(
+            data, template, bounds=spec.bounds, restarts=spec.restarts,
+            seed=5, max_iter=spec.nm_max_iter,
+        )
+        want = geostat.predict_insample(result.fit, n_draws=spec.n_draws, seed=5, level=spec.level)
+
+        got = geostat.read_prediction_csv(out / "predictions.csv")
+        np.testing.assert_array_equal(got.ids, want.ids)
+        for name in ("mean", "lo", "hi", "sd_linpred"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        attention = np.loadtxt(out / "attention.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(attention[:, 2], export.alpha_mean)
+        np.testing.assert_array_equal(
+            np.loadtxt(out / "field_structure.csv", delimiter=","), field.c,
+        )
+        np.testing.assert_array_equal(
+            np.loadtxt(out / "field_degrees.csv", delimiter=","), field.degrees,
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["lambda_max"] == field.lam_max
+        assert manifest["converged"] == bool(result.fit.converged)
+        for name in ("field_structure.csv", "field_degrees.csv", "attention.csv",
+                     "predictions.csv", "fit.json"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert manifest["outputs"][name] == digest

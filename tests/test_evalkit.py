@@ -18,8 +18,16 @@ from geoattn.evalkit import (
     rbs,
     score_predictions,
     spatial_cv,
-    within_cluster_ss,
 )
+
+
+def within_cluster_ss(coords, assign: FoldAssignment) -> float:
+    """k-means objective: squared distances of the points to their cluster means."""
+    total = 0.0
+    for j in range(assign.n_clusters):
+        pts = coords[assign.cluster == j]
+        total += float(np.sum((pts - pts.mean(axis=0)) ** 2))
+    return total
 
 
 class TestMetricUnits:

@@ -442,9 +442,12 @@ class TestCheckpointAndExport:
         )
         path = tmp_path / "attn.csv"
         gatv2.write_attention_csv(export, path)
-        back = gatv2.read_attention_csv(path)
-        np.testing.assert_array_equal(back.src, export.src)
-        np.testing.assert_array_equal(back.alpha_mean, export.alpha_mean)
+        rows = path.read_text().splitlines()
+        assert rows[0] == "src,dst,alpha_mean"
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back[:, 0], export.src)
+        np.testing.assert_array_equal(back[:, 1], export.dst)
+        np.testing.assert_array_equal(back[:, 2], export.alpha_mean)
 
     def test_logit_offset_clamps(self):
         offs = gatv2.logit_offset(np.array([-0.2, 0.5, 1.7]))

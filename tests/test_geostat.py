@@ -11,13 +11,11 @@ from geoattn.geostat import (
     KernelSpec,
     ModelSpec,
     build_design,
-    kernel_matrix,
     laplace_fit,
     matern_cov,
     optimize_hyperparameters,
     predict,
     predict_insample,
-    separable_cov,
 )
 from conftest import random_export
 
@@ -52,32 +50,6 @@ class TestMatern:
             assert matern_cov(1e-14, 3.0, 0.5, nu) == pytest.approx(3.0, rel=1e-9)
 
 
-class TestSeparable:
-    def test_zero_lag_product(self):
-        spatial = lambda d: matern_cov(d, 2.0, 0.3, 0.5)
-        temporal = lambda d: matern_cov(d, 3.0, 1.0, 0.5)
-        assert separable_cov(0.0, 0.0, spatial, temporal) == pytest.approx(6.0)
-
-    def test_unit_temporal_factor(self):
-        spatial = lambda d: matern_cov(d, 2.0, 0.3, 1.5)
-        temporal = lambda d: np.ones_like(np.asarray(d, dtype=float))
-        d = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(
-            separable_cov(d, d, spatial, temporal), spatial(d), rtol=1e-14,
-        )
-
-    def test_exponential_product_equals_gneiting_gamma_zero(self):
-        # algebraic identity checked over a grid of space-time lags
-        rng = np.random.default_rng(1)
-        d_s = rng.uniform(0, 2, 100)
-        d_t = rng.uniform(0, 5, 100)
-        spatial = lambda d: matern_cov(d, 1.0, 0.25, 0.5)
-        temporal = lambda d: matern_cov(d, 1.0, 0.25, 0.5)
-        product = separable_cov(d_s, d_t, spatial, temporal)
-        joint = simgen.gneiting_cov(d_s, d_t, 0.25, 0.25, 0.0)
-        np.testing.assert_allclose(product, joint, atol=1e-12)
-
-
 class TestKernelMatrix:
     def test_spd_across_optimizer_bounds(self):
         data = make_data(n_times=3, locs=(15, 25), seed=5)
@@ -91,7 +63,7 @@ class TestKernelMatrix:
                 KernelSpec(family="gneiting", sigma2=sigma2, phi_s=phi_s, phi_t=phi_t),
                 KernelSpec(family="matern", sigma2=sigma2, rho=rho, nu=1.5),
             ):
-                numkit.cholesky(kernel_matrix(kernel, data), jitter=1e-8)
+                numkit.cholesky(CovarianceBuilder(data.x, data.y, data.t)(kernel), jitter=1e-8)
 
     def test_builder_matches_direct_evaluation(self):
         data = make_data(n_times=2, locs=(8, 12), seed=3)
@@ -146,7 +118,7 @@ class TestLaplaceFit:
 
         sigma_u = (
             spec.fixed_effect_sd ** 2 * (spec.design @ spec.design.T)
-            + kernel_matrix(kernel, data)
+            + CovarianceBuilder(data.x, data.y, data.t)(kernel)
             + 1e-8 * np.eye(len(data))
         )
         oracle = sigma_u @ np.linalg.solve(sigma_u + obs_sd ** 2 * np.eye(len(data)), y)

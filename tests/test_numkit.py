@@ -36,12 +36,14 @@ class TestCholesky:
 
 
 class TestSolveSpd:
+    """SPD solves through a Cholesky factor: solve_chol(cholesky(a), b)."""
+
     def test_identity(self):
         b = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(numkit.solve_spd(np.eye(3), b), b)
+        np.testing.assert_array_equal(numkit.solve_chol(numkit.cholesky(np.eye(3)), b), b)
 
     def test_diagonal(self):
-        x = numkit.solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+        x = numkit.solve_chol(numkit.cholesky(np.diag([2.0, 4.0])), np.array([2.0, 4.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-15)
 
     def test_random_spd_residual(self):
@@ -49,7 +51,7 @@ class TestSolveSpd:
         a = rng.standard_normal((10, 10))
         spd = a @ a.T + 10 * np.eye(10)
         b = rng.standard_normal((10, 3))
-        x = numkit.solve_spd(spd, b)
+        x = numkit.solve_chol(numkit.cholesky(spd), b)
         residual = np.linalg.norm(spd @ x - b) / np.linalg.norm(b)
         assert residual <= 1e-10
 
@@ -60,7 +62,7 @@ class TestSolveSpd:
             a = rng.standard_normal((n, n))
             spd = a @ a.T + n * np.eye(n)
             b = rng.standard_normal(n)
-            x = numkit.solve_spd(spd, b)
+            x = numkit.solve_chol(numkit.cholesky(spd), b)
             err = np.abs(spd @ x - b).max() / np.abs(b).max()
             assert err <= 1e-9
 

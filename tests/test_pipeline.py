@@ -1,0 +1,131 @@
+"""The one fit path: held-out fits and CV against the inline wiring, traced names."""
+
+import importlib
+import importlib.util
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from geoattn import attnfield, cli, evalkit, gatv2, geostat, pipeline, simgen
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def specs():
+    gat = gatv2.GatConfig(widths=(4,), epochs=3)
+    common = dict(n_draws=50, nm_max_iter=2, gat=gat)
+    return [
+        pipeline.PipelineModelSpec(
+            name="mbg", kind="mbg", bounds={"log_sigma2": (-3.0, 1.0)}, **common,
+        ),
+        pipeline.PipelineModelSpec(
+            name="hybrid", kind="hybrid", bounds={"theta2": (-15.0, 15.0)}, **common,
+        ),
+        pipeline.PipelineModelSpec(name="gat_only", kind="gat_only", **common),
+    ]
+
+
+def reference_fit_and_predict(train, test, spec, seed=0):
+    """The mbg and hybrid branches of the held-out fit before the paths merged."""
+    n_tr, n_te = len(train), len(test)
+
+    def optimize(template):
+        return geostat.optimize_hyperparameters(
+            train, template, bounds=spec.bounds, restarts=spec.restarts,
+            seed=seed, max_iter=spec.nm_max_iter,
+        )
+
+    if spec.kind == "mbg":
+        template = geostat.ModelSpec(
+            kind="mbg", kernel=spec.kernel, design=geostat.build_design(train),
+        )
+        result = optimize(template)
+        return geostat.predict(result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level)
+
+    joint = pipeline.concat_datasets(train, test)
+    mask = np.zeros(n_tr + n_te, dtype=bool)
+    mask[:n_tr] = True
+    graph = gatv2.build_graph(
+        joint, k_neighbors=spec.k_neighbors, time_scale=spec.time_scale, train_mask=mask,
+    )
+    model, _ = gatv2.train(graph, joint.empirical_prevalence, replace(spec.gat, seed=seed))
+    preds, export, _ = gatv2.forward(model, graph)
+    if spec.kind == "gat_only":
+        return geostat.gat_only_prediction(test.ids, preds[n_tr:])
+
+    joint_field = attnfield.build_field(export, n_tr + n_te)
+    train_field = attnfield.restrict_field(joint_field, np.arange(n_tr))
+    offsets = gatv2.logit_offset(preds)
+    template = geostat.ModelSpec(
+        kind="hybrid", kernel=spec.kernel, offset=offsets[:n_tr],
+        attention=(train_field, spec.attn_start),
+    )
+    result = optimize(template)
+    return geostat.predict(
+        result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level,
+        new_offsets=offsets[n_tr:], joint_field=joint_field,
+        obs_nodes=np.arange(n_tr), new_nodes=np.arange(n_tr, n_tr + n_te),
+    )
+
+
+def assert_same_prediction(got, want):
+    for name in ("ids", "mean", "lo", "hi", "sd_linpred"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestHeldOutFitsMatchInlineReference:
+    def make(self):
+        data = simgen.simulate(simgen.SimConfig(n_times=3, locs_per_time=(17, 17), seed=21))
+        assert len(data) == 51
+        folds = evalkit.kmeans_spatial(np.column_stack([data.x, data.y]), 3, seed=2)
+        return data, folds
+
+    def test_one_split_every_kind(self):
+        data, folds = self.make()
+        test_mask = folds.cluster == 0
+        train, test = data.subset(~test_mask), data.subset(test_mask)
+        for spec in specs():
+            got = pipeline.fit_and_predict(train, test, spec, seed=4)
+            assert_same_prediction(got.prediction, reference_fit_and_predict(train, test, spec, seed=4))
+
+    def test_cv_command_matches_reference_runner(self, tmp_path):
+        data, folds = self.make()
+        dataset = tmp_path / "dataset.csv"
+        simgen.write_dataset_csv(data, dataset)
+        spec_list = tmp_path / "specs.json"
+        spec_list.write_text(json.dumps({"version": 1, "specs": [
+            {"name": "mbg", "kind": "mbg", "n_draws": 50,
+             "optimizer": {"max_iter": 2, "bounds": {"log_sigma2": [-3.0, 1.0]}}},
+            {"name": "hybrid", "kind": "hybrid", "n_draws": 50,
+             "gat": {"epochs": 3, "widths": [4]},
+             "optimizer": {"max_iter": 2, "bounds": {"theta2": [-15.0, 15.0]}}},
+        ]}))
+        out = tmp_path / "cv"
+        assert cli.main([
+            "cv", "--dataset", str(dataset), "--specs", str(spec_list), "--k", "3",
+            "--seed", "2", "--out", str(out),
+        ]) == cli.EXIT_OK
+
+        # the command reads the CSV back, so the reference does too
+        data = simgen.read_dataset_csv(dataset)
+        reports = evalkit.spatial_cv(
+            data, specs()[:2], folds, runner=reference_fit_and_predict, seed=2,
+        )
+        for fold_id in range(3):
+            written = json.loads((out / f"fold_{fold_id}_report.json").read_text())
+            for rep in reports:
+                assert written[rep.name] == rep.per_fold[fold_id].to_dict()
+
+
+def test_every_traced_name_is_a_callable():
+    """The benchmark's tracer looks up each traced name with getattr."""
+    loader = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    assert spans.TRACED
+    for qual in spans.TRACED:
+        module, attr = qual.split(".")
+        value = getattr(importlib.import_module(f"geoattn.{module}"), attr, None)
+        assert callable(value), qual

@@ -1,5 +1,7 @@
 """Simulation design: covariance, covariates, sampling, and file round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,9 +144,8 @@ class TestSimulate:
     def test_covariance_is_psd_with_jitter(self):
         cfg = self.default_config(n_times=4, locs_per_time=(40, 60), seed=9)
         data = simgen.simulate(cfg)
-        sigma = simgen.spacetime_covariance(
-            data.x, data.y, data.t, cfg.phi_s, cfg.phi_t, cfg.gamma,
-        )
+        d_s, d_t = simgen.pair_distances(data.x, data.y, data.t)
+        sigma = simgen.gneiting_cov(d_s, d_t, cfg.phi_s, cfg.phi_t, cfg.gamma)
         numkit.cholesky(sigma, jitter=1e-8)  # must not raise
 
     def test_gamma_zero_factorizes(self):
@@ -153,11 +154,10 @@ class TestSimulate:
         rng = np.random.default_rng(0)
         x, y = rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)
         t = rng.integers(1, 6, 40)
-        joint = simgen.spacetime_covariance(x, y, t, 0.25, 0.25, 0.0)
-        spatial = simgen.spacetime_covariance(x, y, np.zeros(40, dtype=int), 0.25, 1.0, 0.0)
-        temporal = simgen.spacetime_covariance(
-            np.zeros(40), np.zeros(40), t, 1.0, 0.25, 0.0,
-        )
+        d_s, d_t = simgen.pair_distances(x, y, t)
+        joint = simgen.gneiting_cov(d_s, d_t, 0.25, 0.25, 0.0)
+        spatial = simgen.gneiting_cov(d_s, 0.0, 0.25, 1.0, 0.0)
+        temporal = simgen.gneiting_cov(0.0, d_t, 1.0, 0.25, 0.0)
         np.testing.assert_allclose(joint, spatial * temporal, atol=1e-12)
 
 
@@ -202,7 +202,7 @@ class TestCsvRoundTrip:
         cfg = simgen.SimConfig(n_times=2, locs_per_time=(5, 8), seed=2)
         data = simgen.simulate(cfg)
         manifest = simgen.simulation_manifest(cfg, data)
-        cfg2 = simgen.config_with_beta(cfg, manifest)
+        cfg2 = replace(cfg, beta=tuple(manifest["beta"]))
         data2 = simgen.simulate(cfg2)
         np.testing.assert_array_equal(data.beta, data2.beta)
         np.testing.assert_array_equal(data.n_pos, data2.n_pos)
