@@ -5,6 +5,10 @@ adjacency, its unnormalized graph Laplacian scaled by the median node
 degree, and the resulting two-parameter precision matrix
 Q(tau, beta) = tau * (I - beta / lam_max * C). The hyperparameters live on
 unconstrained scales (log precision, logit dependence).
+
+Every field is built with the full eigendecomposition of C, which the fit
+needs for Q^{-1} anyway; lam_max is its top eigenvalue. This module is the
+only one that knows the spectrum of Q and its degenerate tau * I form.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import ZeroMedianDegree
 from .gatv2 import AttentionExport
-from .numkit import power_iteration_max_eig
+from .numkit import syrk
 
 
 @dataclass(frozen=True)
@@ -52,13 +56,8 @@ class AttentionField:
     c: np.ndarray        # scaled Laplacian L / median(degrees)
     lam_max: float
     degenerate: bool = False
+    # eigh(c); fields from build_field and restrict_field always carry it
     c_eigh: tuple[np.ndarray, np.ndarray] | None = None
-
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of ``c``, computed on first use and kept."""
-        if self.c_eigh is None:
-            self.c_eigh = np.linalg.eigh(self.c)
-        return self.c_eigh
 
 
 def symmetrize(export: AttentionExport, n_nodes: int) -> np.ndarray:
@@ -93,36 +92,31 @@ def scale_by_median_degree(lap: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return lap / med
 
 
-def build_field(export: AttentionExport, n_nodes: int) -> AttentionField:
-    """Full construction: symmetrize -> Laplacian -> median scaling -> lam_max."""
-    w_sym = symmetrize(export, n_nodes)
+def _field(w_sym: np.ndarray) -> AttentionField:
+    """Degrees -> median-scaled C -> eigh(C) -> lam_max, the top eigenvalue."""
     lap, degrees = laplacian(w_sym)
     c = scale_by_median_degree(lap, degrees)
-    eig = power_iteration_max_eig(c)
+    c_eigh = np.linalg.eigh(c)
+    lam_max = float(c_eigh[0][-1])
     return AttentionField(
-        n_nodes=n_nodes,
+        n_nodes=len(w_sym),
         w_sym=w_sym,
         degrees=degrees,
         c=c,
-        lam_max=eig.lam_max,
-        degenerate=eig.degenerate,
+        lam_max=lam_max,
+        degenerate=lam_max <= 0.0,
+        c_eigh=c_eigh,
     )
+
+
+def build_field(export: AttentionExport, n_nodes: int) -> AttentionField:
+    """Full construction from the exported attention of ``n_nodes`` nodes."""
+    return _field(symmetrize(export, n_nodes))
 
 
 def restrict_field(field: AttentionField, keep: np.ndarray) -> AttentionField:
     """Field induced on a node subset (degrees, scaling and lam_max recomputed)."""
-    w_sub = field.w_sym[np.ix_(keep, keep)]
-    lap, degrees = laplacian(w_sub)
-    c = scale_by_median_degree(lap, degrees)
-    eig = power_iteration_max_eig(c)
-    return AttentionField(
-        n_nodes=len(w_sub),
-        w_sym=w_sub,
-        degrees=degrees,
-        c=c,
-        lam_max=eig.lam_max,
-        degenerate=eig.degenerate,
-    )
+    return _field(field.w_sym[np.ix_(keep, keep)])
 
 
 def precision(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
@@ -136,3 +130,12 @@ def precision(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
     if field.lam_max <= 0.0 or field.degenerate:
         return tau * eye
     return tau * (eye - (beta / field.lam_max) * field.c)
+
+
+def covariance(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
+    """Q(tau, beta)^{-1} from the eigendecomposition of C; I / tau when degenerate."""
+    if field.lam_max <= 0.0 or field.degenerate:
+        return (1.0 / hyper.tau) * np.eye(field.n_nodes)
+    lam, vec = field.c_eigh
+    q_eigs = hyper.tau * (1.0 - hyper.beta * lam / field.lam_max)
+    return syrk(vec * np.sqrt(1.0 / q_eigs))

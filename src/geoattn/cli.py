@@ -11,8 +11,8 @@ keys are hard errors; outputs are written atomically (temp file + rename)
 into the --out directory together with exactly one manifest recording the
 config snapshot, seeds, and SHA-256 digests of all inputs and outputs; exit
 code 0 means success, 2 a validation failure, 3 a numerical failure.
-``GEOATTN_SEED`` and ``GEOATTN_WORKERS`` override the config seed and the
-cross-validation worker count.
+``GEOATTN_SEED`` overrides the config seed. Cross-validation runs its folds
+one at a time: ``cv --workers`` accepts only 1.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evalkit, gatv2, geostat, pipeline, simgen
-from .errors import GeoattnError
+from .errors import GeoattnError, TooFewPoints
 
 ARTIFACT_VERSION = 1
 
@@ -306,19 +306,6 @@ def _env_seed(seed: int) -> int:
     return seed
 
 
-def _env_workers(default: int) -> int:
-    override = os.environ.get("GEOATTN_WORKERS")
-    if override is None:
-        return default
-    try:
-        value = int(override)
-    except ValueError as err:
-        raise ValidationFailure("GEOATTN_WORKERS must be an integer") from err
-    if value < 1:
-        raise ValidationFailure("GEOATTN_WORKERS must be >= 1")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # SVG scatter rendering
 # ---------------------------------------------------------------------------
@@ -422,10 +409,15 @@ def cmd_fit(args) -> int:
     spec = replace(spec, gat=replace(spec.gat, seed=seed))
     input_paths = [args.config, args.dataset]
 
-    if args.kind == "hybrid" and not args.gat_checkpoint:
-        raise ValidationFailure("hybrid fits need --gat-checkpoint from a gat_only fit")
-    if args.gat_checkpoint:
+    if args.kind == "hybrid":
+        if not args.gat_checkpoint:
+            raise ValidationFailure("hybrid fits need --gat-checkpoint from a gat_only fit")
         input_paths.append(args.gat_checkpoint)
+    else:
+        for flag, given in (("--gat-checkpoint", args.gat_checkpoint),
+                            ("--export-field", args.export_field)):
+            if given:
+                raise ValidationFailure(f"{flag} applies to hybrid fits only, not {args.kind}")
     inputs = _input_digests(input_paths)
     data = _load_dataset(args.dataset)
     out = OutputDir(args.out)
@@ -577,7 +569,6 @@ def cmd_cv(args) -> int:
         raise ValidationFailure("duplicate spec names in the spec list")
 
     seed = _env_seed(args.seed)
-    workers = _env_workers(args.workers)
     inputs = _input_digests([args.specs, args.dataset])
     data = _load_dataset(args.dataset)
     out = OutputDir(args.out)
@@ -585,10 +576,11 @@ def cmd_cv(args) -> int:
         write_manifest(out, "cv", raw, seed, inputs, started, extra={"dry_run": True})
         return EXIT_OK
 
-    folds = evalkit.kmeans_spatial(
-        np.column_stack([data.x, data.y]), args.k, seed=seed,
-    )
-    reports = evalkit.spatial_cv(data, specs, folds, seed=seed, workers=workers)
+    try:
+        folds = evalkit.kmeans_spatial(np.column_stack([data.x, data.y]), args.k, seed=seed)
+    except TooFewPoints as err:
+        raise ValidationFailure(f"--k {args.k}: {err}") from err
+    reports = evalkit.spatial_cv(data, specs, folds, seed=seed)
 
     for fold_id in range(args.k):
         payload = {}
@@ -660,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--specs", required=True, help="spec list JSON")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, choices=[1],
+                   help="folds run one at a time; only 1 is accepted")
     p.add_argument("--out", required=True)
     p.add_argument("--manifest-only", action="store_true")
     p.set_defaults(func=cmd_cv)

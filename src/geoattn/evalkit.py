@@ -152,7 +152,9 @@ def kmeans_spatial(
         raise ValueError("coords must be (n, 2)")
     n = len(coords)
     distinct = len(np.unique(coords, axis=0))
-    if k < 1 or k > distinct:
+    if k < 1:
+        raise TooFewPoints(f"k={k}: need at least one cluster")
+    if k > distinct:
         raise TooFewPoints(f"k={k} exceeds the {distinct} distinct coordinates")
 
     rng = RngStream(seed, _STREAM_KMEANS)
@@ -216,10 +218,10 @@ def spatial_cv(
     folds: FoldAssignment,
     runner=None,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[CvSpecReport]:
     """Fit each spec on out-of-fold records and score held-out predictions.
 
+    Specs and folds run one at a time, in spec order and then fold order.
     Scores use the held-out records' empirical prevalence (truth columns are
     never consulted here). ``runner(train, test, spec, seed)`` must return a
     prediction object with ``ids``/``mean`` aligned to the test records; the
@@ -235,57 +237,24 @@ def spatial_cv(
     if len(folds.cluster) != len(data):
         raise ValueError("fold assignment must cover every record")
 
-    jobs = []
-    for spec in specs:
-        for fold_id in range(folds.n_clusters):
-            jobs.append((spec, fold_id))
-
-    def run_job(spec, fold_id):
-        test_mask = folds.cluster == fold_id
-        train = data.subset(~test_mask)
-        test = data.subset(test_mask)
-        pred = runner(train, test, spec, seed=seed + fold_id)
-        return pred, test
-
-    results: dict[tuple[str, int], tuple] = {}
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (spec.name, fold_id): pool.submit(run_job, spec, fold_id)
-                for spec, fold_id in jobs
-            }
-        for key, fut in futures.items():
-            try:
-                results[key] = ("ok", fut.result())
-            except Exception as err:  # noqa: BLE001 - per-fold failures are recorded
-                results[key] = ("error", f"{type(err).__name__}: {err}")
-    else:
-        for spec, fold_id in jobs:
-            key = (spec.name, fold_id)
-            try:
-                results[key] = ("ok", run_job(spec, fold_id))
-            except Exception as err:  # noqa: BLE001
-                results[key] = ("error", f"{type(err).__name__}: {err}")
-
     reports = []
     for spec in specs:
         per_fold: dict[int, MetricReport] = {}
         errors: dict[int, str] = {}
         pooled_pred, pooled_truth, pooled_t = [], [], []
         for fold_id in range(folds.n_clusters):
-            status, payload = results[(spec.name, fold_id)]
-            if status == "error":
-                errors[fold_id] = payload
+            test_mask = folds.cluster == fold_id
+            test = data.subset(test_mask)
+            try:
+                pred = runner(data.subset(~test_mask), test, spec, seed=seed + fold_id)
+            except Exception as err:  # noqa: BLE001 - per-fold failures are recorded
+                errors[fold_id] = f"{type(err).__name__}: {err}"
                 continue
-            pred, test = payload
             truth = test.empirical_prevalence
             per_fold[fold_id] = score_predictions(pred.mean, truth, t=test.t)
             pooled_pred.append(pred.mean)
             pooled_truth.append(truth)
             pooled_t.append(test.t)
-        complete = not errors
         pooled = None
         n_pooled = 0
         if pooled_pred:
@@ -298,7 +267,7 @@ def spatial_cv(
             tag=getattr(spec, "tag", ""),
             per_fold=per_fold,
             pooled=pooled,
-            complete=complete,
+            complete=not errors,
             errors=errors,
             pooled_records=n_pooled,
         ))

@@ -22,20 +22,19 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import blas as _blas
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from .attnfield import AttentionField, AttnHyper, precision
+from .attnfield import AttentionField, AttnHyper, covariance as attention_cov, precision
 from .errors import (
     AllRestartsFailed,
     NewtonDivergence,
     NotPositiveDefinite,
     UnsupportedSmoothness,
 )
-from .numkit import DEFAULT_KERNEL_JITTER, RngStream, cholesky, solve_chol
-from .simgen import Dataset, gneiting_cov, logistic, pair_distances
+from .numkit import DEFAULT_KERNEL_JITTER, RngStream, cholesky, solve_chol, syrk
+from .simgen import Dataset, check_unique_ids, gneiting_cov, logistic, pair_distances
 
 DEFAULT_FIXED_EFFECT_SD = math.sqrt(1000.0)
 
@@ -188,21 +187,6 @@ def _binom_grad_w(eta, z, n):
     return z - n * p, n * p * (1.0 - p)
 
 
-def _syrk(a: np.ndarray) -> np.ndarray:
-    """a @ a.T via dsyrk, symmetrized from the computed triangle."""
-    c = _blas.dsyrk(1.0, a, lower=0)
-    return c + np.triu(c, 1).T
-
-
-def _attention_cov(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
-    """Q(tau, beta)^{-1} via the field's eigendecomposition of C."""
-    if field.lam_max <= 0.0 or field.degenerate:
-        return (1.0 / hyper.tau) * np.eye(field.n_nodes)
-    lam, vec = field.eigh()
-    q_eigs = hyper.tau * (1.0 - hyper.beta * lam / field.lam_max)
-    return _syrk(vec * np.sqrt(1.0 / q_eigs))
-
-
 # ---------------------------------------------------------------------------
 # Laplace fit
 # ---------------------------------------------------------------------------
@@ -288,10 +272,10 @@ def _build_sigma_u(data: Dataset, spec: ModelSpec, sigma_s: np.ndarray) -> np.nd
     sigma_u = sigma_s.copy()
     if spec.kind == "mbg":
         d = spec.design
-        sigma_u += spec.fixed_effect_sd ** 2 * _syrk(d)
+        sigma_u += spec.fixed_effect_sd ** 2 * syrk(d)
     elif spec.kind == "hybrid":
         fld, hyper = spec.attention
-        sigma_u += _attention_cov(fld, hyper)
+        sigma_u += attention_cov(fld, hyper)
     # numerical nugget: kernel matrices on near-duplicate points are singular
     sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
     return sigma_u
@@ -800,7 +784,8 @@ def read_prediction_csv(path: str | Path) -> Prediction:
     """Prediction from a CSV written by :func:`write_prediction_csv`.
 
     Raises ValueError naming the data row (1-based, after the header) that
-    has the wrong number of fields or a value that does not parse.
+    has the wrong number of fields or a value that does not parse, and both
+    rows when two rows share an id.
     """
     rows = Path(path).read_text().strip().splitlines()
     if not rows or rows[0] != "id,mean,lo95,hi95,sd_linpred":
@@ -816,7 +801,9 @@ def read_prediction_csv(path: str | Path) -> Prediction:
             data[k - 1] = [float(v) for v in fields]
         except ValueError as err:
             raise ValueError(f"prediction CSV row {k}: {err}") from None
+    ids = data[:, 0].astype(int)
+    check_unique_ids(ids, "prediction CSV")
     return Prediction(
-        ids=data[:, 0].astype(int), mean=data[:, 1], lo=data[:, 2],
+        ids=ids, mean=data[:, 1], lo=data[:, 2],
         hi=data[:, 3], sd_linpred=data[:, 4],
     )

@@ -3,7 +3,8 @@ linear algebra, and sampling primitives.
 
 Everything here is dense and double precision. The largest problems this
 package produces stay near 3,000 points, where O(n^3) factorizations are
-cheap, so no sparse or iterative machinery is provided.
+cheap, so no sparse or iterative machinery is used; power iteration is kept
+for the benchmark's tracer only.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
 from .errors import NonConvergence, NotPositiveDefinite
@@ -93,6 +95,12 @@ def solve_chol(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:, 0] if vector_rhs else x
 
 
+def syrk(a: np.ndarray) -> np.ndarray:
+    """a @ a.T via dsyrk, symmetrized from the computed triangle."""
+    c = _blas.dsyrk(1.0, a, lower=0)
+    return c + np.triu(c, 1).T
+
+
 @dataclass(frozen=True)
 class PowerIterationResult:
     lam_max: float
@@ -111,6 +119,10 @@ def power_iteration_max_eig(
     max_iter: int = POWER_ITER_MAX,
 ) -> PowerIterationResult:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+
+    No command or pipeline path calls this; attention fields take lam_max
+    from their eigendecomposition. It stays only because the benchmark's
+    tracer (``perfbench/spans.py``) looks it up by name.
 
     The start vector is the normalized all-ones vector, which keeps runs
     reproducible. If that vector is annihilated by ``c`` (it is an exact

@@ -313,11 +313,20 @@ def write_dataset_csv(data: Dataset, path: str | Path, include_truth: bool = Tru
             writer.writerow(row)
 
 
+def check_unique_ids(ids: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the two data rows (1-based) that first share an id."""
+    first_row: dict[int, int] = {}
+    for row, record_id in enumerate(ids.tolist(), start=1):
+        if first_row.setdefault(record_id, row) != row:
+            raise ValueError(f"{what} rows {first_row[record_id]} and {row} repeat id {record_id}")
+
+
 def read_dataset_csv(path: str | Path) -> Dataset:
     """Dataset from a CSV written by :func:`write_dataset_csv`.
 
     Raises ValueError naming the data row (1-based, after the header) when a
-    row has the wrong number of fields or a value that does not parse.
+    row has the wrong number of fields or a value that does not parse, and
+    both rows when two records share an id.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -350,11 +359,13 @@ def read_dataset_csv(path: str | Path) -> Dataset:
                 raise ValueError(f"dataset CSV row {k}, column {name!r}: {err}") from None
         return np.array(values)
 
+    ids = col("id", int)
+    check_unique_ids(ids, "dataset CSV")
     covariates = np.empty((len(rows), len(cov_cols)))
     for j, i in enumerate(cov_cols):
         covariates[:, j] = col(header[i], float)
     return Dataset(
-        ids=col("id", int),
+        ids=ids,
         x=col("x", float),
         y=col("y", float),
         t=col("t", int),

@@ -157,6 +157,18 @@ class TestPrecision:
             assert min_eig >= tau * (1 - beta) - 1e-9
 
 
+def two_rings(n=10, scale=1 + 1e-4):
+    """Two disjoint n-node rings, attention 0.5 per edge, the second scaled."""
+    src, dst, alpha = [], [], []
+    for offset, s in ((0, 1.0), (n, scale)):
+        for i in range(n):
+            a, b = offset + i, offset + (i + 1) % n
+            src += [a, a, b]
+            dst += [a, b, a]
+            alpha += [0.0, 0.5 * s, 0.5 * s]
+    return AttentionExport(src=np.array(src), dst=np.array(dst), alpha_mean=np.array(alpha))
+
+
 class TestBuildField:
     def test_builds_consistent_structure(self):
         export = random_export(20, seed=5)
@@ -167,8 +179,15 @@ class TestBuildField:
             np.diag(field.degrees) - field.w_sym,
             atol=1e-12,
         )
-        truth = np.linalg.eigvalsh(field.c).max()
-        assert field.lam_max == pytest.approx(truth, rel=1e-8)
+        # lam_max is the top eigenvalue of C, on the built field and on a
+        # restriction, and agrees with the power iteration it replaced
+        keep = np.random.default_rng(5).permutation(20)[:12]
+        for fld in (field, attnfield.restrict_field(field, keep)):
+            truth = np.linalg.eigvalsh(fld.c).max()
+            assert fld.lam_max == pytest.approx(truth, rel=1e-12)
+            old = numkit.power_iteration_max_eig(fld.c).lam_max
+            assert fld.lam_max == pytest.approx(old, rel=1e-9)
+            assert not fld.degenerate
 
     def test_restrict_field_recomputes(self):
         export = random_export(20, seed=6)
@@ -180,3 +199,10 @@ class TestBuildField:
         assert sub.degrees.shape == (12,)
         # degrees and lam_max come from the subgraph, not sliced from the parent
         assert not np.allclose(sub.degrees, field.degrees[:12])
+
+    def test_near_tied_spectrum(self):
+        # the two rings' top eigenvalues differ by 1e-4 relative, which
+        # stalled power iteration (NonConvergence after 10,000 iterations)
+        field = build_field(two_rings(), 20)
+        truth = np.linalg.eigvalsh(field.c).max()
+        assert field.lam_max == pytest.approx(truth, rel=1e-12)

@@ -99,6 +99,71 @@ class TestBadInputExitsTwo:
         assert code == cli.EXIT_VALIDATION
         assert "no rows" in capsys.readouterr().err
 
+    def test_repeated_dataset_id(self, tmp_path, dataset_csv, fit_config, capsys):
+        rewrite_row(dataset_csv, 7, lambda fields: ",".join(["2"] + fields[1:]))
+        assert fit_mbg(dataset_csv, fit_config, tmp_path / "out") == cli.EXIT_VALIDATION
+        assert "dataset CSV rows 3 and 7 repeat id 2" in capsys.readouterr().err
+
+    def test_repeated_prediction_id(self, tmp_path, dataset_csv, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("id,mean,lo95,hi95,sd_linpred\n"
+                        "0,0.2,0.1,0.3,0.5\n1,0.2,0.1,0.3,0.5\n0,0.4,0.3,0.5,0.5\n")
+        code = cli.main([
+            "evaluate", "--pred", f"m={pred}", "--dataset", str(dataset_csv),
+            "--mode", "truth", "--out", str(tmp_path / "eval"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "prediction CSV rows 1 and 3 repeat id 0" in capsys.readouterr().err
+
+
+class TestBadArgumentsExitTwo:
+    @pytest.fixture
+    def specs_json(self, tmp_path):
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps({"version": 1, "specs": [
+            {"name": "m", "kind": "mbg", "n_draws": 20, "optimizer": {"max_iter": 0}},
+        ]}))
+        return path
+
+    def cv(self, tmp_path, dataset_csv, specs_json, *extra):
+        return cli.main([
+            "cv", "--dataset", str(dataset_csv), "--specs", str(specs_json),
+            "--out", str(tmp_path / "cv"), *extra,
+        ])
+
+    def test_cv_workers_two(self, tmp_path, dataset_csv, specs_json, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self.cv(tmp_path, dataset_csv, specs_json, "--k", "2", "--workers", "2")
+        assert exit_info.value.code == cli.EXIT_VALIDATION
+        assert "--workers: invalid choice: 2" in capsys.readouterr().err
+
+    def test_cv_zero_folds(self, tmp_path, dataset_csv, specs_json, capsys):
+        code = self.cv(tmp_path, dataset_csv, specs_json, "--k", "0")
+        assert code == cli.EXIT_VALIDATION
+        assert "need k >= 2 folds" in capsys.readouterr().err
+
+    def test_cv_more_folds_than_locations(self, tmp_path, dataset_csv, specs_json, capsys):
+        code = self.cv(tmp_path, dataset_csv, specs_json, "--k", "50")
+        assert code == cli.EXIT_VALIDATION
+        assert "--k 50: k=50 exceeds the 20 distinct coordinates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["mbg", "gat_only"])
+    def test_checkpoint_outside_hybrid(self, kind, tmp_path, dataset_csv, fit_config, capsys):
+        code = cli.main([
+            "fit", "--kind", kind, "--dataset", str(dataset_csv), "--config", str(fit_config),
+            "--out", str(tmp_path / "out"), "--gat-checkpoint", str(tmp_path / "unread.json"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert f"--gat-checkpoint applies to hybrid fits only, not {kind}" in capsys.readouterr().err
+
+    def test_export_field_outside_hybrid(self, tmp_path, dataset_csv, fit_config, capsys):
+        code = cli.main([
+            "fit", "--kind", "mbg", "--dataset", str(dataset_csv), "--config", str(fit_config),
+            "--out", str(tmp_path / "out"), "--export-field",
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "--export-field applies to hybrid fits only, not mbg" in capsys.readouterr().err
+
 
 BAD_MODEL_CONFIGS = {
     "zero_draws": ({"n_draws": 0}, "n_draws must be >= 1"),

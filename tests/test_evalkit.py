@@ -228,15 +228,6 @@ class TestSpatialCv:
         assert rows[0]["rank_rbs"] == 1 and rows[1]["rank_rbs"] == 2
         assert rows[0]["tag"] == "fine"
 
-    def test_workers_do_not_change_results(self):
-        data, folds = self.make()
-        specs = [FakeSpec("a", bias=0.02), FakeSpec("b", bias=0.04)]
-        seq = spatial_cv(data, specs, folds, runner=fake_runner, workers=1)
-        par = spatial_cv(data, specs, folds, runner=fake_runner, workers=4)
-        for r1, r2 in zip(seq, par):
-            assert r1.pooled.rbs == r2.pooled.rbs
-            assert r1.pooled.mae == r2.pooled.mae
-
     def test_noise_floor_on_constant_prevalence(self):
         # delta = 0, beta = 0: truth is flat, so a constant predictor's rbs
         # against empirical prevalence is pure binomial sampling noise
