@@ -11,13 +11,25 @@ keys are hard errors; outputs are written atomically (temp file + rename)
 into the --out directory together with exactly one manifest recording the
 config snapshot, seeds, and SHA-256 digests of all inputs and outputs; exit
 code 0 means success, 2 a validation failure, 3 a numerical failure.
-``GEOATTN_SEED`` overrides the config seed. Cross-validation runs its folds
-one at a time: ``cv --workers`` accepts only 1.
+``GEOATTN_SEED`` overrides the config seed; a negative seed exits 2.
+Cross-validation runs its folds one at a time: ``cv --workers`` accepts
+only 1.
+
+Each config section is read from its dataclass, whose keys, defaults and
+types it takes: the simulation config from ``simgen.SimConfig``, ``gat``
+from ``gatv2.GatConfig`` (its ``seed`` is the top-level ``seed``),
+``kernel`` from ``geostat.KernelSpec``, ``attention_start`` from
+``attnfield.AttnHyper``, and the top level, ``graph`` and ``optimizer``
+(``max_iter`` is ``nm_max_iter``) from ``pipeline.PipelineModelSpec``. An
+integer field takes a JSON integer only, so ``2.0`` and ``true`` are
+refused; a float field takes any JSON number. In a ``cv`` spec the ``seed``
+key is accepted but unused: ``cv --seed`` seeds every fold.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,6 +37,8 @@ import os
 import sys
 import tempfile
 import time
+import types
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,16 +62,13 @@ class ValidationFailure(Exception):
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def _require_keys(obj: dict, allowed: dict, context: str) -> dict:
-    """Apply defaults and reject unknown keys with a field diagnostic."""
+def _check_keys(obj: dict, allowed, context: str) -> None:
+    """Reject keys of ``obj`` outside ``allowed`` with a field diagnostic."""
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ValidationFailure(
             f"unknown key(s) in {context}: {', '.join(sorted(unknown))}"
         )
-    out = dict(allowed)
-    out.update(obj)
-    return out
 
 
 def _load_json(path: str | Path, context: str) -> dict:
@@ -81,84 +92,89 @@ def _check_version(obj: dict, context: str) -> None:
         raise ValidationFailure(f"{context}: 'version' must be present and equal to 1")
 
 
-def parse_sim_config(obj: dict) -> simgen.SimConfig:
-    _check_version(obj, "simulation config")
-    allowed = {
-        "version": 1,
-        "seed": None,
-        "n_times": 10,
-        "locs_per_time": [100, 300],
-        "n_covariates": 10,
-        "beta0": -1.75,
-        "delta": 0.8,
-        "phi_s": 0.25,
-        "phi_t": 0.25,
-        "gamma": 0.75,
-        "trials_range": [30, 80],
-        "beta": None,
-    }
-    cfg = _require_keys(obj, allowed, "simulation config")
-    if cfg["seed"] is None:
-        raise ValidationFailure("simulation config: field 'seed' is required")
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _typed(value, hint, key: str):
+    """``value`` checked against the field annotation ``hint``.
+
+    ``int`` takes a JSON integer only; ``float`` any JSON number, returned as
+    a float; ``tuple[...]`` a list, item by item and of the annotated length
+    when it is fixed; ``X | None`` also ``null``. Raises ValidationFailure
+    naming ``key``.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (types.UnionType, typing.Union):
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _typed(value, hint, key)
+    if typing.get_origin(hint) is tuple:
+        fixed = args[-1] is not Ellipsis
+        if isinstance(value, list) and (not fixed or len(value) == len(args)):
+            items = args if fixed else args[:1] * len(value)
+            return tuple(_typed(v, h, f"{key}[{i}]") for i, (v, h) in enumerate(zip(value, items)))
+        wanted = f"a list of {len(args)} items" if fixed else "a list"
+    else:
+        # bool is an int subclass in Python but not a JSON number
+        if type(value) is hint or (hint is float and type(value) is int):
+            return float(value) if hint is float else value
+        wanted = _JSON_TYPES[hint]
+    raise ValidationFailure(f"{key} must be {wanted}, got {json.dumps(value)}")
+
+
+def _kwargs(obj, cls, context: str, keys: dict[str, str]) -> dict:
+    """Checked keyword arguments of the dataclass ``cls`` from the JSON object ``obj``.
+
+    ``keys`` maps each accepted JSON key to its field of ``cls``. Only the
+    keys given are returned, so ``cls`` supplies every default.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationFailure(f"{context} must be a JSON object, got {json.dumps(obj)}")
+    _check_keys(obj, keys, context)
+    hints = typing.get_type_hints(cls)
+    return {keys[k]: _typed(v, hints[keys[k]], f"{context}.{k}") for k, v in obj.items()}
+
+
+def _build(cls, kwargs: dict, context: str):
     try:
-        return simgen.SimConfig(
-            n_times=int(cfg["n_times"]),
-            locs_per_time=tuple(int(v) for v in cfg["locs_per_time"]),
-            n_covariates=int(cfg["n_covariates"]),
-            beta0=float(cfg["beta0"]),
-            delta=float(cfg["delta"]),
-            phi_s=float(cfg["phi_s"]),
-            phi_t=float(cfg["phi_t"]),
-            gamma=float(cfg["gamma"]),
-            trials_range=tuple(int(v) for v in cfg["trials_range"]),
-            seed=int(cfg["seed"]),
-            beta=None if cfg["beta"] is None else tuple(float(b) for b in cfg["beta"]),
-        )
-    except (TypeError, ValueError) as err:
-        raise ValidationFailure(f"simulation config: {err}") from err
-
-
-_GRAPH_DEFAULTS = {"k_neighbors": gatv2.DEFAULT_K_NEIGHBORS, "time_scale": gatv2.DEFAULT_TIME_SCALE}
-_GAT_DEFAULTS = {
-    "widths": [16, 16], "heads": 4, "leaky_slope": 0.2,
-    "learning_rate": 0.1, "epochs": 2000, "weight_init_scale": 1.0,
-}
-_KERNEL_DEFAULTS = {
-    "family": "gneiting", "sigma2": 1.0, "rho": 0.25, "nu": 1.5,
-    "phi_s": 0.25, "phi_t": 0.25, "gamma": 0.0,
-}
-_ATTN_DEFAULTS = {"theta1": 0.0, "theta2": 0.0}
-_OPT_DEFAULTS = {"restarts": 1, "max_iter": 150, "bounds": None}
-
-
-def _parse_kernel(obj: dict, context: str) -> geostat.KernelSpec:
-    cfg = _require_keys(obj, _KERNEL_DEFAULTS, context)
-    try:
-        return geostat.KernelSpec(
-            family=cfg["family"],
-            sigma2=float(cfg["sigma2"]),
-            rho=float(cfg["rho"]),
-            nu=float(cfg["nu"]),
-            phi_s=float(cfg["phi_s"]),
-            phi_t=float(cfg["phi_t"]),
-            gamma=float(cfg["gamma"]),
-        )
+        return cls(**kwargs)
     except ValueError as err:
         raise ValidationFailure(f"{context}: {err}") from err
+
+
+def _dataclass(obj, cls, context: str, **fixed):
+    """``cls`` from a config section whose keys are its init fields.
+
+    The ``fixed`` fields are set by the caller and are not config keys.
+    """
+    keys = {f.name: f.name for f in dataclasses.fields(cls) if f.init and f.name not in fixed}
+    return _build(cls, {**_kwargs(obj, cls, context, keys), **fixed}, context)
+
+
+def parse_sim_config(obj: dict) -> simgen.SimConfig:
+    context = "simulation config"
+    _check_version(obj, context)
+    if "seed" not in obj:
+        raise ValidationFailure(f"{context}: field 'seed' is required")
+    return _dataclass({k: v for k, v in obj.items() if k != "version"}, simgen.SimConfig, context)
+
+
+# JSON key -> PipelineModelSpec field, at the top level and in `graph` and `optimizer`
+_SPEC_KEYS = {key: key for key in ("name", "kind", "tag", "n_draws", "level")}
+_GRAPH_KEYS = {"k_neighbors": "k_neighbors", "time_scale": "time_scale"}
+_OPTIMIZER_KEYS = {"restarts": "restarts", "max_iter": "nm_max_iter", "bounds": "bounds"}
+_NOT_SPEC_KEYS = ("version", "seed", "graph", "gat", "kernel", "attention_start", "optimizer")
 
 
 def _parse_bounds(obj, context: str):
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        raise ValidationFailure(f"{context}: bounds must be an object")
     out = {}
     for name, pair in obj.items():
         if name not in geostat.DEFAULT_BOUNDS:
             raise ValidationFailure(f"{context}: unknown bound name {name!r}")
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValidationFailure(f"{context}: bound {name!r} must be [lo, hi]")
-        lo, hi = float(pair[0]), float(pair[1])
+        lo, hi = _typed(pair, tuple[float, float], f"{context}.bounds.{name}")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValidationFailure(
                 f"{context}: bound {name!r} must be finite with lo < hi, got [{lo}, {hi}]"
@@ -169,58 +185,22 @@ def _parse_bounds(obj, context: str):
 
 def parse_model_config(obj: dict, name: str = "model", kind: str | None = None,
                        context: str = "fit config") -> pipeline.PipelineModelSpec:
-    allowed = {
-        "version": 1,
-        "seed": 0,
-        "name": name,
-        "kind": kind,
-        "tag": "",
-        "n_draws": 2000,
-        "level": 0.95,
-        "graph": {},
-        "gat": {},
-        "kernel": {},
-        "attention_start": {},
-        "optimizer": {},
-    }
-    cfg = _require_keys(obj, allowed, context)
-    if cfg["kind"] is None:
+    spec = {"name": name, "kind": kind, **_kwargs(
+        {k: v for k, v in obj.items() if k not in _NOT_SPEC_KEYS},
+        pipeline.PipelineModelSpec, context, _SPEC_KEYS,
+    )}
+    if spec["kind"] is None:
         raise ValidationFailure(f"{context}: field 'kind' is required")
-    if cfg["kind"] not in geostat.MODEL_KINDS:
-        raise ValidationFailure(
-            f"{context}: kind must be one of {', '.join(geostat.MODEL_KINDS)}"
-        )
-    graph = _require_keys(cfg["graph"], _GRAPH_DEFAULTS, f"{context}.graph")
-    gat = _require_keys(cfg["gat"], _GAT_DEFAULTS, f"{context}.gat")
-    attn = _require_keys(cfg["attention_start"], _ATTN_DEFAULTS, f"{context}.attention_start")
-    opt = _require_keys(cfg["optimizer"], _OPT_DEFAULTS, f"{context}.optimizer")
-    try:
-        gat_config = gatv2.GatConfig(
-            widths=tuple(int(w) for w in gat["widths"]),
-            heads=int(gat["heads"]),
-            leaky_slope=float(gat["leaky_slope"]),
-            learning_rate=float(gat["learning_rate"]),
-            epochs=int(gat["epochs"]),
-            weight_init_scale=float(gat["weight_init_scale"]),
-            seed=int(cfg["seed"]),
-        )
-        return pipeline.PipelineModelSpec(
-            name=str(cfg["name"]),
-            kind=cfg["kind"],
-            tag=str(cfg["tag"]),
-            k_neighbors=int(graph["k_neighbors"]),
-            time_scale=float(graph["time_scale"]),
-            gat=gat_config,
-            kernel=_parse_kernel(cfg["kernel"], f"{context}.kernel"),
-            attn_start=geostat.AttnHyper(float(attn["theta1"]), float(attn["theta2"])),
-            bounds=_parse_bounds(opt["bounds"], f"{context}.optimizer"),
-            restarts=int(opt["restarts"]),
-            nm_max_iter=int(opt["max_iter"]),
-            n_draws=int(cfg["n_draws"]),
-            level=float(cfg["level"]),
-        )
-    except (TypeError, ValueError) as err:
-        raise ValidationFailure(f"{context}: {err}") from err
+    seed = _typed(obj.get("seed", 0), int, f"{context}.seed")
+    for key, keys in (("graph", _GRAPH_KEYS), ("optimizer", _OPTIMIZER_KEYS)):
+        spec.update(_kwargs(obj.get(key, {}), pipeline.PipelineModelSpec, f"{context}.{key}", keys))
+    spec["bounds"] = _parse_bounds(spec.get("bounds"), f"{context}.optimizer")
+    spec["gat"] = _dataclass(obj.get("gat", {}), gatv2.GatConfig, f"{context}.gat", seed=seed)
+    spec["kernel"] = _dataclass(obj.get("kernel", {}), geostat.KernelSpec, f"{context}.kernel")
+    spec["attn_start"] = _dataclass(
+        obj.get("attention_start", {}), geostat.AttnHyper, f"{context}.attention_start",
+    )
+    return _build(pipeline.PipelineModelSpec, spec, context)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +277,15 @@ def _input_digests(paths: list[str | Path]) -> dict[str, str]:
 
 
 def _env_seed(seed: int) -> int:
+    """The run's seed: ``GEOATTN_SEED`` when set, else ``seed``; never negative."""
     override = os.environ.get("GEOATTN_SEED")
     if override is not None:
         try:
-            return int(override)
+            seed = int(override)
         except ValueError as err:
             raise ValidationFailure("GEOATTN_SEED must be an integer") from err
+    if seed < 0:
+        raise ValidationFailure(f"seed must be >= 0, got {seed}")
     return seed
 
 
@@ -430,7 +413,7 @@ def cmd_fit(args) -> int:
     if args.kind == "hybrid":
         try:
             model, ckpt_extra = gatv2.load_checkpoint(args.gat_checkpoint)
-        except (OSError, ValueError, KeyError) as err:
+        except (OSError, ValueError, KeyError, TypeError) as err:
             raise ValidationFailure(f"cannot load checkpoint: {err}") from err
         n_inputs = model.layers[0].v.shape[2]
         n_features = gatv2.graph_features(data).shape[1]
@@ -550,16 +533,13 @@ def cmd_cv(args) -> int:
         raise ValidationFailure("need k >= 2 folds")
     raw = _load_json(args.specs, "spec list")
     _check_version(raw, "spec list")
-    allowed = {"version": 1, "specs": None}
-    cfg = _require_keys(raw, allowed, "spec list")
-    if not isinstance(cfg["specs"], list) or not cfg["specs"]:
+    _check_keys(raw, ("version", "specs"), "spec list")
+    if not isinstance(raw.get("specs"), list) or not raw["specs"]:
         raise ValidationFailure("spec list: 'specs' must be a non-empty array")
     specs = []
-    for i, entry in enumerate(cfg["specs"]):
+    for i, entry in enumerate(raw["specs"]):
         if not isinstance(entry, dict):
             raise ValidationFailure(f"spec #{i} must be an object")
-        entry = dict(entry)
-        entry.setdefault("version", 1)
         name = entry.get("name")
         if not name:
             raise ValidationFailure(f"spec #{i}: field 'name' is required")
@@ -629,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one model on a dataset (in-sample predictions)")
     p.add_argument("--dataset", required=True, help="dataset CSV")
-    p.add_argument("--kind", required=True, choices=geostat.MODEL_KINDS)
+    p.add_argument("--kind", required=True, choices=pipeline.MODEL_KINDS)
     p.add_argument("--config", required=True, help="fit config JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--gat-checkpoint", help="checkpoint from a gat_only fit (hybrid)")

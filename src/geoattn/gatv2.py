@@ -15,7 +15,7 @@ are bit-reproducible and independent of the caller's edge-list order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -514,18 +514,9 @@ def logit_offset(preds: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(model: GatModel, path: str | Path, extra: dict | None = None) -> None:
     """Model checkpoint as JSON: config, shapes, and flat parameters."""
-    cfg = model.config
     payload = {
         "format_version": 1,
-        "config": {
-            "widths": list(cfg.widths),
-            "heads": cfg.heads,
-            "leaky_slope": cfg.leaky_slope,
-            "learning_rate": cfg.learning_rate,
-            "epochs": cfg.epochs,
-            "weight_init_scale": cfg.weight_init_scale,
-            "seed": cfg.seed,
-        },
+        "config": asdict(model.config),
         "shapes": {
             "layers": [
                 {"w": list(l.w.shape), "a": list(l.a.shape), "v": list(l.v.shape)}
@@ -540,17 +531,13 @@ def save_checkpoint(model: GatModel, path: str | Path, extra: dict | None = None
 
 
 def load_checkpoint(path: str | Path) -> tuple[GatModel, dict]:
+    """Model and ``extra`` of a :func:`save_checkpoint` file; ValueError unless
+    its config holds exactly the GatConfig fields."""
     payload = json.loads(Path(path).read_text())
     cfg = payload["config"]
-    config = GatConfig(
-        widths=tuple(cfg["widths"]),
-        heads=cfg["heads"],
-        leaky_slope=cfg["leaky_slope"],
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        weight_init_scale=cfg["weight_init_scale"],
-        seed=cfg["seed"],
-    )
+    if set(cfg) != {f.name for f in fields(GatConfig)}:
+        raise ValueError(f"checkpoint config keys {sorted(cfg)} are not the GatConfig fields")
+    config = GatConfig(**{**cfg, "widths": tuple(cfg["widths"])})
     layers = [
         LayerParams(
             w=np.zeros(tuple(sh["w"])),

@@ -134,12 +134,9 @@ class CovarianceBuilder:
 # Model specification
 # ---------------------------------------------------------------------------
 
-MODEL_KINDS = ("mbg", "gat_only", "hybrid")
-
-
 @dataclass
 class ModelSpec:
-    """Which latent blocks a model carries and their prior parameters."""
+    """Which latent blocks an mbg or hybrid model carries and their prior parameters."""
 
     kind: str
     kernel: KernelSpec | None = None
@@ -149,8 +146,6 @@ class ModelSpec:
     fixed_effect_sd: float = DEFAULT_FIXED_EFFECT_SD
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "mbg":
             if self.design is None or self.kernel is None:
                 raise ValueError("mbg needs a design matrix and a kernel")
@@ -161,9 +156,8 @@ class ModelSpec:
                 raise ValueError("hybrid needs offset, attention and a kernel")
             if self.design is not None:
                 raise ValueError("hybrid carries no design matrix")
-        else:  # gat_only is scored directly; nothing to fit
-            if any(v is not None for v in (self.kernel, self.design, self.offset, self.attention)):
-                raise ValueError("gat_only takes no latent structure")
+        else:
+            raise ValueError(f"unknown model kind {self.kind!r}; geostat fits mbg and hybrid")
 
 
 def build_design(data: Dataset) -> np.ndarray:
@@ -309,8 +303,6 @@ def laplace_fit(
     ``converged`` is False when the loop reaches 100 iterations or the line
     search finds no ascent.
     """
-    if spec.kind == "gat_only":
-        raise ValueError("gat_only is scored directly; nothing to fit")
     if np.any(data.n_tested < 1):
         raise ValueError("all records need n_tested >= 1")
 
@@ -543,8 +535,6 @@ def optimize_hyperparameters(
     which also builds the posterior operators, starts from the mode that
     the best evaluation found.
     """
-    if spec_template.kind == "gat_only":
-        raise ValueError("gat_only has no hyperparameters")
     all_names = _param_names(spec_template)
     if bounds is None:
         names = all_names
@@ -733,7 +723,7 @@ def predict(
         s_draws = u_draws - d @ beta_draws
         d_new = build_design(new_data)
         eta_new = d_new @ beta_draws
-    elif fit.kind == "hybrid":
+    else:
         if new_offsets is None or joint_field is None or obs_nodes is None or new_nodes is None:
             raise ValueError("hybrid prediction needs new_offsets, joint_field and node indices")
         r_s = solve_chol(chol_su, ops.sigma_s).T           # Sigma_S Sigma_u^{-1}
@@ -751,23 +741,10 @@ def predict(
             chol_qnn.T, rng.standard_normal((n_new, n_draws)), lower=False
         )
         eta_new = np.asarray(new_offsets, float)[:, None] + cond_mean + noise
-    else:
-        raise ValueError("gat_only predictions are produced directly from the network")
 
     s_new = krig @ s_draws + chol_cond @ rng.standard_normal((n_new, n_draws))
     eta_new = eta_new + s_new
     return _summarize_draws(new_data.ids, eta_new, level)
-
-
-def gat_only_prediction(ids: np.ndarray, preds: np.ndarray) -> Prediction:
-    """Degenerate-interval prediction for a bare network regressor."""
-    from .gatv2 import clamp_prevalence
-
-    p = clamp_prevalence(np.asarray(preds, float))
-    return Prediction(
-        ids=np.asarray(ids), mean=p, lo=p.copy(), hi=p.copy(),
-        sd_linpred=np.zeros(len(p)),
-    )
 
 
 def write_prediction_csv(pred: Prediction, path: str | Path) -> None:
@@ -792,18 +769,19 @@ def read_prediction_csv(path: str | Path) -> Prediction:
         raise ValueError("not a prediction CSV")
     if len(rows) == 1:
         raise ValueError("prediction CSV has no rows")
-    data = np.empty((len(rows) - 1, 5))
+    ids = np.empty(len(rows) - 1, dtype=int)
+    data = np.empty((len(rows) - 1, 4))
     for k, row in enumerate(rows[1:], start=1):
         fields = row.split(",")
         if len(fields) != 5:
             raise ValueError(f"prediction CSV row {k} has {len(fields)} fields, expected 5")
         try:
-            data[k - 1] = [float(v) for v in fields]
+            ids[k - 1] = int(fields[0])
+            data[k - 1] = [float(v) for v in fields[1:]]
         except ValueError as err:
             raise ValueError(f"prediction CSV row {k}: {err}") from None
-    ids = data[:, 0].astype(int)
     check_unique_ids(ids, "prediction CSV")
     return Prediction(
-        ids=ids, mean=data[:, 1], lo=data[:, 2],
-        hi=data[:, 3], sd_linpred=data[:, 4],
+        ids=ids, mean=data[:, 0], lo=data[:, 1],
+        hi=data[:, 2], sd_linpred=data[:, 3],
     )

@@ -19,6 +19,9 @@ from . import attnfield, gatv2, geostat
 from .simgen import Dataset
 
 
+MODEL_KINDS = ("mbg", "gat_only", "hybrid")
+
+
 @dataclass(frozen=True)
 class PipelineModelSpec:
     """Named configuration for one model in a comparison or CV run."""
@@ -38,8 +41,8 @@ class PipelineModelSpec:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.kind not in geostat.MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(MODEL_KINDS)}, got {self.kind!r}")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
         if not (np.isfinite(self.time_scale) and self.time_scale >= 0):
@@ -106,6 +109,15 @@ def train_gat(
     return GatArtifacts(model=model, graph=graph, preds=preds, export=export, loss_trace=trace)
 
 
+def gat_only_prediction(ids: np.ndarray, preds: np.ndarray) -> geostat.Prediction:
+    """Degenerate-interval prediction for a bare network regressor."""
+    p = gatv2.clamp_prevalence(np.asarray(preds, float))
+    return geostat.Prediction(
+        ids=np.asarray(ids), mean=p, lo=p.copy(), hi=p.copy(),
+        sd_linpred=np.zeros(len(p)),
+    )
+
+
 @dataclass
 class PipelineRun:
     """One fit: the predictions and what was fitted on the way to them."""
@@ -140,7 +152,7 @@ def fit_and_predict(
         gat = train_gat(joint, np.arange(n_joint) < n_tr, spec, seed, model)
         if spec.kind == "gat_only":
             new = slice(None) if test is None else slice(n_tr, None)
-            pred = geostat.gat_only_prediction(joint.ids[new], gat.preds[new])
+            pred = gat_only_prediction(joint.ids[new], gat.preds[new])
             return PipelineRun(prediction=pred, gat=gat)
         fld = attnfield.build_field(gat.export, n_joint)
         train_field = fld if test is None else attnfield.restrict_field(fld, np.arange(n_tr))

@@ -9,7 +9,7 @@ sampling of observed case counts. Everything is seeded and replayable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -380,17 +380,8 @@ def read_dataset_csv(path: str | Path) -> Dataset:
 def simulation_manifest(config: SimConfig, data: Dataset) -> dict:
     """JSON-ready record of everything needed to replay the draw."""
     return {
+        **asdict(config),
         "format_version": FORMAT_VERSION,
-        "n_times": config.n_times,
-        "locs_per_time": list(config.locs_per_time),
-        "n_covariates": config.n_covariates,
-        "beta0": config.beta0,
-        "delta": config.delta,
-        "phi_s": config.phi_s,
-        "phi_t": config.phi_t,
-        "gamma": config.gamma,
-        "trials_range": list(config.trials_range),
-        "seed": config.seed,
         "beta": [float(b) for b in data.beta] if data.beta is not None else None,
         "n_records": len(data),
     }

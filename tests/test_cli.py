@@ -104,6 +104,19 @@ class TestBadInputExitsTwo:
         assert fit_mbg(dataset_csv, fit_config, tmp_path / "out") == cli.EXIT_VALIDATION
         assert "dataset CSV rows 3 and 7 repeat id 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record_id", ["0.9", "1e3", "nan"])
+    def test_non_integer_prediction_id(self, record_id, tmp_path, dataset_csv, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("id,mean,lo95,hi95,sd_linpred\n"
+                        f"1,0.2,0.1,0.3,0.5\n{record_id},0.2,0.1,0.3,0.5\n")
+        code = cli.main([
+            "evaluate", "--pred", f"m={pred}", "--dataset", str(dataset_csv),
+            "--mode", "truth", "--out", str(tmp_path / "eval"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert f"prediction CSV row 2: invalid literal for int() with base 10: '{record_id}'" \
+            in capsys.readouterr().err
+
     def test_repeated_prediction_id(self, tmp_path, dataset_csv, capsys):
         pred = tmp_path / "pred.csv"
         pred.write_text("id,mean,lo95,hi95,sd_linpred\n"
@@ -196,6 +209,67 @@ def test_bad_model_config_exits_two(case, tmp_path, dataset_csv, capsys):
     assert message in capsys.readouterr().err
 
 
+SIM_CONFIG = {"version": 1, "seed": 3, "n_times": 2, "locs_per_time": [10, 10]}
+
+# values the hand-written conversions once truncated, coerced or crashed on
+MISTYPED_CONFIGS = {
+    "widths_string": ("fit", {"gat": {"widths": "16"}}, "fit config.gat.widths must be a list"),
+    "fractional_epochs": ("fit", {"gat": {"epochs": 2.7}}, "fit config.gat.epochs must be an integer"),
+    "float_epochs": ("fit", {"gat": {"epochs": 2.0}}, "fit config.gat.epochs must be an integer"),
+    "boolean_heads": ("fit", {"gat": {"heads": True}}, "fit config.gat.heads must be an integer"),
+    "fractional_seed": ("fit", {"seed": 1.9}, "fit config.seed must be an integer"),
+    "string_neighbors": (
+        "fit", {"graph": {"k_neighbors": "3"}}, "fit config.graph.k_neighbors must be an integer",
+    ),
+    "fractional_draws": ("fit", {"n_draws": 50.9}, "fit config.n_draws must be an integer"),
+    "gat_not_an_object": ("fit", {"gat": [1, 2]}, "fit config.gat must be a JSON object"),
+    "fractional_times": (
+        "simulate", {"n_times": 2.9}, "simulation config.n_times must be an integer",
+    ),
+    "locs_string": (
+        "simulate", {"locs_per_time": "55"},
+        "simulation config.locs_per_time must be a list of 2 items",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_CONFIGS))
+def test_mistyped_config_value_exits_two(case, tmp_path, dataset_csv, capsys):
+    command, edit, message = MISTYPED_CONFIGS[case]
+    config = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    if command == "fit":
+        config.write_text(json.dumps({"version": 1, "n_draws": 50, **edit}))
+        code = fit_mbg(dataset_csv, config, out)
+    else:
+        config.write_text(json.dumps({**SIM_CONFIG, **edit}))
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["simulate", "fit", "env", "cv"])
+def test_negative_seed_exits_two(where, tmp_path, dataset_csv, fit_config, monkeypatch, capsys):
+    out = str(tmp_path / "out")
+    if where == "simulate":
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({**SIM_CONFIG, "seed": -1}))
+        code = cli.main(["simulate", "--config", str(config), "--out", out])
+    elif where == "cv":
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"version": 1, "specs": [{"name": "m", "kind": "mbg"}]}))
+        code = cli.main(["cv", "--dataset", str(dataset_csv), "--specs", str(specs),
+                         "--k", "2", "--seed", "-1", "--out", out])
+    else:
+        if where == "env":
+            monkeypatch.setenv("GEOATTN_SEED", "-2")
+        else:
+            fit_config.write_text(json.dumps({"version": 1, "seed": -4}))
+        code = fit_mbg(dataset_csv, fit_config, out)
+    assert code == cli.EXIT_VALIDATION
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 class TestFitArtifacts:
     def test_mbg_fit_json_records_optimizer_trace(self, tmp_path, dataset_csv, fit_config):
         out = tmp_path / "out"
@@ -247,6 +321,19 @@ class TestBadCheckpointExitsTwo:
         code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, dataset_csv, zero_neighbors)
         assert code == cli.EXIT_VALIDATION
         assert "k_neighbors must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.update(dropout=0.5), "are not the GatConfig fields"),
+        (lambda cfg: cfg.pop("heads"), "are not the GatConfig fields"),
+        (lambda cfg: cfg.update(heads="2"), "'<' not supported"),
+    ], ids=["unknown_key", "missing_key", "string_heads"])
+    def test_checkpoint_config_not_a_gat_config(self, edit, message, tmp_path, dataset_csv, capsys):
+        code, _, _ = fit_gat_then_hybrid(
+            tmp_path, dataset_csv, dataset_csv, lambda payload: edit(payload["config"]),
+        )
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "cannot load checkpoint" in err and message in err
 
 
 class TestHybridFitMatchesInlineReference:

@@ -427,7 +427,10 @@ class TestBuildGraph:
 
 class TestCheckpointAndExport:
     def test_checkpoint_roundtrip(self, tmp_path):
-        model = init_model(3, GatConfig(widths=(3, 2), heads=2, seed=12))
+        # every field off its default, so a field lost on save or load shows
+        config = GatConfig(widths=(3, 2), heads=2, leaky_slope=0.3, learning_rate=0.05,
+                           epochs=7, weight_init_scale=0.5, seed=12)
+        model = init_model(3, config)
         path = tmp_path / "model.json"
         gatv2.save_checkpoint(model, path, extra={"k_neighbors": 8})
         back, extra = gatv2.load_checkpoint(path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geoattn import attnfield, geostat, numkit, simgen
+from geoattn import attnfield, geostat, numkit, pipeline, simgen
 from geoattn.attnfield import AttnHyper, build_field
 from geoattn.errors import AllRestartsFailed, UnsupportedSmoothness
 from geoattn.geostat import (
@@ -87,10 +87,9 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="hybrid", kernel=KernelSpec(), offset=np.zeros(3))
 
-    def test_gat_only_takes_nothing(self):
-        with pytest.raises(ValueError):
-            ModelSpec(kind="gat_only", kernel=KernelSpec())
-        ModelSpec(kind="gat_only")  # bare is fine
+    def test_gat_only_is_not_a_geostat_kind(self):
+        with pytest.raises(ValueError, match="geostat fits mbg and hybrid"):
+            ModelSpec(kind="gat_only")
 
 
 def hybrid_spec(data, seed=0, theta1=0.0, theta2=0.0, sigma2=1.0):
@@ -378,7 +377,7 @@ class TestPredict:
         assert np.abs(pred.mean - expected).max() <= 2e-3
 
     def test_gat_only_prediction_degenerate_intervals(self):
-        pred = geostat.gat_only_prediction(np.arange(3), np.array([0.2, -0.1, 1.2]))
+        pred = pipeline.gat_only_prediction(np.arange(3), np.array([0.2, -0.1, 1.2]))
         assert np.all(pred.lo == pred.mean) and np.all(pred.hi == pred.mean)
         assert pred.mean[1] == pytest.approx(1e-6)
         assert pred.mean[2] == pytest.approx(1 - 1e-6)

@@ -53,7 +53,7 @@ def reference_fit_and_predict(train, test, spec, seed=0):
     model, _ = gatv2.train(graph, joint.empirical_prevalence, replace(spec.gat, seed=seed))
     preds, export, _ = gatv2.forward(model, graph)
     if spec.kind == "gat_only":
-        return geostat.gat_only_prediction(test.ids, preds[n_tr:])
+        return pipeline.gat_only_prediction(test.ids, preds[n_tr:])
 
     joint_field = attnfield.build_field(export, n_tr + n_te)
     train_field = attnfield.restrict_field(joint_field, np.arange(n_tr))
