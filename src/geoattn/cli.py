@@ -22,8 +22,9 @@ from ``gatv2.GatConfig`` (its ``seed`` is the top-level ``seed``),
 ``attnfield.AttnHyper``, and the top level, ``graph`` and ``optimizer``
 (``max_iter`` is ``nm_max_iter``) from ``pipeline.PipelineModelSpec``. An
 integer field takes a JSON integer only, so ``2.0`` and ``true`` are
-refused; a float field takes any JSON number. In a ``cv`` spec the ``seed``
-key is accepted but unused: ``cv --seed`` seeds every fold.
+refused; a float field takes any finite JSON number, so ``NaN`` and
+``Infinity`` are refused. In a ``cv`` spec the ``seed`` key is accepted
+but unused: ``cv --seed`` seeds every fold.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -98,10 +98,10 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an 
 def _typed(value, hint, key: str):
     """``value`` checked against the field annotation ``hint``.
 
-    ``int`` takes a JSON integer only; ``float`` any JSON number, returned as
-    a float; ``tuple[...]`` a list, item by item and of the annotated length
-    when it is fixed; ``X | None`` also ``null``. Raises ValidationFailure
-    naming ``key``.
+    ``int`` takes a JSON integer only; ``float`` any finite JSON number,
+    returned as a float; ``tuple[...]`` a list, item by item and of the
+    annotated length when it is fixed; ``X | None`` also ``null``. Raises
+    ValidationFailure naming ``key``.
     """
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (types.UnionType, typing.Union):
@@ -117,8 +117,13 @@ def _typed(value, hint, key: str):
         wanted = f"a list of {len(args)} items" if fixed else "a list"
     else:
         # bool is an int subclass in Python but not a JSON number
-        if type(value) is hint or (hint is float and type(value) is int):
-            return float(value) if hint is float else value
+        if hint is float and type(value) in (int, float):
+            # false for NaN, and for integers too large for a float as well as infinities
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ValidationFailure(f"{key} must be finite, got {json.dumps(value)}")
+            return float(value)
+        if type(value) is hint:
+            return value
         wanted = _JSON_TYPES[hint]
     raise ValidationFailure(f"{key} must be {wanted}, got {json.dumps(value)}")
 
@@ -175,10 +180,8 @@ def _parse_bounds(obj, context: str):
         if name not in geostat.DEFAULT_BOUNDS:
             raise ValidationFailure(f"{context}: unknown bound name {name!r}")
         lo, hi = _typed(pair, tuple[float, float], f"{context}.bounds.{name}")
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValidationFailure(
-                f"{context}: bound {name!r} must be finite with lo < hi, got [{lo}, {hi}]"
-            )
+        if not lo < hi:
+            raise ValidationFailure(f"{context}: bound {name!r} must have lo < hi, got [{lo}, {hi}]")
         out[name] = (lo, hi)
     return out
 
@@ -412,8 +415,11 @@ def cmd_fit(args) -> int:
     model = None
     if args.kind == "hybrid":
         try:
-            model, ckpt_extra = gatv2.load_checkpoint(args.gat_checkpoint)
-        except (OSError, ValueError, KeyError, TypeError) as err:
+            model, ckpt_extra = gatv2.load_checkpoint(
+                args.gat_checkpoint,
+                make_config=lambda cfg: _dataclass(cfg, gatv2.GatConfig, "checkpoint config"),
+            )
+        except (OSError, ValueError, KeyError, TypeError, ValidationFailure) as err:
             raise ValidationFailure(f"cannot load checkpoint: {err}") from err
         n_inputs = model.layers[0].v.shape[2]
         n_features = gatv2.graph_features(data).shape[1]
@@ -422,13 +428,13 @@ def cmd_fit(args) -> int:
                 f"checkpoint expects {n_inputs} node features, the dataset gives {n_features}"
             )
         # the network runs on the graph it was trained on
+        ckpt_graph = {k: v for k, v in _typed(ckpt_extra, dict, "checkpoint extra").items()
+                      if k in _GRAPH_KEYS}
         try:
-            spec = replace(
-                spec,
-                k_neighbors=int(ckpt_extra.get("k_neighbors", spec.k_neighbors)),
-                time_scale=float(ckpt_extra.get("time_scale", spec.time_scale)),
-            )
-        except (TypeError, ValueError) as err:
+            spec = replace(spec, **_kwargs(
+                ckpt_graph, pipeline.PipelineModelSpec, "checkpoint extra", _GRAPH_KEYS,
+            ))
+        except ValueError as err:
             raise ValidationFailure(f"checkpoint extra: {err}") from err
     run = pipeline.run_insample(data, spec, seed=seed, model=model)
 
@@ -501,7 +507,7 @@ def cmd_evaluate(args) -> int:
 
     metrics = {}
     panels = []
-    csv_rows = ["spec,fold,time,brier,rbs,mae,coverage95,pearson_r"]
+    csv_rows = [evalkit.METRICS_CSV_HEADER]
     for name, path in pred_specs:
         try:
             pred = geostat.read_prediction_csv(path)
@@ -521,7 +527,7 @@ def cmd_evaluate(args) -> int:
         csv_rows.extend(evalkit.report_csv_rows(name, "-", report))
         panels.append((name, pred.mean, y, report.pearson_r))
     out.write_json("metrics.json", {"mode": args.mode, "models": metrics})
-    out.write_text("metrics.csv", "\n".join(csv_rows) + "\n")
+    out.write_text("metrics.csv", evalkit.csv_text(csv_rows))
     out.write_text("scatter.svg", scatter_svg(panels))
     write_manifest(out, "evaluate", {"mode": args.mode}, None, inputs, started)
     return EXIT_OK

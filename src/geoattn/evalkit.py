@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+import io
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -227,12 +229,26 @@ def spatial_cv(
     prediction object with ``ids``/``mean`` aligned to the test records; the
     default runner is the full pipeline. A failed fold marks that spec's
     report incomplete instead of aborting the run.
+
+    The default runner trains each fold's network once per distinct network
+    setting (``gat`` config, ``k_neighbors``, ``time_scale``) and shares it
+    with every other gat_only or hybrid spec that has the same setting: those
+    rebuild the graph and run the trained network forward. The fold seed
+    ``seed + fold_id`` replaces the ``gat`` seed, as in training, so it also
+    identifies the fold's training records within the call.
     """
     if runner is None:
         from .pipeline import fit_and_predict  # avoids an import cycle
 
+        trained = {}  # (fold seed, gat config, k_neighbors, time_scale) -> GatModel
+
         def runner(train, test, spec, seed):
-            return fit_and_predict(train, test, spec, seed=seed).prediction
+            if spec.kind == "mbg":
+                return fit_and_predict(train, test, spec, seed=seed).prediction
+            key = (seed, replace(spec.gat, seed=seed), spec.k_neighbors, spec.time_scale)
+            run = fit_and_predict(train, test, spec, seed=seed, model=trained.get(key))
+            trained[key] = run.gat.model
+            return run.prediction
 
     if len(folds.cluster) != len(data):
         raise ValueError("fold assignment must cover every record")
@@ -294,28 +310,34 @@ def rank_reports(reports: list[CvSpecReport]) -> list[dict]:
     return rows
 
 
+def csv_text(rows) -> str:
+    """CSV of ``rows`` (lists of fields), quoting fields that need it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def write_ranking_csv(rows: list[dict], path: str | Path) -> None:
-    lines = ["spec,tag,rbs,mae,rank_rbs,rank_mae,complete"]
-    for row in rows:
-        lines.append(
-            f"{row['spec']},{row['tag']},{repr(float(row['rbs']))},{repr(float(row['mae']))},"
-            f"{row['rank_rbs']},{row['rank_mae']},{int(row['complete'])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = [("spec", "tag", "rbs", "mae", "rank_rbs", "rank_mae", "complete")]
+    lines += [
+        (row["spec"], row["tag"], repr(float(row["rbs"])), repr(float(row["mae"])),
+         row["rank_rbs"], row["rank_mae"], int(row["complete"]))
+        for row in rows
+    ]
+    Path(path).write_text(csv_text(lines))
 
 
-def report_csv_rows(spec_name: str, fold: str, report: MetricReport) -> list[str]:
-    """Flat CSV rows, one per (spec, fold, time) plus an all-times row."""
+METRICS_CSV_HEADER = ("spec", "fold", "time", "brier", "rbs", "mae", "coverage95", "pearson_r")
+
+
+def report_csv_rows(spec_name: str, fold: str, report: MetricReport) -> list[tuple]:
+    """Metrics CSV rows, one per (spec, fold, time) plus an all-times row."""
     def fmt(v):
         return "" if v is None else repr(float(v))
 
-    rows = [
-        f"{spec_name},{fold},all,{fmt(report.brier)},{fmt(report.rbs)},"
-        f"{fmt(report.mae)},{fmt(report.coverage95)},{fmt(report.pearson_r)}"
-    ]
+    rows = [(spec_name, fold, "all", fmt(report.brier), fmt(report.rbs),
+             fmt(report.mae), fmt(report.coverage95), fmt(report.pearson_r))]
     for t, entry in sorted(report.per_time.items()):
-        rows.append(
-            f"{spec_name},{fold},{t},{fmt(entry.get('brier'))},{fmt(entry.get('rbs'))},"
-            f"{fmt(entry.get('mae'))},{fmt(entry.get('coverage95'))},"
-        )
+        rows.append((spec_name, fold, t, fmt(entry.get("brier")), fmt(entry.get("rbs")),
+                     fmt(entry.get("mae")), fmt(entry.get("coverage95")), ""))
     return rows

@@ -230,6 +230,14 @@ MISTYPED_CONFIGS = {
         "simulate", {"locs_per_time": "55"},
         "simulation config.locs_per_time must be a list of 2 items",
     ),
+    "nan_phi_s": ("simulate", {"phi_s": float("nan")}, "simulation config.phi_s must be finite, got NaN"),
+    "nan_kernel_sigma2": (
+        "fit", {"kernel": {"sigma2": float("nan")}}, "fit config.kernel.sigma2 must be finite, got NaN",
+    ),
+    "infinite_time_scale": (
+        "fit", {"graph": {"time_scale": float("inf")}},
+        "fit config.graph.time_scale must be finite, got Infinity",
+    ),
 }
 
 
@@ -322,11 +330,20 @@ class TestBadCheckpointExitsTwo:
         assert code == cli.EXIT_VALIDATION
         assert "k_neighbors must be >= 1" in capsys.readouterr().err
 
+    def test_checkpoint_with_fractional_neighbors(self, tmp_path, dataset_csv, capsys):
+        def fractional_neighbors(payload):
+            payload["extra"]["k_neighbors"] = 7.9
+
+        code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, dataset_csv, fractional_neighbors)
+        assert code == cli.EXIT_VALIDATION
+        assert "checkpoint extra.k_neighbors must be an integer, got 7.9" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit, message", [
         (lambda cfg: cfg.update(dropout=0.5), "are not the GatConfig fields"),
         (lambda cfg: cfg.pop("heads"), "are not the GatConfig fields"),
-        (lambda cfg: cfg.update(heads="2"), "'<' not supported"),
-    ], ids=["unknown_key", "missing_key", "string_heads"])
+        (lambda cfg: cfg.update(heads="2"), 'checkpoint config.heads must be an integer, got "2"'),
+        (lambda cfg: cfg.update(epochs=2.5), "checkpoint config.epochs must be an integer, got 2.5"),
+    ], ids=["unknown_key", "missing_key", "string_heads", "fractional_epochs"])
     def test_checkpoint_config_not_a_gat_config(self, edit, message, tmp_path, dataset_csv, capsys):
         code, _, _ = fit_gat_then_hybrid(
             tmp_path, dataset_csv, dataset_csv, lambda payload: edit(payload["config"]),

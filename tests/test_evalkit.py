@@ -1,5 +1,8 @@
 """Metrics, clustering, and the cross-validation harness."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +230,35 @@ class TestSpatialCv:
         assert [r["spec"] for r in rows] == ["better", "worse"]
         assert rows[0]["rank_rbs"] == 1 and rows[1]["rank_rbs"] == 2
         assert rows[0]["tag"] == "fine"
+
+    def test_csv_outputs_quote_names_with_commas(self, tmp_path):
+        data, folds = self.make()
+        reports = spatial_cv(
+            data, [FakeSpec("m,bg", bias=0.01, tag="a,b"), FakeSpec("plain", bias=0.1)],
+            folds, runner=fake_runner,
+        )
+        rows = rank_reports(reports)
+        path = tmp_path / "ranking.csv"
+        evalkit.write_ranking_csv(rows, path)
+        with path.open(newline="") as fh:
+            back = list(csv.DictReader(fh))
+        assert [(r["spec"], r["tag"], r["rank_rbs"]) for r in back] == [
+            ("m,bg", "a,b", "1"), ("plain", "", "2"),
+        ]
+        assert float(back[0]["rbs"]) == rows[0]["rbs"]
+        # fields that need no quoting are written as before
+        plain = rows[1]
+        assert path.read_text().splitlines()[2] == f"plain,,{plain['rbs']!r},{plain['mae']!r},2,2,1"
+
+        pooled = reports[0].pooled
+        text = evalkit.csv_text(
+            [evalkit.METRICS_CSV_HEADER, *evalkit.report_csv_rows("m,bg", "-", pooled)],
+        )
+        back = list(csv.DictReader(io.StringIO(text)))
+        assert len(back) == 1 + len(pooled.per_time)
+        assert {r["spec"] for r in back} == {"m,bg"}
+        assert float(back[0]["rbs"]) == pooled.rbs
+        assert [r["pearson_r"] for r in back[1:]] == [""] * len(pooled.per_time)
 
     def test_noise_floor_on_constant_prevalence(self):
         # delta = 0, beta = 0: truth is flat, so a constant predictor's rbs

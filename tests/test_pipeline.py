@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from geoattn import attnfield, cli, evalkit, gatv2, geostat, pipeline, simgen
 
@@ -101,6 +102,9 @@ class TestHeldOutFitsMatchInlineReference:
             {"name": "hybrid", "kind": "hybrid", "n_draws": 50,
              "gat": {"epochs": 3, "widths": [4]},
              "optimizer": {"max_iter": 2, "bounds": {"theta2": [-15.0, 15.0]}}},
+            # the hybrid spec's network, so the command trains it once per fold
+            {"name": "gat_only", "kind": "gat_only", "n_draws": 50,
+             "gat": {"epochs": 3, "widths": [4]}},
         ]}))
         out = tmp_path / "cv"
         assert cli.main([
@@ -108,15 +112,41 @@ class TestHeldOutFitsMatchInlineReference:
             "--seed", "2", "--out", str(out),
         ]) == cli.EXIT_OK
 
-        # the command reads the CSV back, so the reference does too
+        # the command reads the CSV back, so the reference does too; the
+        # reference trains a network for every spec
         data = simgen.read_dataset_csv(dataset)
         reports = evalkit.spatial_cv(
-            data, specs()[:2], folds, runner=reference_fit_and_predict, seed=2,
+            data, specs(), folds, runner=reference_fit_and_predict, seed=2,
         )
         for fold_id in range(3):
             written = json.loads((out / f"fold_{fold_id}_report.json").read_text())
+            assert set(written) == {"mbg", "hybrid", "gat_only"}
             for rep in reports:
                 assert written[rep.name] == rep.per_fold[fold_id].to_dict()
+
+    @pytest.mark.parametrize("edit, trainings", [
+        ({}, 3),
+        ({"gat": gatv2.GatConfig(widths=(4,), epochs=4)}, 6),
+        ({"k_neighbors": 5}, 6),
+    ], ids=["same_network", "other_epochs", "other_neighbors"])
+    def test_cv_trains_each_network_once_per_fold(self, edit, trainings, monkeypatch):
+        data, folds = self.make()
+        calls = []
+        train = gatv2.train
+
+        def counting_train(graph, targets, config):
+            calls.append(config.seed)
+            return train(graph, targets, config)
+
+        monkeypatch.setattr(gatv2, "train", counting_train)
+        mbg, hybrid, gat_only = specs()
+        reports = evalkit.spatial_cv(
+            data, [mbg, hybrid, replace(gat_only, **edit)], folds, seed=2,
+        )
+        assert all(rep.complete for rep in reports)
+        assert len(calls) == trainings
+        # each fold trains with its own seed
+        assert sorted(set(calls)) == [2, 3, 4]
 
 
 def test_every_traced_name_is_a_callable():
