@@ -30,15 +30,12 @@ but unused: ``cv --seed`` seeds every fold.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
 import sys
 import tempfile
 import time
-import types
-import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,6 +43,9 @@ import numpy as np
 
 from . import evalkit, gatv2, geostat, pipeline, simgen
 from .errors import GeoattnError, TooFewPoints
+from .jsonconfig import (
+    ValidationFailure, build, check_keys, typed, typed_dataclass, typed_kwargs,
+)
 
 ARTIFACT_VERSION = 1
 
@@ -54,22 +54,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-class ValidationFailure(Exception):
-    """Raised for config/schema/input problems; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
-
-def _check_keys(obj: dict, allowed, context: str) -> None:
-    """Reject keys of ``obj`` outside ``allowed`` with a field diagnostic."""
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValidationFailure(
-            f"unknown key(s) in {context}: {', '.join(sorted(unknown))}"
-        )
-
 
 def _load_json(path: str | Path, context: str) -> dict:
     try:
@@ -92,77 +79,13 @@ def _check_version(obj: dict, context: str) -> None:
         raise ValidationFailure(f"{context}: 'version' must be present and equal to 1")
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
-
-
-def _typed(value, hint, key: str):
-    """``value`` checked against the field annotation ``hint``.
-
-    ``int`` takes a JSON integer only; ``float`` any finite JSON number,
-    returned as a float; ``tuple[...]`` a list, item by item and of the
-    annotated length when it is fixed; ``X | None`` also ``null``. Raises
-    ValidationFailure naming ``key``.
-    """
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) in (types.UnionType, typing.Union):
-        if value is None:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-        return _typed(value, hint, key)
-    if typing.get_origin(hint) is tuple:
-        fixed = args[-1] is not Ellipsis
-        if isinstance(value, list) and (not fixed or len(value) == len(args)):
-            items = args if fixed else args[:1] * len(value)
-            return tuple(_typed(v, h, f"{key}[{i}]") for i, (v, h) in enumerate(zip(value, items)))
-        wanted = f"a list of {len(args)} items" if fixed else "a list"
-    else:
-        # bool is an int subclass in Python but not a JSON number
-        if hint is float and type(value) in (int, float):
-            # false for NaN, and for integers too large for a float as well as infinities
-            if not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ValidationFailure(f"{key} must be finite, got {json.dumps(value)}")
-            return float(value)
-        if type(value) is hint:
-            return value
-        wanted = _JSON_TYPES[hint]
-    raise ValidationFailure(f"{key} must be {wanted}, got {json.dumps(value)}")
-
-
-def _kwargs(obj, cls, context: str, keys: dict[str, str]) -> dict:
-    """Checked keyword arguments of the dataclass ``cls`` from the JSON object ``obj``.
-
-    ``keys`` maps each accepted JSON key to its field of ``cls``. Only the
-    keys given are returned, so ``cls`` supplies every default.
-    """
-    if not isinstance(obj, dict):
-        raise ValidationFailure(f"{context} must be a JSON object, got {json.dumps(obj)}")
-    _check_keys(obj, keys, context)
-    hints = typing.get_type_hints(cls)
-    return {keys[k]: _typed(v, hints[keys[k]], f"{context}.{k}") for k, v in obj.items()}
-
-
-def _build(cls, kwargs: dict, context: str):
-    try:
-        return cls(**kwargs)
-    except ValueError as err:
-        raise ValidationFailure(f"{context}: {err}") from err
-
-
-def _dataclass(obj, cls, context: str, **fixed):
-    """``cls`` from a config section whose keys are its init fields.
-
-    The ``fixed`` fields are set by the caller and are not config keys.
-    """
-    keys = {f.name: f.name for f in dataclasses.fields(cls) if f.init and f.name not in fixed}
-    return _build(cls, {**_kwargs(obj, cls, context, keys), **fixed}, context)
-
-
 def parse_sim_config(obj: dict) -> simgen.SimConfig:
     context = "simulation config"
     _check_version(obj, context)
     if "seed" not in obj:
         raise ValidationFailure(f"{context}: field 'seed' is required")
-    return _dataclass({k: v for k, v in obj.items() if k != "version"}, simgen.SimConfig, context)
+    body = {k: v for k, v in obj.items() if k != "version"}
+    return typed_dataclass(body, simgen.SimConfig, context)
 
 
 # JSON key -> PipelineModelSpec field, at the top level and in `graph` and `optimizer`
@@ -179,31 +102,35 @@ def _parse_bounds(obj, context: str):
     for name, pair in obj.items():
         if name not in geostat.DEFAULT_BOUNDS:
             raise ValidationFailure(f"{context}: unknown bound name {name!r}")
-        lo, hi = _typed(pair, tuple[float, float], f"{context}.bounds.{name}")
+        lo, hi = typed(pair, tuple[float, float], f"{context}.bounds.{name}")
         if not lo < hi:
-            raise ValidationFailure(f"{context}: bound {name!r} must have lo < hi, got [{lo}, {hi}]")
+            raise ValidationFailure(
+                f"{context}: bound {name!r} must have lo < hi, got [{lo}, {hi}]"
+            )
         out[name] = (lo, hi)
     return out
 
 
 def parse_model_config(obj: dict, name: str = "model", kind: str | None = None,
                        context: str = "fit config") -> pipeline.PipelineModelSpec:
-    spec = {"name": name, "kind": kind, **_kwargs(
+    spec = {"name": name, "kind": kind, **typed_kwargs(
         {k: v for k, v in obj.items() if k not in _NOT_SPEC_KEYS},
         pipeline.PipelineModelSpec, context, _SPEC_KEYS,
     )}
     if spec["kind"] is None:
         raise ValidationFailure(f"{context}: field 'kind' is required")
-    seed = _typed(obj.get("seed", 0), int, f"{context}.seed")
+    seed = typed(obj.get("seed", 0), int, f"{context}.seed")
     for key, keys in (("graph", _GRAPH_KEYS), ("optimizer", _OPTIMIZER_KEYS)):
-        spec.update(_kwargs(obj.get(key, {}), pipeline.PipelineModelSpec, f"{context}.{key}", keys))
+        spec.update(typed_kwargs(
+            obj.get(key, {}), pipeline.PipelineModelSpec, f"{context}.{key}", keys,
+        ))
     spec["bounds"] = _parse_bounds(spec.get("bounds"), f"{context}.optimizer")
-    spec["gat"] = _dataclass(obj.get("gat", {}), gatv2.GatConfig, f"{context}.gat", seed=seed)
-    spec["kernel"] = _dataclass(obj.get("kernel", {}), geostat.KernelSpec, f"{context}.kernel")
-    spec["attn_start"] = _dataclass(
+    spec["gat"] = typed_dataclass(obj.get("gat", {}), gatv2.GatConfig, f"{context}.gat", seed=seed)
+    spec["kernel"] = typed_dataclass(obj.get("kernel", {}), geostat.KernelSpec, f"{context}.kernel")
+    spec["attn_start"] = typed_dataclass(
         obj.get("attention_start", {}), geostat.AttnHyper, f"{context}.attention_start",
     )
-    return _build(pipeline.PipelineModelSpec, spec, context)
+    return build(pipeline.PipelineModelSpec, spec, context)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +342,7 @@ def cmd_fit(args) -> int:
     model = None
     if args.kind == "hybrid":
         try:
-            model, ckpt_extra = gatv2.load_checkpoint(
-                args.gat_checkpoint,
-                make_config=lambda cfg: _dataclass(cfg, gatv2.GatConfig, "checkpoint config"),
-            )
+            model, ckpt_extra = gatv2.load_checkpoint(args.gat_checkpoint)
         except (OSError, ValueError, KeyError, TypeError, ValidationFailure) as err:
             raise ValidationFailure(f"cannot load checkpoint: {err}") from err
         n_inputs = model.layers[0].v.shape[2]
@@ -428,10 +352,10 @@ def cmd_fit(args) -> int:
                 f"checkpoint expects {n_inputs} node features, the dataset gives {n_features}"
             )
         # the network runs on the graph it was trained on
-        ckpt_graph = {k: v for k, v in _typed(ckpt_extra, dict, "checkpoint extra").items()
+        ckpt_graph = {k: v for k, v in typed(ckpt_extra, dict, "checkpoint extra").items()
                       if k in _GRAPH_KEYS}
         try:
-            spec = replace(spec, **_kwargs(
+            spec = replace(spec, **typed_kwargs(
                 ckpt_graph, pipeline.PipelineModelSpec, "checkpoint extra", _GRAPH_KEYS,
             ))
         except ValueError as err:
@@ -539,7 +463,7 @@ def cmd_cv(args) -> int:
         raise ValidationFailure("need k >= 2 folds")
     raw = _load_json(args.specs, "spec list")
     _check_version(raw, "spec list")
-    _check_keys(raw, ("version", "specs"), "spec list")
+    check_keys(raw, ("version", "specs"), "spec list")
     if not isinstance(raw.get("specs"), list) or not raw["specs"]:
         raise ValidationFailure("spec list: 'specs' must be a non-empty array")
     specs = []

@@ -240,14 +240,14 @@ def spatial_cv(
     if runner is None:
         from .pipeline import fit_and_predict  # avoids an import cycle
 
-        trained = {}  # (fold seed, gat config, k_neighbors, time_scale) -> GatModel
+        trained = {}  # (gat config with the fold seed, k_neighbors, time_scale) -> GatModel
 
         def runner(train, test, spec, seed):
-            if spec.kind == "mbg":
-                return fit_and_predict(train, test, spec, seed=seed).prediction
-            key = (seed, replace(spec.gat, seed=seed), spec.k_neighbors, spec.time_scale)
+            # mbg ignores the model and trains no network, so it stores nothing
+            key = (replace(spec.gat, seed=seed), spec.k_neighbors, spec.time_scale)
             run = fit_and_predict(train, test, spec, seed=seed, model=trained.get(key))
-            trained[key] = run.gat.model
+            if run.gat is not None:
+                trained[key] = run.gat.model
             return run.prediction
 
     if len(folds.cluster) != len(data):

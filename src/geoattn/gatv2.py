@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonFiniteActivation
+from .jsonconfig import typed_dataclass
 from .numkit import RngStream
 from .simgen import Dataset
 
@@ -186,8 +187,6 @@ class GatConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a tuple keeps the config hashable, as cross-validation's network cache needs
-        object.__setattr__(self, "widths", tuple(self.widths))
         if len(self.widths) < 1:
             raise ValueError("need at least one layer")
         if min(self.widths) < 1:
@@ -532,18 +531,15 @@ def save_checkpoint(model: GatModel, path: str | Path, extra: dict | None = None
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_checkpoint(path: str | Path, make_config=None) -> tuple[GatModel, dict]:
+def load_checkpoint(path: str | Path) -> tuple[GatModel, dict]:
     """Model and ``extra`` of a :func:`save_checkpoint` file; ValueError unless
-    its config holds exactly the GatConfig fields.
-
-    ``make_config(config_object)`` builds the GatConfig, for a caller that
-    checks the values' types; by default they are passed on as they are.
-    """
+    its config holds exactly the GatConfig fields, and ValidationFailure
+    unless each holds a value of its field's type."""
     payload = json.loads(Path(path).read_text())
     cfg = payload["config"]
     if set(cfg) != {f.name for f in fields(GatConfig)}:
         raise ValueError(f"checkpoint config keys {sorted(cfg)} are not the GatConfig fields")
-    config = GatConfig(**cfg) if make_config is None else make_config(cfg)
+    config = typed_dataclass(cfg, GatConfig, "checkpoint config")
     layers = [
         LayerParams(
             w=np.zeros(tuple(sh["w"])),
