@@ -225,10 +225,12 @@ def spatial_cv(
 
     Specs and folds run one at a time, in spec order and then fold order.
     Scores use the held-out records' empirical prevalence (truth columns are
-    never consulted here). ``runner(train, test, spec, seed)`` must return a
-    prediction object with ``ids``/``mean`` aligned to the test records; the
-    default runner is the full pipeline. A failed fold marks that spec's
-    report incomplete instead of aborting the run.
+    never consulted here); ``coverage95`` is that of the predictions'
+    ``lo``/``hi`` intervals, zero-width ones included. ``runner(train, test,
+    spec, seed)`` must return a prediction object with ``ids``, ``mean``,
+    ``lo`` and ``hi`` aligned to the test records; the default runner is the
+    full pipeline. A failed fold marks that spec's report incomplete instead
+    of aborting the run.
 
     The default runner trains each fold's network once per distinct network
     setting (``gat`` config, ``k_neighbors``, ``time_scale``) and shares it
@@ -257,7 +259,7 @@ def spatial_cv(
     for spec in specs:
         per_fold: dict[int, MetricReport] = {}
         errors: dict[int, str] = {}
-        pooled_pred, pooled_truth, pooled_t = [], [], []
+        scored = []  # score_predictions' (mean, truth, t, lo, hi) of each scored fold
         for fold_id in range(folds.n_clusters):
             test_mask = folds.cluster == fold_id
             test = data.subset(test_mask)
@@ -266,18 +268,13 @@ def spatial_cv(
             except Exception as err:  # noqa: BLE001 - per-fold failures are recorded
                 errors[fold_id] = f"{type(err).__name__}: {err}"
                 continue
-            truth = test.empirical_prevalence
-            per_fold[fold_id] = score_predictions(pred.mean, truth, t=test.t)
-            pooled_pred.append(pred.mean)
-            pooled_truth.append(truth)
-            pooled_t.append(test.t)
+            scored.append((pred.mean, test.empirical_prevalence, test.t, pred.lo, pred.hi))
+            per_fold[fold_id] = score_predictions(*scored[-1])
         pooled = None
         n_pooled = 0
-        if pooled_pred:
-            pm = np.concatenate(pooled_pred)
-            pt = np.concatenate(pooled_truth)
-            pooled = score_predictions(pm, pt, t=np.concatenate(pooled_t))
-            n_pooled = len(pm)
+        if scored:
+            pooled = score_predictions(*(np.concatenate(col) for col in zip(*scored)))
+            n_pooled = pooled.n_records
         reports.append(CvSpecReport(
             name=spec.name,
             tag=getattr(spec, "tag", ""),

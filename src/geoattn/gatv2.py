@@ -533,8 +533,8 @@ def save_checkpoint(model: GatModel, path: str | Path, extra: dict | None = None
 
 def load_checkpoint(path: str | Path) -> tuple[GatModel, dict]:
     """Model and ``extra`` of a :func:`save_checkpoint` file; ValueError unless
-    its config holds exactly the GatConfig fields, and ValidationFailure
-    unless each holds a value of its field's type."""
+    its config holds exactly the GatConfig fields and its params are finite,
+    and ValidationFailure unless each config field holds a value of its type."""
     payload = json.loads(Path(path).read_text())
     cfg = payload["config"]
     if set(cfg) != {f.name for f in fields(GatConfig)}:
@@ -554,7 +554,10 @@ def load_checkpoint(path: str | Path) -> tuple[GatModel, dict]:
         b_out=0.0,
         config=config,
     )
-    model.set_flat(np.asarray(payload["params"], dtype=float))
+    params = np.asarray(payload["params"], dtype=float)
+    if not np.all(np.isfinite(params)):
+        raise ValueError("checkpoint params must be finite")
+    model.set_flat(params)
     return model, payload.get("extra", {})
 
 

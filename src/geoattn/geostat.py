@@ -5,6 +5,12 @@ fitting of the combined latent field, empirical-Bayes hyperparameter
 optimization by Nelder-Mead on the approximate log marginal likelihood, and
 posterior prediction with Monte Carlo intervals.
 
+A :class:`FitResult` is the one fitted-model object: it holds the
+:class:`ModelSpec` and ``Dataset`` that :func:`laplace_fit` fitted and the
+operators at the mode, and the fixed-effect summaries and both predict
+functions read everything from it. Hybrid prediction conditions on a joint
+attention field whose nodes are the fitted records, then the new ones.
+
 The fit works on the combined zero-mean latent u = D beta + S + A (only the
 blocks a model kind declares). The likelihood touches the latent state only
 through eta = offset + u, so fixed effects and both random fields can be
@@ -186,25 +192,32 @@ def _binom_grad_w(eta, z, n):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FitOperators:
-    """Dense operators kept for posterior recovery and prediction.
+class FitResult:
+    """A fitted model: the Gaussian approximation at the posterior mode of u.
 
-    The Cholesky factor of Sigma_u and the posterior covariance of u are
-    built on first use and kept, so a fit and its predictions share them.
+    It keeps the spec and data it was fitted on (not copies) and the dense
+    operators at the mode, so posterior recovery and prediction need nothing
+    else. The Cholesky factor of Sigma_u, the posterior covariance of u and
+    the beta | u conditional are built on first use and kept, so a fit and
+    its predictions share them.
     """
 
-    sigma_u: np.ndarray
-    sigma_s: np.ndarray
-    chol_b: np.ndarray
-    sq_w: np.ndarray
-    offset: np.ndarray
-    design: np.ndarray | None
-    x: np.ndarray
-    y: np.ndarray
-    t: np.ndarray
-    ids: np.ndarray
-    chol_sigma_u: np.ndarray | None = None
-    post_cov_u: np.ndarray | None = None
+    spec: ModelSpec
+    data: Dataset
+    u_mode: np.ndarray
+    a_mode: np.ndarray           # Sigma_u^{-1} u_mode
+    logml: float
+    converged: bool
+    newton_iterations: int
+    sigma_u: np.ndarray = field(repr=False)
+    sigma_s: np.ndarray = field(repr=False)
+    chol_b: np.ndarray = field(repr=False)   # B = I + W^1/2 Sigma_u W^1/2 at the mode
+    sq_w: np.ndarray = field(repr=False)
+    offset: np.ndarray = field(repr=False)
+    psi_trace: list[float] = field(repr=False)
+    chol_sigma_u: np.ndarray | None = field(default=None, repr=False)
+    _post_cov_u: np.ndarray | None = field(default=None, init=False, repr=False)
+    _beta_given_u: tuple | None = field(default=None, init=False, repr=False)
 
     def chol_su(self) -> np.ndarray:
         if self.chol_sigma_u is None:
@@ -213,66 +226,59 @@ class FitOperators:
 
     def posterior_cov_u(self) -> np.ndarray:
         """V_u = Sigma_u - Sigma_u W^1/2 B^{-1} W^1/2 Sigma_u."""
-        if self.post_cov_u is None:
+        if self._post_cov_u is None:
             t_mat = self.sq_w[:, None] * self.sigma_u
-            self.post_cov_u = self.sigma_u - t_mat.T @ solve_chol(self.chol_b, t_mat)
-        return self.post_cov_u
+            self._post_cov_u = self.sigma_u - t_mat.T @ solve_chol(self.chol_b, t_mat)
+        return self._post_cov_u
 
+    def beta_given_u(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, C) of beta | u ~ N(R u, C) for mbg: R = sd2 D' Sigma_u^-1, C = sd2 (I - R D)."""
+        if self._beta_given_u is None:
+            sd2 = self.spec.fixed_effect_sd ** 2
+            d = self.spec.design
+            siu_d = solve_chol(self.chol_su(), d)
+            c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
+            self._beta_given_u = (sd2 * siu_d.T, c_beta)
+        return self._beta_given_u
 
-@dataclass
-class FitResult:
-    """Gaussian approximation at the posterior mode of the combined latent."""
+    @property
+    def beta_hat(self) -> np.ndarray | None:
+        """Posterior mean of the fixed effects, sd2 D' a_mode (= R u_mode); None for hybrid."""
+        if self.spec.design is None:
+            return None
+        return self.spec.fixed_effect_sd ** 2 * (self.spec.design.T @ self.a_mode)
 
-    kind: str
-    u_mode: np.ndarray
-    a_mode: np.ndarray           # Sigma_u^{-1} u_mode
-    logml: float
-    converged: bool
-    newton_iterations: int
-    kernel: KernelSpec | None = None
-    attn_hyper: AttnHyper | None = None
-    fixed_effect_sd: float = DEFAULT_FIXED_EFFECT_SD
-    beta_hat: np.ndarray | None = None
-    beta_sd: np.ndarray | None = None
-    psi_trace: list[float] = field(default_factory=list, repr=False)
-    ops: FitOperators | None = field(default=None, repr=False)
+    @property
+    def beta_sd(self) -> np.ndarray | None:
+        """Posterior sd of the fixed effects from Var(beta | z) = C + R V_u R'; None for hybrid."""
+        if self.spec.design is None:
+            return None
+        r_mat, c_beta = self.beta_given_u()
+        post = c_beta + r_mat @ self.posterior_cov_u() @ r_mat.T
+        return np.sqrt(np.maximum(np.diag(post), 0.0))
 
     def summary(self) -> dict:
+        spec, k = self.spec, self.spec.kernel
         out = {
-            "kind": self.kind,
+            "kind": spec.kind,
             "log_marginal_likelihood": self.logml,
             "converged": bool(self.converged),
             "newton_iterations": self.newton_iterations,
+            "kernel": {"family": k.family, "sigma2": k.sigma2},
         }
-        if self.kernel is not None:
-            k = self.kernel
-            out["kernel"] = {"family": k.family, "sigma2": k.sigma2}
-            if k.family == "matern":
-                out["kernel"].update({"rho": k.rho, "nu": k.nu})
-            else:
-                out["kernel"].update({"phi_s": k.phi_s, "phi_t": k.phi_t, "gamma": k.gamma})
-        if self.attn_hyper is not None:
-            h = self.attn_hyper
+        if k.family == "matern":
+            out["kernel"].update({"rho": k.rho, "nu": k.nu})
+        else:
+            out["kernel"].update({"phi_s": k.phi_s, "phi_t": k.phi_t, "gamma": k.gamma})
+        if spec.attention is not None:
+            h = spec.attention[1]
             out["attention"] = {
                 "theta1": h.theta1, "theta2": h.theta2, "tau": h.tau, "beta": h.beta,
             }
-        if self.beta_hat is not None:
+        if spec.design is not None:
             out["beta_hat"] = [float(v) for v in self.beta_hat]
             out["beta_sd"] = [float(v) for v in self.beta_sd]
         return out
-
-
-def _build_sigma_u(data: Dataset, spec: ModelSpec, sigma_s: np.ndarray) -> np.ndarray:
-    sigma_u = sigma_s.copy()
-    if spec.kind == "mbg":
-        d = spec.design
-        sigma_u += spec.fixed_effect_sd ** 2 * syrk(d)
-    elif spec.kind == "hybrid":
-        fld, hyper = spec.attention
-        sigma_u += attention_cov(fld, hyper)
-    # numerical nugget: kernel matrices on near-duplicate points are singular
-    sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
-    return sigma_u
 
 
 def laplace_fit(
@@ -282,15 +288,16 @@ def laplace_fit(
     gaussian_response: np.ndarray | None = None,
     gaussian_obs_sd: float | None = None,
     warm_u: np.ndarray | None = None,
-    want_operators: bool = False,
     sigma_builder: CovarianceBuilder | None = None,
 ) -> FitResult:
-    """Posterior mode and Gaussian approximation at fixed hyperparameters.
+    """The fitted model of ``spec`` on ``data`` at fixed hyperparameters.
 
     The observation model is z_i ~ Binomial(n_i, logistic(offset_i + u_i))
     with u ~ N(0, Sigma_u). Passing ``gaussian_response`` (with
     ``gaussian_obs_sd``) swaps in y_i ~ N(offset_i + u_i, sd^2), which is a
-    test hook: the mode then has the closed GLS/kriging form.
+    test hook: the mode then has the closed GLS/kriging form. The returned
+    :class:`FitResult` holds ``spec``, ``data`` and the operators at the
+    mode, so it can be summarized and predicted from as it is.
 
     Each Newton iteration computes the full step u_new - u and its Newton
     decrement ½ (g - a)·(u_new - u), the gain in the objective psi that the
@@ -310,11 +317,16 @@ def laplace_fit(
     if sigma_builder is None:
         sigma_builder = CovarianceBuilder(data.x, data.y, data.t)
     sigma_s = sigma_builder(spec.kernel)
-    sigma_u = _build_sigma_u(data, spec, sigma_s)
+    sigma_u = sigma_s.copy()
+    if spec.kind == "mbg":
+        sigma_u += spec.fixed_effect_sd ** 2 * syrk(spec.design)
+    else:
+        sigma_u += attention_cov(*spec.attention)
+    # numerical nugget: kernel matrices on near-duplicate points are singular
+    sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
     offset = np.zeros(n) if spec.offset is None else np.asarray(spec.offset, float)
 
-    gaussian = gaussian_response is not None
-    if gaussian:
+    if gaussian_response is not None:
         if gaussian_obs_sd is None or gaussian_obs_sd <= 0:
             raise ValueError("gaussian_response requires a positive gaussian_obs_sd")
         y = np.asarray(gaussian_response, float)
@@ -396,45 +408,22 @@ def laplace_fit(
     chol_b = cholesky(b_mat)
     logml = psi - float(np.sum(np.log(np.diag(chol_b))))
 
-    result = FitResult(
-        kind=spec.kind,
+    return FitResult(
+        spec=spec,
+        data=data,
         u_mode=u,
         a_mode=a,
         logml=logml,
         converged=converged,
         newton_iterations=it,
-        kernel=spec.kernel,
-        attn_hyper=None if spec.attention is None else spec.attention[1],
-        fixed_effect_sd=spec.fixed_effect_sd,
+        sigma_u=sigma_u,
+        sigma_s=sigma_s,
+        chol_b=chol_b,
+        sq_w=sq_w,
+        offset=offset,
         psi_trace=psi_trace,
+        chol_sigma_u=chol_su_warm,
     )
-    if spec.kind == "mbg":
-        result.beta_hat = spec.fixed_effect_sd ** 2 * (spec.design.T @ a)
-    if want_operators:
-        ops = FitOperators(
-            sigma_u=sigma_u,
-            sigma_s=sigma_s,
-            chol_b=chol_b,
-            sq_w=sq_w,
-            offset=offset,
-            design=spec.design,
-            x=data.x.copy(),
-            y=data.y.copy(),
-            t=data.t.copy(),
-            ids=data.ids.copy(),
-            chol_sigma_u=chol_su_warm,
-        )
-        result.ops = ops
-        if spec.kind == "mbg":
-            # Var(beta | z) = C_beta + R V_u R' with R = sd2 D' Sigma_u^{-1}
-            sd2 = spec.fixed_effect_sd ** 2
-            d = spec.design
-            siu_d = solve_chol(ops.chol_su(), d)
-            c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
-            r_mat = sd2 * siu_d.T
-            post = c_beta + r_mat @ ops.posterior_cov_u() @ r_mat.T
-            result.beta_sd = np.sqrt(np.maximum(np.diag(post), 0.0))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -453,59 +442,46 @@ DEFAULT_BOUNDS = {
 _PENALTY = 1e12
 
 
+# Free parameter -> (block of the spec it sets, field of that block, the
+# kernel families or model kinds that free it). A "log_" parameter is the
+# log of its field. Row order is the order of the Nelder-Mead vector.
+_FREE_PARAMS = {
+    "log_sigma2": ("kernel", "sigma2", ("matern", "gneiting")),
+    "log_rho": ("kernel", "rho", ("matern",)),
+    "log_phi_s": ("kernel", "phi_s", ("gneiting",)),
+    "log_phi_t": ("kernel", "phi_t", ("gneiting",)),
+    "theta1": ("attention", "theta1", ("hybrid",)),
+    "theta2": ("attention", "theta2", ("hybrid",)),
+}
+
+
 def _param_names(spec: ModelSpec) -> list[str]:
-    if spec.kernel.family == "matern":
-        names = ["log_sigma2", "log_rho"]
-    else:
-        names = ["log_sigma2", "log_phi_s", "log_phi_t"]
-    if spec.kind == "hybrid":
-        names += ["theta1", "theta2"]
-    return names
+    tags = {spec.kernel.family, spec.kind}
+    return [name for name, (_, _, by) in _FREE_PARAMS.items() if tags.intersection(by)]
 
 
 def _spec_from_params(spec: ModelSpec, names: list[str], values: np.ndarray) -> ModelSpec:
-    mapping = dict(zip(names, values))
-    kernel = spec.kernel
-    updates = {}
-    if "log_sigma2" in mapping:
-        updates["sigma2"] = math.exp(mapping["log_sigma2"])
-    if "log_rho" in mapping:
-        updates["rho"] = math.exp(mapping["log_rho"])
-    if "log_phi_s" in mapping:
-        updates["phi_s"] = math.exp(mapping["log_phi_s"])
-    if "log_phi_t" in mapping:
-        updates["phi_t"] = math.exp(mapping["log_phi_t"])
-    if updates:
-        kernel = replace(kernel, **updates)
-    out = replace(spec, kernel=kernel)
-    if spec.kind == "hybrid" and ("theta1" in mapping or "theta2" in mapping):
-        fld, hyper = spec.attention
-        hyper = AttnHyper(
-            theta1=mapping.get("theta1", hyper.theta1),
-            theta2=mapping.get("theta2", hyper.theta2),
-        )
-        out.attention = (fld, hyper)
-    return out
+    updates = {"kernel": {}, "attention": {}}
+    for name, value in zip(names, values):
+        block, attr, _ = _FREE_PARAMS[name]
+        updates[block][attr] = math.exp(value) if name.startswith("log_") else value
+    attention = spec.attention
+    if attention is not None:
+        attention = (attention[0], replace(attention[1], **updates["attention"]))
+    return replace(spec, kernel=replace(spec.kernel, **updates["kernel"]), attention=attention)
 
 
 def _start_values(spec: ModelSpec, names: list[str]) -> np.ndarray:
-    k = spec.kernel
-    defaults = {
-        "log_sigma2": math.log(k.sigma2),
-        "log_rho": math.log(k.rho),
-        "log_phi_s": math.log(k.phi_s),
-        "log_phi_t": math.log(k.phi_t),
-    }
-    if spec.kind == "hybrid":
-        hyper = spec.attention[1]
-        defaults["theta1"] = hyper.theta1
-        defaults["theta2"] = hyper.theta2
-    return np.array([defaults[n] for n in names])
+    values = []
+    for name in names:
+        block, attr, _ = _FREE_PARAMS[name]
+        value = getattr(spec.kernel if block == "kernel" else spec.attention[1], attr)
+        values.append(math.log(value) if name.startswith("log_") else value)
+    return np.array(values)
 
 
 @dataclass
 class OptimizeResult:
-    spec: ModelSpec
     fit: FitResult
     trace: list[dict]
     best_restart: int
@@ -519,8 +495,6 @@ def optimize_hyperparameters(
     restarts: int = 1,
     seed: int = 0,
     max_iter: int = 200,
-    gaussian_response: np.ndarray | None = None,
-    gaussian_obs_sd: float | None = None,
 ) -> OptimizeResult:
     """Maximize the Laplace log marginal likelihood over the free parameters.
 
@@ -531,9 +505,10 @@ def optimize_hyperparameters(
     uniformly inside the bounds. Every evaluation lands in the trace with its
     ``params``, ``logml``, ``newton_iterations`` and ``converged``; an
     evaluation whose fit failed numerically scores ``logml`` = -1e12 and
-    records ``newton_iterations`` None. The final refit at the best point,
-    which also builds the posterior operators, starts from the mode that
-    the best evaluation found.
+    records ``newton_iterations`` None. The final refit at the best point
+    starts from the mode that the best evaluation found; its
+    :class:`FitResult` (``result.fit``, whose ``spec`` is the best spec) is
+    the fitted model to summarize and predict from.
     """
     all_names = _param_names(spec_template)
     if bounds is None:
@@ -560,13 +535,7 @@ def optimize_hyperparameters(
         spec = _spec_from_params(spec_template, names, theta)
         iterations, converged = None, False
         try:
-            fit = laplace_fit(
-                data, spec,
-                gaussian_response=gaussian_response,
-                gaussian_obs_sd=gaussian_obs_sd,
-                warm_u=warm["u"],
-                sigma_builder=builder,
-            )
+            fit = laplace_fit(data, spec, warm_u=warm["u"], sigma_builder=builder)
             value = fit.logml
             iterations, converged = fit.newton_iterations, bool(fit.converged)
             warm["u"] = fit.u_mode
@@ -603,17 +572,11 @@ def optimize_hyperparameters(
         raise AllRestartsFailed("no restart produced a finite marginal likelihood")
 
     _, x_best, best_restart = best
-    best_spec = _spec_from_params(spec_template, names, x_best)
     fit = laplace_fit(
-        data, best_spec,
-        gaussian_response=gaussian_response,
-        gaussian_obs_sd=gaussian_obs_sd,
-        warm_u=warm["best_u"],
-        want_operators=True,
-        sigma_builder=builder,
+        data, _spec_from_params(spec_template, names, x_best),
+        warm_u=warm["best_u"], sigma_builder=builder,
     )
     return OptimizeResult(
-        spec=best_spec,
         fit=fit,
         trace=trace,
         best_restart=best_restart,
@@ -653,7 +616,7 @@ def _summarize_draws(ids, eta_draws: np.ndarray, level: float) -> Prediction:
 
 
 def _draw_u(fit: FitResult, n_draws: int, rng: RngStream) -> np.ndarray:
-    chol_v = cholesky(fit.ops.posterior_cov_u(), jitter=1e-10)
+    chol_v = cholesky(fit.posterior_cov_u(), jitter=1e-10)
     z = rng.standard_normal((len(fit.u_mode), n_draws))
     return fit.u_mode[:, None] + chol_v @ z
 
@@ -665,12 +628,10 @@ def predict_insample(
     level: float = 0.95,
 ) -> Prediction:
     """Predictive summaries at the fitted records themselves."""
-    if fit.ops is None:
-        raise ValueError("fit was run without operators; refit with want_operators=True")
     rng = RngStream(seed, _STREAM_PREDICT)
     u_draws = _draw_u(fit, n_draws, rng)
-    eta = fit.ops.offset[:, None] + u_draws
-    return _summarize_draws(fit.ops.ids, eta, level)
+    eta = fit.offset[:, None] + u_draws
+    return _summarize_draws(fit.data.ids, eta, level)
 
 
 def predict(
@@ -681,62 +642,59 @@ def predict(
     level: float = 0.95,
     new_offsets: np.ndarray | None = None,
     joint_field: AttentionField | None = None,
-    obs_nodes: np.ndarray | None = None,
-    new_nodes: np.ndarray | None = None,
 ) -> Prediction:
     """Joint-conditioning prediction at new records.
 
-    The spatial field is kriged from its posterior draws at the observed
-    records; for hybrid fits the attention process is conditioned through
-    the precision of the joint observed+new graph (``joint_field`` with
-    ``obs_nodes`` / ``new_nodes`` giving each record's row in that field),
-    and ``new_offsets`` supplies the new records' logit-scale offsets.
+    The spatial field is kriged from its posterior draws at the fitted
+    records. For mbg the fixed effects are drawn from beta | u, the
+    conditional that ``fit.beta_sd`` also reads. For hybrid fits
+    ``new_offsets`` supplies the new records' logit-scale offsets and the
+    attention process is conditioned through the precision of
+    ``joint_field``, the graph over the fitted records and then
+    ``new_data``'s, each in order (the layout ``pipeline.concat_datasets``
+    builds).
     """
-    if fit.ops is None:
-        raise ValueError("fit was run without operators; refit with want_operators=True")
-    ops = fit.ops
-    n_obs = len(fit.u_mode)
+    data = fit.data
+    n_obs = len(data)
     n_new = len(new_data)
     rng = RngStream(seed, _STREAM_PREDICT)
 
     u_draws = _draw_u(fit, n_draws, rng)
 
     # spatial field: component draws at observed points, then kriging
-    k_cross = CovarianceBuilder(new_data.x, new_data.y, new_data.t, ops.x, ops.y, ops.t)(fit.kernel)
-    k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(fit.kernel)
-    sigma_s_obs = ops.sigma_s.copy()
-    sigma_s_obs[np.diag_indices_from(sigma_s_obs)] += DEFAULT_KERNEL_JITTER
-    chol_s_obs = cholesky(sigma_s_obs)
+    kernel = fit.spec.kernel
+    k_cross = CovarianceBuilder(new_data.x, new_data.y, new_data.t, data.x, data.y, data.t)(kernel)
+    k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(kernel)
+    chol_s_obs = cholesky(fit.sigma_s, jitter=DEFAULT_KERNEL_JITTER)
     krig = solve_chol(chol_s_obs, k_cross.T).T            # (n_new, n_obs)
     cond_cov = k_new - krig @ k_cross.T
     chol_cond = cholesky(cond_cov, jitter=DEFAULT_KERNEL_JITTER)
 
-    chol_su = ops.chol_su()
-    if fit.kind == "mbg":
-        d = ops.design
-        sd2 = fit.fixed_effect_sd ** 2
-        siu_d = solve_chol(chol_su, d)
-        r_beta = sd2 * siu_d.T                             # (q, n_obs)
-        c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
+    if fit.spec.kind == "mbg":
+        r_beta, c_beta = fit.beta_given_u()
+        q = len(c_beta)
         chol_cbeta = cholesky(c_beta, jitter=1e-12)
-        beta_draws = r_beta @ u_draws + chol_cbeta @ rng.standard_normal((d.shape[1], n_draws))
-        s_draws = u_draws - d @ beta_draws
-        d_new = build_design(new_data)
-        eta_new = d_new @ beta_draws
+        beta_draws = r_beta @ u_draws + chol_cbeta @ rng.standard_normal((q, n_draws))
+        s_draws = u_draws - fit.spec.design @ beta_draws
+        eta_new = build_design(new_data) @ beta_draws
     else:
-        if new_offsets is None or joint_field is None or obs_nodes is None or new_nodes is None:
-            raise ValueError("hybrid prediction needs new_offsets, joint_field and node indices")
-        r_s = solve_chol(chol_su, ops.sigma_s).T           # Sigma_S Sigma_u^{-1}
-        c_s = ops.sigma_s - r_s @ ops.sigma_s
+        if new_offsets is None or joint_field is None:
+            raise ValueError("hybrid prediction needs new_offsets and joint_field")
+        if joint_field.n_nodes != n_obs + n_new:
+            raise ValueError(
+                f"joint_field has {joint_field.n_nodes} nodes, expected "
+                f"{n_obs} fitted + {n_new} new records"
+            )
+        sigma_s = fit.sigma_s
+        r_s = solve_chol(fit.chol_su(), sigma_s).T         # Sigma_S Sigma_u^{-1}
+        c_s = sigma_s - r_s @ sigma_s
         chol_cs = cholesky(c_s, jitter=1e-10)
         s_draws = r_s @ u_draws + chol_cs @ rng.standard_normal((n_obs, n_draws))
         a_draws = u_draws - s_draws
 
-        q_joint = precision(joint_field, fit.attn_hyper)
-        q_nn = q_joint[np.ix_(new_nodes, new_nodes)]
-        q_no = q_joint[np.ix_(new_nodes, obs_nodes)]
-        chol_qnn = cholesky(q_nn)
-        cond_mean = -solve_chol(chol_qnn, q_no @ a_draws)
+        q_joint = precision(joint_field, fit.spec.attention[1])
+        chol_qnn = cholesky(q_joint[n_obs:, n_obs:])
+        cond_mean = -solve_chol(chol_qnn, q_joint[n_obs:, :n_obs] @ a_draws)
         noise = solve_triangular(
             chol_qnn.T, rng.standard_normal((n_new, n_draws)), lower=False
         )
@@ -761,8 +719,8 @@ def read_prediction_csv(path: str | Path) -> Prediction:
     """Prediction from a CSV written by :func:`write_prediction_csv`.
 
     Raises ValueError naming the data row (1-based, after the header) that
-    has the wrong number of fields or a value that does not parse, and both
-    rows when two rows share an id.
+    has the wrong number of fields, a value that does not parse, a
+    non-finite value or lo95 > hi95, and both rows when two rows share an id.
     """
     rows = Path(path).read_text().strip().splitlines()
     if not rows or rows[0] != "id,mean,lo95,hi95,sd_linpred":
@@ -780,6 +738,10 @@ def read_prediction_csv(path: str | Path) -> Prediction:
             data[k - 1] = [float(v) for v in fields[1:]]
         except ValueError as err:
             raise ValueError(f"prediction CSV row {k}: {err}") from None
+        if not np.all(np.isfinite(data[k - 1])):
+            raise ValueError(f"prediction CSV row {k} has a non-finite value")
+        if data[k - 1, 1] > data[k - 1, 2]:
+            raise ValueError(f"prediction CSV row {k} has lo95 > hi95")
     check_unique_ids(ids, "prediction CSV")
     return Prediction(
         ids=ids, mean=data[:, 0], lo=data[:, 1],

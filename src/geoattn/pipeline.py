@@ -180,8 +180,6 @@ def fit_and_predict(
             n_draws=spec.n_draws, seed=seed, level=spec.level,
             new_offsets=None if offsets is None else offsets[n_tr:],
             joint_field=fld,
-            obs_nodes=np.arange(n_tr),
-            new_nodes=np.arange(n_tr, n_tr + len(test)),
         )
     return PipelineRun(prediction=pred, optimize=result, gat=gat, field=fld)
 

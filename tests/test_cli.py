@@ -117,6 +117,20 @@ class TestBadInputExitsTwo:
         assert f"prediction CSV row 2: invalid literal for int() with base 10: '{record_id}'" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,nan,0.1,0.3,0.5", "prediction CSV row 2 has a non-finite value"),
+        ("1,0.2,0.3,0.1,0.5", "prediction CSV row 2 has lo95 > hi95"),
+    ], ids=["nan_mean", "reversed_interval"])
+    def test_bad_prediction_value(self, row, message, tmp_path, dataset_csv, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text(f"id,mean,lo95,hi95,sd_linpred\n0,0.2,0.1,0.3,0.5\n{row}\n")
+        code = cli.main([
+            "evaluate", "--pred", f"m={pred}", "--dataset", str(dataset_csv),
+            "--mode", "truth", "--out", str(tmp_path / "eval"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_repeated_prediction_id(self, tmp_path, dataset_csv, capsys):
         pred = tmp_path / "pred.csv"
         pred.write_text("id,mean,lo95,hi95,sd_linpred\n"
@@ -337,6 +351,14 @@ class TestBadCheckpointExitsTwo:
         code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, dataset_csv, fractional_neighbors)
         assert code == cli.EXIT_VALIDATION
         assert "checkpoint extra.k_neighbors must be an integer, got 7.9" in capsys.readouterr().err
+
+    def test_checkpoint_with_non_finite_params(self, tmp_path, dataset_csv, capsys):
+        def nan_param(payload):
+            payload["params"][0] = float("nan")
+
+        code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, dataset_csv, nan_param)
+        assert code == cli.EXIT_VALIDATION
+        assert "cannot load checkpoint: checkpoint params must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda cfg: cfg.update(dropout=0.5), "are not the GatConfig fields"),

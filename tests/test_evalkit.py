@@ -183,6 +183,25 @@ def fake_runner(train, test, spec, seed=0):
     )
 
 
+class ConstSpec:
+    """A spec whose runner predicts ``mean`` with the interval [lo, hi] everywhere."""
+
+    name, tag = "const", ""
+
+    def __init__(self, mean, lo=None, hi=None):
+        self.mean = mean
+        self.lo = mean if lo is None else lo
+        self.hi = mean if hi is None else hi
+
+
+def const_runner(train, test, spec, seed=0):
+    from geoattn.geostat import Prediction
+
+    full = lambda value: np.full(len(test), value)
+    return Prediction(ids=test.ids, mean=full(spec.mean), lo=full(spec.lo), hi=full(spec.hi),
+                      sd_linpred=full(0.0))
+
+
 class TestSpatialCv:
     def make(self, seed=0):
         data = simgen.simulate(
@@ -269,16 +288,20 @@ class TestSpatialCv:
         ))
         p0 = float(data.true_p[0])
         folds = kmeans_spatial(np.column_stack([data.x, data.y]), 2, seed=3)
-
-        class ConstSpec:
-            name, tag = "const", ""
-
-        def const_runner(train, test, spec, seed=0):
-            from geoattn.geostat import Prediction
-            mean = np.full(len(test), p0)
-            return Prediction(ids=test.ids, mean=mean, lo=mean, hi=mean,
-                              sd_linpred=np.zeros(len(test)))
-
-        reports = spatial_cv(data, [ConstSpec()], folds, runner=const_runner)
+        reports = spatial_cv(data, [ConstSpec(p0)], folds, runner=const_runner)
         floor = np.sqrt(p0 * (1 - p0) / data.n_tested.mean())
         assert reports[0].pooled.rbs == pytest.approx(floor, rel=0.2)
+
+    def test_intervals_are_scored_per_fold_and_pooled(self):
+        data, folds = self.make()
+        reports = spatial_cv(data, [ConstSpec(0.3, lo=0.2, hi=0.4)], folds, runner=const_runner)
+        emp = data.empirical_prevalence
+        inside = (emp >= 0.2) & (emp <= 0.4)
+        assert 0 < inside.mean() < 1
+        rep = reports[0]
+        assert rep.pooled.coverage95 == pytest.approx(inside.mean())
+        assert set(rep.per_fold) == set(range(folds.n_clusters))
+        for fold_id, fold in rep.per_fold.items():
+            held_out = inside[folds.cluster == fold_id]
+            assert fold.coverage95 == pytest.approx(held_out.mean())
+            assert fold.to_dict()["coverage95"] == pytest.approx(held_out.mean())

@@ -241,7 +241,7 @@ class TestOptimize:
             logml.append(laplace_fit(data, spec_g, sigma_builder=builder).logml)
         best_grid = grid[int(np.argmax(logml))]
         cell = grid[1] - grid[0]
-        assert abs(np.log(result.spec.kernel.sigma2) - best_grid) <= cell
+        assert abs(np.log(result.fit.spec.kernel.sigma2) - best_grid) <= cell
 
     def test_range_recovery_within_factor_two(self):
         # simulation oracle: phi_s = phi_t = 0.25 generated the data. The
@@ -263,11 +263,11 @@ class TestOptimize:
             design=build_design(data),
         )
         result = optimize_hyperparameters(data, template, restarts=1, seed=1, max_iter=120)
-        k = result.spec.kernel
+        k = result.fit.spec.kernel
         assert 0.125 <= k.phi_s <= 0.5
         assert k.phi_t <= 0.5
         if k.phi_t < 0.125:
-            at_truth = replace(result.spec, kernel=replace(k, phi_t=0.25))
+            at_truth = replace(result.fit.spec, kernel=replace(k, phi_t=0.25))
             logml_truth = laplace_fit(data, at_truth).logml
             assert result.fit.logml >= logml_truth - 1.0
 
@@ -313,7 +313,7 @@ class TestPredict:
             kernel=KernelSpec(family="gneiting", sigma2=0.6, phi_s=0.25, phi_t=0.25),
             design=build_design(data),
         )
-        fit = laplace_fit(data, spec, want_operators=True)
+        fit = laplace_fit(data, spec)
         return data, spec, fit
 
     def test_insample_matches_mode_roughly(self):
@@ -365,16 +365,24 @@ class TestPredict:
         )
         train = data.subset(np.arange(n - 5))
         test = data.subset(np.arange(n - 5, n))
-        fit = laplace_fit(train, spec, want_operators=True)
+        fit = laplace_fit(train, spec)
         pred = predict(
             fit, test, n_draws=4000, seed=11,
             new_offsets=offset[n - 5:],
             joint_field=field,
-            obs_nodes=np.arange(n - 5),
-            new_nodes=np.arange(n - 5, n),
         )
         expected = simgen.logistic(offset[n - 5:])
         assert np.abs(pred.mean - expected).max() <= 2e-3
+
+    def test_joint_field_must_hold_fitted_then_new_records(self):
+        data = make_data(n_times=2, locs=(10, 12), seed=43)
+        n = len(data)
+        spec = hybrid_spec(data.subset(np.arange(n - 5)), seed=9)
+        fit = laplace_fit(data.subset(np.arange(n - 5)), spec)
+        short = build_field(random_export(n - 1, seed=9), n - 1)
+        with pytest.raises(ValueError, match=f"joint_field has {n - 1} nodes, expected {n - 5} fitted"):
+            predict(fit, data.subset(np.arange(n - 5, n)), n_draws=10,
+                    new_offsets=np.zeros(5), joint_field=short)
 
     def test_gat_only_prediction_degenerate_intervals(self):
         pred = pipeline.gat_only_prediction(np.arange(3), np.array([0.2, -0.1, 1.2]))
@@ -391,6 +399,64 @@ class TestPredict:
         np.testing.assert_array_equal(back.ids, pred.ids)
         np.testing.assert_array_equal(back.mean, pred.mean)
         np.testing.assert_array_equal(back.hi, pred.hi)
+
+
+class TestFitResultMatchesInlineAlgebra:
+    """The fitted model's cached beta | u conditional against the algebra it replaced."""
+
+    def test_beta_conditional_matches_inline_formulas(self):
+        data, spec, fit = TestPredict().fitted_mbg()
+        sd2 = spec.fixed_effect_sd ** 2
+        d = spec.design
+        # the operators as laplace_fit(want_operators=True) built them
+        chol_su = numkit.cholesky(fit.sigma_u, jitter=1e-10)
+        t_mat = fit.sq_w[:, None] * fit.sigma_u
+        post_cov_u = fit.sigma_u - t_mat.T @ numkit.solve_chol(fit.chol_b, t_mat)
+        # laplace_fit's beta_hat and beta_sd
+        siu_d = numkit.solve_chol(chol_su, d)
+        c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
+        r_mat = sd2 * siu_d.T
+        post = c_beta + r_mat @ post_cov_u @ r_mat.T
+        np.testing.assert_array_equal(fit.beta_hat, sd2 * (d.T @ fit.a_mode))
+        np.testing.assert_array_equal(fit.beta_sd, np.sqrt(np.maximum(np.diag(post), 0.0)))
+        # predict's mbg branch
+        r_beta = sd2 * siu_d.T
+        c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
+        got_r, got_c = fit.beta_given_u()
+        np.testing.assert_array_equal(got_r, r_beta)
+        np.testing.assert_array_equal(got_c, c_beta)
+        np.testing.assert_array_equal(fit.posterior_cov_u(), post_cov_u)
+
+    @pytest.mark.parametrize("kind, family, names", [
+        ("mbg", "gneiting", ["log_sigma2", "log_phi_s", "log_phi_t"]),
+        ("mbg", "matern", ["log_sigma2", "log_rho"]),
+        ("hybrid", "gneiting", ["log_sigma2", "log_phi_s", "log_phi_t", "theta1", "theta2"]),
+    ], ids=["mbg-gneiting", "mbg-matern", "hybrid-gneiting"])
+    def test_nelder_mead_parameter_order(self, kind, family, names):
+        # the order sets the Nelder-Mead vector, so every optimized output
+        data = make_data(n_times=2, locs=(5, 6), seed=1)
+        spec = hybrid_spec(data) if kind == "hybrid" else ModelSpec(
+            kind="mbg", kernel=KernelSpec(family=family), design=build_design(data),
+        )
+        assert geostat._param_names(spec) == names
+
+    def test_params_round_trip_through_the_spec(self):
+        from dataclasses import replace
+
+        data = make_data(n_times=2, locs=(5, 6), seed=1)
+        spec = hybrid_spec(data, theta1=1.5, theta2=-2.0, sigma2=0.7)
+        names = geostat._param_names(spec)
+        values = np.array([np.log(0.7), np.log(0.3), np.log(0.6), 0.5, 4.0])
+        out = geostat._spec_from_params(spec, names, values)
+        k = out.kernel
+        assert (k.sigma2, k.phi_s, k.phi_t) == pytest.approx((0.7, 0.3, 0.6), rel=1e-15)
+        assert replace(k, sigma2=1.0, phi_s=1.0, phi_t=1.0) == replace(
+            spec.kernel, sigma2=1.0, phi_s=1.0, phi_t=1.0,
+        )
+        assert out.attention[0] is spec.attention[0]
+        assert out.attention[1] == AttnHyper(0.5, 4.0)
+        np.testing.assert_allclose(geostat._start_values(out, names), values, rtol=1e-15)
+        assert spec.attention[1] == AttnHyper(1.5, -2.0)
 
 
 class TestBetaRecovery:

@@ -67,7 +67,6 @@ def reference_fit_and_predict(train, test, spec, seed=0):
     return geostat.predict(
         result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level,
         new_offsets=offsets[n_tr:], joint_field=joint_field,
-        obs_nodes=np.arange(n_tr), new_nodes=np.arange(n_tr, n_tr + n_te),
     )
 
 
