@@ -3,13 +3,25 @@
 Implements dynamic multi-head attention (the score nonlinearity precedes the
 attention dot product), exact analytic backpropagation, full-batch MSE
 training, and export of per-edge mean attention coefficients. All tensor
-work is plain numpy. The score weights W act on [h_dst ; h_src], so every
-layer projects node features once per node (n rows) and gathers the results
-onto edges; backward scatters the edge gradients to nodes first and then
-takes the weight and input gradients as node-level GEMMs. Only the
-elementwise score, softmax and message weighting run per edge.
-Per-destination reductions work over a canonical edge ordering so results
-are bit-reproducible and independent of the caller's edge-list order.
+work is plain numpy and scipy.sparse. The score weights W act on
+[h_dst ; h_src], so every layer projects node features once per node (n
+rows) and gathers the results onto edges; backward scatters the edge
+gradients to nodes first and then takes the weight and input gradients as
+node-level GEMMs. Forward forms no per-edge messages: head k aggregates
+A_k @ (h V_kᵀ), where the n x n CSR matrix A_k holds that head's attention
+at (dst, src). Backward sends the value gradient to source nodes as
+A_kᵀ @ d_agg_k and gathers h Vᵀ onto edges only for the attention gradient.
+
+The per-edge arrays of a layer are the score pre-activation z (turned into
+u = LeakyReLU(z) in place), its LeakyReLU slope factor, the attention alpha
+(also kept per head as the data of the A_k), and scratch for gathers and
+softmax terms; the scratch is shared by all layers. Forward writes them into
+a set of edge buffers and backward reads them from the cache, writing only
+the scratch. :func:`train` allocates one set and rewrites it every epoch;
+a :func:`forward` call without one gets its own, so the arrays it returns
+belong to the caller. Per-destination reductions work over a canonical edge
+ordering so results are bit-reproducible and independent of the caller's
+edge-list order.
 """
 
 from __future__ import annotations
@@ -58,6 +70,8 @@ class GraphSpec:
     dst_starts: np.ndarray = field(init=False, repr=False)
     _sum_dst: sp.csr_matrix = field(init=False, repr=False)
     _sum_src: sp.csr_matrix = field(init=False, repr=False)
+    _csr_indptr: np.ndarray = field(init=False, repr=False)   # (n+1,) dst_starts, then E
+    _csr_indices: np.ndarray = field(init=False, repr=False)  # (E,) src
 
     def __post_init__(self):
         src = np.asarray(self.src, dtype=np.int64)
@@ -91,6 +105,10 @@ class GraphSpec:
         arange = np.arange(n_e)
         self._sum_dst = sp.csr_matrix((ones, (self.dst, arange)), shape=(self.n_nodes, n_e))
         self._sum_src = sp.csr_matrix((ones, (self.src, arange)), shape=(self.n_nodes, n_e))
+        # scipy's own index dtype, so that edge_matrix never copies them
+        idx = np.int32 if max(n_e, self.n_nodes) < np.iinfo(np.int32).max else np.int64
+        self._csr_indptr = np.append(self.dst_starts, n_e).astype(idx)
+        self._csr_indices = self.src.astype(idx)
 
     @property
     def n_edges(self) -> int:
@@ -105,6 +123,15 @@ class GraphSpec:
         """Sum per-edge values into their source node."""
         flat = per_edge.reshape(len(per_edge), -1)
         return (self._sum_src @ flat).reshape((self.n_nodes,) + per_edge.shape[1:])
+
+    def edge_matrix(self, weights: np.ndarray) -> sp.csr_matrix:
+        """n x n CSR matrix holding per-edge ``weights`` (E,) at (dst, src);
+        contiguous float weights are not copied. ``M @ x`` sums weighted
+        source rows into each destination and ``M.T @ y`` destination rows
+        into each source, both in edge order, like :meth:`scatter_dst` and
+        :meth:`scatter_src`."""
+        return sp.csr_matrix((weights, self._csr_indices, self._csr_indptr),
+                             shape=(self.n_nodes, self.n_nodes))
 
 
 def graph_features(records: Dataset) -> np.ndarray:
@@ -276,12 +303,15 @@ def init_model(d_in: int, config: GatConfig) -> GatModel:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _leaky_factor(pos: np.ndarray, slope: float) -> np.ndarray:
-    """LeakyReLU slope per entry, exactly 1.0 where ``pos`` and ``slope``
-    elsewhere. Multiplying by it is bit-identical to ``np.maximum(z, slope*z)``
-    forward and ``np.where(pos, d, slope*d)`` backward, and avoids their slow
-    branching on unpredictable sign masks."""
-    return pos * (1.0 - slope) + slope
+def _leaky_factor(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
+    """LeakyReLU slope per entry of ``z``, written into ``out``: exactly 1.0
+    where z > 0 and ``slope`` elsewhere. Multiplying by it is bit-identical to
+    ``np.maximum(z, slope*z)`` forward and ``np.where(z > 0, d, slope*d)``
+    backward, and avoids their slow branching on unpredictable sign masks."""
+    np.greater(z, 0.0, out=out)
+    out *= 1.0 - slope
+    out += slope
+    return out
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -305,13 +335,52 @@ class AttentionExport:
 
 
 @dataclass
+class _EdgeBuffers:
+    """The edge-sized arrays of one layer. The first four carry values from
+    the layer's forward pass to its backward pass; the scratch arrays are
+    shared by all layers and hold nothing between layer calls."""
+
+    u: np.ndarray        # (E, K*d) z, then LeakyReLU(z) in place
+    leaky: np.ndarray    # (E, K*d) LeakyReLU slope factor of z
+    alpha: np.ndarray    # (E, K) attention
+    alpha_t: np.ndarray  # (K, E) attention per head: the data of each A_k
+    scratch_kd: np.ndarray   # (E, K*d)
+    scratch_kd2: np.ndarray  # (E, K*d)
+    scratch_k: np.ndarray    # (E, K)
+    scratch_k2: np.ndarray   # (E, K)
+
+
+def _edge_buffers(graph: GraphSpec, layers: list[LayerParams]) -> list[_EdgeBuffers]:
+    """Uninitialised edge buffers for every layer of a network."""
+    n_e, k = graph.n_edges, layers[0].a.shape[0]
+    widths = [lay.a.size for lay in layers]  # K*d per layer
+    wide, wide2 = np.empty(n_e * max(widths)), np.empty(n_e * max(widths))
+    narrow, narrow2 = np.empty((n_e, k)), np.empty((n_e, k))
+    return [
+        _EdgeBuffers(
+            u=np.empty((n_e, kd)), leaky=np.empty((n_e, kd)),
+            alpha=np.empty((n_e, k)), alpha_t=np.empty((k, n_e)),
+            scratch_kd=wide[:n_e * kd].reshape(n_e, kd),
+            scratch_kd2=wide2[:n_e * kd].reshape(n_e, kd),
+            scratch_k=narrow, scratch_k2=narrow2,
+        )
+        for kd in widths
+    ]
+
+
+@dataclass
 class _LayerCache:
-    h_in: np.ndarray     # (n, d_in) layer input
-    u: np.ndarray        # (E, K*d) LeakyReLU(z)
-    pos: np.ndarray      # (E, K*d) bool, z > 0
-    msg: np.ndarray      # (E, K*d) value-projected source features
-    alpha: np.ndarray    # (E, K)
-    agg: np.ndarray      # (n, K, d) pre-activation head outputs
+    """What one layer's forward pass leaves for its backward pass."""
+
+    h_in: np.ndarray      # (n, d_in) layer input: graph features or the previous layer's output
+    hv: np.ndarray        # (n, K*d) value projection h Vᵀ; backward gathers it onto edges
+    agg: np.ndarray       # (n, K, d) pre-activation head outputs
+    edges: _EdgeBuffers   # this pass's per-edge u, leaky, alpha and alpha_t; owned by
+                          # train() for all its epochs, else by the forward() call
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.edges.alpha
 
 
 @dataclass
@@ -323,47 +392,57 @@ class ForwardCache:
 
 
 def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
-                   slope: float, is_final: bool):
+                   slope: float, is_final: bool, buf: _EdgeBuffers):
     k, d, two_din = lay.w.shape
     din = two_din // 2
+    n, dst, src = graph.n_nodes, graph.dst, graph.src
     w_flat = lay.w.reshape(k * d, two_din)
     v_flat = lay.v.reshape(k * d, din)
 
-    # z = W [h_dst ; h_src]: project each node once, then gather onto edges
-    z = (h @ w_flat[:, :din].T)[graph.dst]
-    z += (h @ w_flat[:, din:].T)[graph.src]
-    pos = z > 0
-    u = z * _leaky_factor(pos, slope)
-    scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a)
+    # z = W [h_dst ; h_src]: project each node once, then gather onto edges;
+    # u = LeakyReLU(z) overwrites z. Every take uses mode="clip" (the indices
+    # are in range) because the default mode still allocates a temporary.
+    z = np.take(h @ w_flat[:, :din].T, dst, axis=0, out=buf.u, mode="clip")
+    z += np.take(h @ w_flat[:, din:].T, src, axis=0, out=buf.scratch_kd, mode="clip")
+    u = np.multiply(z, _leaky_factor(z, slope, out=buf.leaky), out=z)
+    scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a, out=buf.scratch_k)
 
     smax = np.maximum.reduceat(scores, graph.dst_starts, axis=0)
-    ex = np.exp(scores - smax[graph.dst])
-    denom = graph.scatter_dst(ex)
-    alpha = ex / denom[graph.dst]
+    ex = np.take(smax, dst, axis=0, out=buf.scratch_k2, mode="clip")
+    np.exp(np.subtract(scores, ex, out=ex), out=ex)
+    alpha = np.take(graph.scatter_dst(ex), dst, axis=0, out=buf.alpha, mode="clip")
+    np.divide(ex, alpha, out=alpha)
+    buf.alpha_t[...] = alpha.T
 
-    msg = (h @ v_flat.T)[graph.src]
-    weighted = msg.reshape(-1, k, d) * alpha[:, :, None]
-    agg = graph.scatter_dst(weighted.reshape(-1, k * d)).reshape(graph.n_nodes, k, d)
+    # head k aggregates A_k @ (h V_kᵀ), A_k holding alpha[:, k] at (dst, src)
+    hv = h @ v_flat.T
+    hv3 = hv.reshape(n, k, d)
+    agg = np.empty((n, k, d))
+    for j in range(k):
+        agg[:, j] = graph.edge_matrix(buf.alpha_t[j]) @ hv3[:, j]
 
     if is_final:
         out = _elu(agg.mean(axis=1))
     else:
-        out = _elu(agg).reshape(graph.n_nodes, k * d)
-    cache = _LayerCache(h_in=h, u=u, pos=pos, msg=msg, alpha=alpha, agg=agg)
-    return out, cache
+        out = _elu(agg).reshape(n, k * d)
+    return out, _LayerCache(h_in=h, hv=hv, agg=agg, edges=buf)
 
 
-def forward(model: GatModel, graph: GraphSpec):
+def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | None = None):
     """Run the network; returns (predictions, attention export, cache).
 
     Raises :class:`NonFiniteActivation` if any output is non-finite.
+    ``_buffers`` is for :func:`train`, which rewrites the same edge buffers
+    every epoch; without it each call gets its own.
     """
+    if _buffers is None:
+        _buffers = _edge_buffers(graph, model.layers)
     slope = model.config.leaky_slope
     h = graph.features
     caches, alphas = [], []
     n_layers = len(model.layers)
-    for li, lay in enumerate(model.layers):
-        h, cache = _layer_forward(graph, lay, h, slope, is_final=li == n_layers - 1)
+    for li, (lay, buf) in enumerate(zip(model.layers, _buffers)):
+        h, cache = _layer_forward(graph, lay, h, slope, li == n_layers - 1, buf)
         caches.append(cache)
         alphas.append(cache.alpha)
     preds = h @ model.w_out + model.b_out
@@ -387,35 +466,46 @@ def _layer_backward(graph: GraphSpec, lay: LayerParams, cache: _LayerCache,
                     need_input_grad: bool = True):
     k, d, two_din = lay.w.shape
     din = two_din // 2
+    n, dst, src = graph.n_nodes, graph.dst, graph.src
     w_flat = lay.w.reshape(k * d, two_din)
     v_flat = lay.v.reshape(k * d, din)
+    buf = cache.edges
 
     if is_final:
         d_pre = (d_out * _elu_grad(cache.agg.mean(axis=1))) / k
-        d_agg = np.broadcast_to(d_pre[:, None, :], (graph.n_nodes, k, d))
-        d_agg = np.ascontiguousarray(d_agg).reshape(graph.n_nodes, k * d)
+        d_agg = np.broadcast_to(d_pre[:, None, :], (n, k, d))
+        d_agg = np.ascontiguousarray(d_agg).reshape(n, k * d)
     else:
-        d_agg = (d_out.reshape(graph.n_nodes, k, d) * _elu_grad(cache.agg))
-        d_agg = d_agg.reshape(graph.n_nodes, k * d)
+        d_agg = (d_out.reshape(n, k, d) * _elu_grad(cache.agg))
+        d_agg = d_agg.reshape(n, k * d)
 
-    d_weighted = d_agg[graph.dst]                            # (E, K*d)
-    d_weighted3 = d_weighted.reshape(-1, k, d)
-    msg3 = cache.msg.reshape(-1, k, d)
-    d_alpha = np.einsum("ekd,ekd->ek", d_weighted3, msg3)
-    d_msg = (d_weighted3 * cache.alpha[:, :, None]).reshape(-1, k * d)
-    # every projection is per node, so scatter the edge gradients to nodes
-    # once and take the weight and input gradients as node-level gemms
+    # every projection is per node, so sum the edge gradients into nodes
+    # first and take the weight and input gradients as node-level gemms;
+    # the value gradient reaches source nodes through A_kᵀ
+    d_agg3 = d_agg.reshape(n, k, d)
+    s_msg = np.empty((n, k, d))
+    for j in range(k):
+        s_msg[:, j] = graph.edge_matrix(buf.alpha_t[j]).T @ d_agg3[:, j]
+    s_msg = s_msg.reshape(n, k * d)
     h = cache.h_in
-    s_msg = graph.scatter_src(d_msg)                         # (n, K*d)
     d_v = (s_msg.T @ h).reshape(k, d, din)
 
-    # softmax backward per (destination, head)
-    s_node = graph.scatter_dst(cache.alpha * d_alpha)
-    d_score = cache.alpha * (d_alpha - s_node[graph.dst])
+    d_weighted = np.take(d_agg, dst, axis=0, out=buf.scratch_kd, mode="clip")
+    msg = np.take(cache.hv, src, axis=0, out=buf.scratch_kd2, mode="clip")
+    d_alpha = np.einsum("ekd,ekd->ek", d_weighted.reshape(-1, k, d),
+                        msg.reshape(-1, k, d), out=buf.scratch_k)
 
-    d_a = np.einsum("ek,ekd->kd", d_score, cache.u.reshape(-1, k, d))
-    d_u = (d_score[:, :, None] * lay.a[None]).reshape(-1, k * d)
-    d_z = d_u * _leaky_factor(cache.pos, slope)
+    # softmax backward per (destination, head)
+    alpha = buf.alpha
+    s_node = graph.scatter_dst(np.multiply(alpha, d_alpha, out=buf.scratch_k2))
+    d_score = np.take(s_node, dst, axis=0, out=buf.scratch_k2, mode="clip")
+    np.subtract(d_alpha, d_score, out=d_score)
+    d_score *= alpha
+
+    d_a = np.einsum("ek,ekd->kd", d_score, buf.u.reshape(-1, k, d))
+    d_u = np.multiply(d_score[:, :, None], lay.a[None], out=buf.scratch_kd.reshape(-1, k, d))
+    d_z = d_u.reshape(-1, k * d)
+    d_z *= buf.leaky
     z_dst = graph.scatter_dst(d_z)                           # (n, K*d)
     z_src = graph.scatter_src(d_z)                           # (n, K*d)
 
@@ -437,7 +527,8 @@ def gradient(
     cache: ForwardCache | None = None,
 ) -> GatModel:
     """Exact gradients of the train-node MSE for every parameter, shaped
-    like ``model`` (``flatten`` lines them up with ``model.flatten``)."""
+    like ``model`` (``flatten`` lines them up with ``model.flatten``).
+    Only the scratch part of ``cache``'s edge buffers is written."""
     if cache is None:
         _, _, cache = forward(model, graph)
     mask = graph.train_mask
@@ -470,7 +561,8 @@ def train(
 
     ``targets`` has one entry per node; entries at predict-role nodes are
     ignored. Returns the trained model and the per-epoch loss trace.
-    Deterministic given ``config.seed``.
+    Deterministic given ``config.seed``. Every epoch rewrites one set of
+    edge buffers, allocated here.
     """
     targets = np.asarray(targets, dtype=float)
     if len(targets) != graph.n_nodes:
@@ -478,11 +570,12 @@ def train(
     if not graph.train_mask.any():
         raise ValueError("no train-role nodes")
     model = init_model(graph.features.shape[1], config)
+    buffers = _edge_buffers(graph, model.layers)
     trace = np.empty(config.epochs)
     lr = config.learning_rate
     for epoch in range(config.epochs):
         try:
-            _, _, cache = forward(model, graph)
+            _, _, cache = forward(model, graph, _buffers=buffers)
         except NonFiniteActivation as err:
             raise NonFiniteActivation(epoch=epoch) from err
         loss = mse_loss(cache.preds, targets, graph.train_mask)

@@ -52,6 +52,9 @@ class SimConfig:
         lo, hi = self.locs_per_time
         if not (1 <= lo <= hi):
             raise ValueError("locs_per_time must be a non-empty positive range")
+        if self.n_times * lo < 2:
+            # one record has no sample std, so its covariates would be NaN
+            raise ValueError("n_times * locs_per_time[0] must be >= 2 (the fewest records drawn)")
         tlo, thi = self.trials_range
         if not (1 <= tlo <= thi):
             raise ValueError("trials_range must be a non-empty positive range")

@@ -270,6 +270,15 @@ def test_mistyped_config_value_exits_two(case, tmp_path, dataset_csv, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_one_record_simulation_exits_two(tmp_path, capsys):
+    # a single record has no sample std to standardize its covariates by
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({**SIM_CONFIG, "n_times": 1, "locs_per_time": [1, 1]}))
+    code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    assert "n_times * locs_per_time[0] must be >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["simulate", "fit", "env", "cv"])
 def test_negative_seed_exits_two(where, tmp_path, dataset_csv, fit_config, monkeypatch, capsys):
     out = str(tmp_path / "out")

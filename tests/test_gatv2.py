@@ -1,5 +1,6 @@
 """Graph attention network: forward oracle, exact gradients, training."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -198,8 +199,22 @@ class TestGradient:
         assert max_rel_error(analytic, numeric) <= 1e-4
 
 
-def per_edge_layer_forward(graph, lay, h, slope, is_final):
-    """Reference layer: gather features onto edges, then project per edge."""
+def random_graph(n, seed):
+    """Random in-edges plus self-loops; about 30% of nodes are predict-role."""
+    rng = np.random.default_rng(seed)
+    src = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
+    dst = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
+    mask = rng.uniform(size=n) < 0.7
+    mask[0] = True
+    graph = GraphSpec(n_nodes=n, features=rng.standard_normal((n, 3)),
+                      src=src, dst=dst, train_mask=mask)
+    assert not mask.all()  # predict-role nodes pass messages only
+    return graph, rng.uniform(0, 1, n)
+
+
+def per_edge_layer_forward(graph, lay, h, slope, is_final, buf):
+    """Reference layer: gather features onto edges, then project per edge.
+    It allocates every array itself and ignores the edge buffers ``buf``."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     w = lay.w.reshape(k * d, two_din)
@@ -245,40 +260,141 @@ def per_edge_layer_backward(graph, lay, c, d_out, slope, is_final, need_input_gr
     return grads, d_h
 
 
+def scatter_layer_forward(graph, lay, h, slope, is_final, buf):
+    """The layer as it was before the sparse aggregation: messages formed per
+    edge, weighted and scattered to destinations. Same arithmetic, so the
+    results must match bit for bit. Ignores the edge buffers ``buf``."""
+    k, d, two_din = lay.w.shape
+    din = two_din // 2
+    w_flat, v_flat = lay.w.reshape(k * d, two_din), lay.v.reshape(k * d, din)
+    z = (h @ w_flat[:, :din].T)[graph.dst]
+    z += (h @ w_flat[:, din:].T)[graph.src]
+    pos = z > 0
+    u = z * (pos * (1.0 - slope) + slope)
+    scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a)
+    ex = np.exp(scores - np.maximum.reduceat(scores, graph.dst_starts, axis=0)[graph.dst])
+    alpha = ex / graph.scatter_dst(ex)[graph.dst]
+    msg = (h @ v_flat.T)[graph.src]
+    weighted = msg.reshape(-1, k, d) * alpha[:, :, None]
+    agg = graph.scatter_dst(weighted.reshape(-1, k * d)).reshape(len(h), k, d)
+    out = gatv2._elu(agg.mean(axis=1)) if is_final else gatv2._elu(agg).reshape(len(h), -1)
+    return out, SimpleNamespace(h_in=h, u=u, pos=pos, msg=msg, alpha=alpha, agg=agg)
+
+
+def scatter_layer_backward(graph, lay, c, d_out, slope, is_final, need_input_grad=True):
+    """Backward of :func:`scatter_layer_forward`, with per-edge ``d_msg``."""
+    k, d, two_din = lay.w.shape
+    din = two_din // 2
+    n = graph.n_nodes
+    w_flat, v_flat = lay.w.reshape(k * d, two_din), lay.v.reshape(k * d, din)
+    if is_final:
+        d_pre = (d_out * gatv2._elu_grad(c.agg.mean(axis=1))) / k
+        d_agg = np.ascontiguousarray(np.broadcast_to(d_pre[:, None, :], (n, k, d)))
+    else:
+        d_agg = d_out.reshape(n, k, d) * gatv2._elu_grad(c.agg)
+    d_weighted3 = d_agg.reshape(n, k * d)[graph.dst].reshape(-1, k, d)
+    d_alpha = np.einsum("ekd,ekd->ek", d_weighted3, c.msg.reshape(-1, k, d))
+    d_msg = (d_weighted3 * c.alpha[:, :, None]).reshape(-1, k * d)
+    s_msg = graph.scatter_src(d_msg)
+    d_score = c.alpha * (d_alpha - graph.scatter_dst(c.alpha * d_alpha)[graph.dst])
+    d_u = (d_score[:, :, None] * lay.a[None]).reshape(-1, k * d)
+    d_z = d_u * (c.pos * (1.0 - slope) + slope)
+    z_dst, z_src = graph.scatter_dst(d_z), graph.scatter_src(d_z)
+    d_w = np.empty((k * d, two_din))
+    d_w[:, :din] = z_dst.T @ c.h_in
+    d_w[:, din:] = z_src.T @ c.h_in
+    grads = LayerParams(w=d_w.reshape(k, d, two_din),
+                        a=np.einsum("ek,ekd->kd", d_score, c.u.reshape(-1, k, d)),
+                        v=(s_msg.T @ c.h_in).reshape(k, d, din))
+    d_h = None
+    if need_input_grad:
+        d_h = s_msg @ v_flat + z_dst @ w_flat[:, :din] + z_src @ w_flat[:, din:]
+    return grads, d_h
+
+
 class TestPerEdgeReference:
     def test_forward_and_gradient_match_per_edge_layers(self, monkeypatch):
-        rng = np.random.default_rng(31)
-        n = 30
-        src = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
-        dst = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
-        mask = rng.uniform(size=n) < 0.7
-        mask[0] = True
-        graph = GraphSpec(n_nodes=n, features=rng.standard_normal((n, 3)),
-                          src=src, dst=dst, train_mask=mask)
-        assert not mask.all()  # predict-role nodes pass messages only
-        model = init_model(3, GatConfig(widths=(4, 3), heads=3, seed=8))
-        targets = rng.uniform(0, 1, n)
+        graph, targets = random_graph(30, seed=31)
+        # (5,) with one head: the sparse aggregation where the first layer is the final one
+        for widths, heads in [((4, 3), 3), ((5,), 1)]:
+            model = init_model(3, GatConfig(widths=widths, heads=heads, seed=8))
 
-        def run():
-            preds, export, cache = forward(model, graph)
-            grads = gradient(model, graph, targets, cache)
-            return preds, export.alpha_mean, cache.alphas, grads.flatten()
+            def run():
+                preds, export, cache = forward(model, graph)
+                grads = gradient(model, graph, targets, cache)
+                return preds, export.alpha_mean, cache.alphas, grads.flatten()
 
-        preds, alpha, alphas, grads = run()
-        monkeypatch.setattr(gatv2, "_layer_forward", per_edge_layer_forward)
-        monkeypatch.setattr(gatv2, "_layer_backward", per_edge_layer_backward)
-        ref_preds, ref_alpha, ref_alphas, ref_grads = run()
+            preds, alpha, alphas, grads = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(gatv2, "_layer_forward", per_edge_layer_forward)
+                patch.setattr(gatv2, "_layer_backward", per_edge_layer_backward)
+                ref_preds, ref_alpha, ref_alphas, ref_grads = run()
 
-        np.testing.assert_allclose(preds, ref_preds, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-12, atol=0)
-        for got, want in zip(alphas, ref_alphas):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        # entries near zero are held to 1e-12 of the largest gradient entry
-        np.testing.assert_allclose(grads, ref_grads, rtol=1e-12,
-                                   atol=1e-12 * np.abs(ref_grads).max())
+            np.testing.assert_allclose(preds, ref_preds, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-12, atol=0)
+            assert len(alphas) == len(widths)
+            for got, want in zip(alphas, ref_alphas):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            # entries near zero are held to 1e-12 of the largest gradient entry
+            np.testing.assert_allclose(grads, ref_grads, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref_grads).max())
+
+    def test_sparse_aggregation_equals_edge_scatter_layers(self, monkeypatch):
+        graph, targets = random_graph(30, seed=37)
+        for widths, heads in [((4, 3), 3), ((5,), 1)]:
+            model = init_model(3, GatConfig(widths=widths, heads=heads, seed=4))
+
+            def run():
+                preds, export, cache = forward(model, graph)
+                grads = gradient(model, graph, targets, cache)
+                return [preds, export.alpha_mean, *cache.alphas, grads.flatten()]
+
+            got = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(gatv2, "_layer_forward", scatter_layer_forward)
+                patch.setattr(gatv2, "_layer_backward", scatter_layer_backward)
+                want = run()
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
 
 
 class TestTrain:
+    def test_matches_epoch_loop_without_reused_buffers(self):
+        # the epoch loop as written before train() kept its edge buffers:
+        # a fresh forward and gradient every epoch, then the same SGD step
+        graph, targets = random_graph(40, seed=13)
+        config = GatConfig(widths=(4, 3), heads=3, epochs=6, seed=5)
+        model = init_model(graph.features.shape[1], config)
+        want_trace = np.empty(config.epochs)
+        lr = config.learning_rate
+        for epoch in range(config.epochs):
+            preds, _, _ = forward(model, graph)
+            want_trace[epoch] = mse_loss(preds, targets, graph.train_mask)
+            g = gradient(model, graph, targets)
+            for lay, glay in zip(model.layers, g.layers):
+                lay.w -= lr * glay.w
+                lay.a -= lr * glay.a
+                lay.v -= lr * glay.v
+            model.w_out -= lr * g.w_out
+            model.b_out -= lr * g.b_out
+
+        got, trace = train(graph, targets, config)
+        np.testing.assert_array_equal(trace, want_trace)
+        np.testing.assert_array_equal(got.flatten(), model.flatten())
+
+    def test_later_calls_leave_forward_results_alone(self):
+        graph, targets = random_graph(30, seed=17)
+        config = GatConfig(widths=(4, 3), heads=3, epochs=3, seed=2)
+        preds, export, cache = forward(init_model(3, config), graph)
+        kept = (preds.copy(), export.alpha_mean.copy(), [a.copy() for a in cache.alphas])
+
+        forward(init_model(3, replace(config, seed=9)), graph)
+        train(graph, targets, config)
+        np.testing.assert_array_equal(preds, kept[0])
+        np.testing.assert_array_equal(export.alpha_mean, kept[1])
+        for got, want in zip(cache.alphas, kept[2]):
+            np.testing.assert_array_equal(got, want)
+
     def test_constant_targets(self):
         graph = ring_graph(12, d0=3, seed=6)
         config = GatConfig(widths=(4,), heads=2, epochs=200, learning_rate=0.1, seed=1)

@@ -173,6 +173,8 @@ class TestConfigValidation:
             simgen.SimConfig(gamma=-0.1)
         with pytest.raises(ValueError):
             simgen.SimConfig(n_times=0)
+        with pytest.raises(ValueError, match=r"n_times \* locs_per_time\[0\] must be >= 2"):
+            simgen.SimConfig(n_times=1, locs_per_time=(1, 1))
         with pytest.raises(ValueError):
             simgen.SimConfig(beta=(1.0, 2.0))
 
