@@ -428,12 +428,15 @@ def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
     return out, _LayerCache(h_in=h, hv=hv, agg=agg, edges=buf)
 
 
-def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | None = None):
+def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | None = None,
+            _export: bool = True):
     """Run the network; returns (predictions, attention export, cache).
 
     Raises :class:`NonFiniteActivation` if any output is non-finite.
-    ``_buffers`` is for :func:`train`, which rewrites the same edge buffers
-    every epoch; without it each call gets its own.
+    ``_buffers`` and ``_export`` are for :func:`train`, which rewrites the
+    same edge buffers every epoch and has no use for the export: with
+    ``_export`` False the export is None and no edge-sized array is made
+    for it. Without ``_buffers`` each call gets its own.
     """
     if _buffers is None:
         _buffers = _edge_buffers(graph, model.layers)
@@ -448,11 +451,13 @@ def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | No
     preds = h @ model.w_out + model.b_out
     if not np.all(np.isfinite(preds)):
         raise NonFiniteActivation()
-    export = AttentionExport(
-        src=graph.src.copy(),
-        dst=graph.dst.copy(),
-        alpha_mean=caches[-1].alpha.mean(axis=1),
-    )
+    export = None
+    if _export:
+        export = AttentionExport(
+            src=graph.src.copy(),
+            dst=graph.dst.copy(),
+            alpha_mean=caches[-1].alpha.mean(axis=1),
+        )
     return preds, export, ForwardCache(layers=caches, h_final=h, preds=preds, alphas=alphas)
 
 
@@ -562,7 +567,7 @@ def train(
     ``targets`` has one entry per node; entries at predict-role nodes are
     ignored. Returns the trained model and the per-epoch loss trace.
     Deterministic given ``config.seed``. Every epoch rewrites one set of
-    edge buffers, allocated here.
+    edge buffers, allocated here, and builds no attention export.
     """
     targets = np.asarray(targets, dtype=float)
     if len(targets) != graph.n_nodes:
@@ -575,7 +580,7 @@ def train(
     lr = config.learning_rate
     for epoch in range(config.epochs):
         try:
-            _, _, cache = forward(model, graph, _buffers=buffers)
+            _, _, cache = forward(model, graph, _buffers=buffers, _export=False)
         except NonFiniteActivation as err:
             raise NonFiniteActivation(epoch=epoch) from err
         loss = mse_loss(cache.preds, targets, graph.train_mask)

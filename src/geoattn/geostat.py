@@ -17,8 +17,14 @@ through eta = offset + u, so fixed effects and both random fields can be
 marginalized into a single n-dimensional Gaussian prior with covariance
 Sigma_u = sd^2 D D' + Sigma_S + Q^{-1}. The inner Newton solver follows the
 standard B = I + W^{1/2} Sigma W^{1/2} reformulation, which stays stable
-when Sigma_u is nearly singular. Component posteriors (beta, S, A) are
-recovered exactly afterwards by Gaussian conditioning on u.
+when Sigma_u is nearly singular, and searches in a = Sigma_u^{-1} u
+(Rasmussen & Williams, 2006, Alg. 3.1-3.2). So a fit never factors Sigma_u:
+a warm start takes u = Sigma_u a, and the posterior covariance of u comes
+from one triangular solve with the factor of B. Component posteriors (beta,
+S, A) are recovered exactly afterwards by Gaussian conditioning on u.
+
+The hyperparameter search keeps the fit of its best evaluation, so the
+model it returns is never fitted twice.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import blas as _blas
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from .attnfield import AttentionField, AttnHyper, covariance as attention_cov, precision
@@ -131,9 +137,9 @@ class CovarianceBuilder:
     def __call__(self, kernel: KernelSpec) -> np.ndarray:
         if kernel.family == "matern":
             return matern_cov(self.d_s, kernel.sigma2, kernel.rho, kernel.nu)
-        return kernel.sigma2 * gneiting_cov(
-            self.d_s, self.d_t, kernel.phi_s, kernel.phi_t, kernel.gamma
-        )
+        out = gneiting_cov(self.d_s, self.d_t, kernel.phi_s, kernel.phi_t, kernel.gamma)
+        out *= kernel.sigma2
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +202,11 @@ class FitResult:
     """A fitted model: the Gaussian approximation at the posterior mode of u.
 
     It keeps the spec and data it was fitted on (not copies) and the dense
-    operators at the mode, so posterior recovery and prediction need nothing
-    else. The Cholesky factor of Sigma_u, the posterior covariance of u and
-    the beta | u conditional are built on first use and kept, so a fit and
-    its predictions share them.
+    operators at the mode, Sigma_u and the Cholesky factor of B, so
+    posterior recovery and prediction need nothing else. Those are its only
+    n x n arrays until first use: the Cholesky factor of Sigma_u, the
+    posterior covariance of u and the beta | u conditional are built then
+    and kept, so a fit and its predictions share them.
     """
 
     spec: ModelSpec
@@ -210,25 +217,33 @@ class FitResult:
     converged: bool
     newton_iterations: int
     sigma_u: np.ndarray = field(repr=False)
-    sigma_s: np.ndarray = field(repr=False)
     chol_b: np.ndarray = field(repr=False)   # B = I + W^1/2 Sigma_u W^1/2 at the mode
     sq_w: np.ndarray = field(repr=False)
     offset: np.ndarray = field(repr=False)
     psi_trace: list[float] = field(repr=False)
-    chol_sigma_u: np.ndarray | None = field(default=None, repr=False)
+    _chol_sigma_u: np.ndarray | None = field(default=None, init=False, repr=False)
     _post_cov_u: np.ndarray | None = field(default=None, init=False, repr=False)
     _beta_given_u: tuple | None = field(default=None, init=False, repr=False)
 
     def chol_su(self) -> np.ndarray:
-        if self.chol_sigma_u is None:
-            self.chol_sigma_u = cholesky(self.sigma_u, jitter=1e-10)
-        return self.chol_sigma_u
+        if self._chol_sigma_u is None:
+            self._chol_sigma_u = cholesky(self.sigma_u, jitter=1e-10)
+        return self._chol_sigma_u
 
     def posterior_cov_u(self) -> np.ndarray:
-        """V_u = Sigma_u - Sigma_u W^1/2 B^{-1} W^1/2 Sigma_u."""
+        """V_u = Sigma_u - X'X with X = L_B^{-1} W^1/2 Sigma_u.
+
+        That is Sigma_u - Sigma_u W^1/2 B^{-1} W^1/2 Sigma_u from one
+        triangular solve and one symmetric rank-n update (Rasmussen &
+        Williams, 2006, Alg. 3.2).
+        """
         if self._post_cov_u is None:
-            t_mat = self.sq_w[:, None] * self.sigma_u
-            self._post_cov_u = self.sigma_u - t_mat.T @ solve_chol(self.chol_b, t_mat)
+            # W^1/2 Sigma_u is built C-ordered, so its transpose is Fortran-
+            # ordered and trsm solves it from the right in place:
+            # (W^1/2 Sigma_u)' L_B^{-T} = X'
+            x_t = (self.sq_w[:, None] * self.sigma_u).T
+            x_t = _blas.dtrsm(1.0, self.chol_b, x_t, side=1, lower=1, trans_a=1, overwrite_b=1)
+            self._post_cov_u = syrk(x_t, alpha=-1.0, out=self.sigma_u.copy())
         return self._post_cov_u
 
     def beta_given_u(self) -> tuple[np.ndarray, np.ndarray]:
@@ -281,13 +296,27 @@ class FitResult:
         return out
 
 
+def _factor_b(sigma_u: np.ndarray, sq_w: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Cholesky factor of B = I + W^1/2 Sigma_u W^1/2, built and factored in ``buf``.
+
+    ``buf`` (C-ordered) is filled with B transposed, so its Fortran-ordered
+    view ``buf.T`` holds B with the products rounded as (sq_w_i Sigma_ij)
+    sq_w_j, and the factorization overwrites it with no copy. The factor
+    returned is that view.
+    """
+    np.multiply(sigma_u, sq_w[None, :], out=buf)
+    buf *= sq_w[:, None]
+    buf[np.diag_indices_from(buf)] += 1.0
+    return cholesky(buf.T, overwrite_a=True)
+
+
 def laplace_fit(
     data: Dataset,
     spec: ModelSpec,
     *,
     gaussian_response: np.ndarray | None = None,
     gaussian_obs_sd: float | None = None,
-    warm_u: np.ndarray | None = None,
+    warm_a: np.ndarray | None = None,
     sigma_builder: CovarianceBuilder | None = None,
 ) -> FitResult:
     """The fitted model of ``spec`` on ``data`` at fixed hyperparameters.
@@ -298,6 +327,11 @@ def laplace_fit(
     test hook: the mode then has the closed GLS/kriging form. The returned
     :class:`FitResult` holds ``spec``, ``data`` and the operators at the
     mode, so it can be summarized and predicted from as it is.
+
+    The search runs in a = Sigma_u^{-1} u (Rasmussen & Williams, 2006,
+    Alg. 3.1). It starts at u = 0, or, given ``warm_a`` (such as the
+    ``a_mode`` of a fit at nearby hyperparameters), at a = ``warm_a`` and
+    u = Sigma_u a, which needs no factorization of Sigma_u.
 
     Each Newton iteration computes the full step u_new - u and its Newton
     decrement ½ (g - a)·(u_new - u), the gain in the objective psi that the
@@ -316,10 +350,9 @@ def laplace_fit(
     n = len(data)
     if sigma_builder is None:
         sigma_builder = CovarianceBuilder(data.x, data.y, data.t)
-    sigma_s = sigma_builder(spec.kernel)
-    sigma_u = sigma_s.copy()
+    sigma_u = sigma_builder(spec.kernel)  # Sigma_S, then the other blocks in place
     if spec.kind == "mbg":
-        sigma_u += spec.fixed_effect_sd ** 2 * syrk(spec.design)
+        sigma_u = syrk(spec.design, alpha=spec.fixed_effect_sd ** 2, out=sigma_u)
     else:
         sigma_u += attention_cov(*spec.attention)
     # numerical nugget: kernel matrices on near-duplicate points are singular
@@ -348,14 +381,13 @@ def laplace_fit(
         def grad_w(eta):
             return _binom_grad_w(eta, z, trials)
 
-    chol_su_warm = None
-    if warm_u is not None and np.any(warm_u):
-        u = np.asarray(warm_u, float).copy()
-        chol_su_warm = cholesky(sigma_u, jitter=1e-10)
-        a = solve_chol(chol_su_warm, u)
+    if warm_a is not None and np.any(warm_a):
+        a = np.asarray(warm_a, float).copy()
+        u = sigma_u @ a
     else:
         u = np.zeros(n)
         a = np.zeros(n)
+    b_buf = np.empty((n, n))  # every factor of B, the final one included, is made here
 
     psi = loglik(offset + u) - 0.5 * a @ u
     if not np.isfinite(psi):
@@ -368,9 +400,7 @@ def laplace_fit(
         eta = offset + u
         g, w = grad_w(eta)
         sq_w = np.sqrt(w)
-        b_mat = sq_w[:, None] * sigma_u * sq_w[None, :]
-        b_mat[np.diag_indices_from(b_mat)] += 1.0
-        chol_b = cholesky(b_mat)
+        chol_b = _factor_b(sigma_u, sq_w, b_buf)
         rhs = w * u + g
         t_vec = sigma_u @ rhs
         a_new = rhs - sq_w * solve_chol(chol_b, sq_w * t_vec)
@@ -403,9 +433,7 @@ def laplace_fit(
     eta = offset + u
     g, w = grad_w(eta)
     sq_w = np.sqrt(w)
-    b_mat = sq_w[:, None] * sigma_u * sq_w[None, :]
-    b_mat[np.diag_indices_from(b_mat)] += 1.0
-    chol_b = cholesky(b_mat)
+    chol_b = _factor_b(sigma_u, sq_w, b_buf)
     logml = psi - float(np.sum(np.log(np.diag(chol_b))))
 
     return FitResult(
@@ -417,12 +445,10 @@ def laplace_fit(
         converged=converged,
         newton_iterations=it,
         sigma_u=sigma_u,
-        sigma_s=sigma_s,
         chol_b=chol_b,
         sq_w=sq_w,
         offset=offset,
         psi_trace=psi_trace,
-        chol_sigma_u=chol_su_warm,
     )
 
 
@@ -505,11 +531,15 @@ def optimize_hyperparameters(
     uniformly inside the bounds. Every evaluation lands in the trace with its
     ``params``, ``logml``, ``newton_iterations`` and ``converged``; an
     evaluation whose fit failed numerically scores ``logml`` = -1e12 and
-    records ``newton_iterations`` None. The final refit at the best point
-    starts from the mode that the best evaluation found; its
-    :class:`FitResult` (``result.fit``, whose ``spec`` is the best spec) is
-    the fitted model to summarize and predict from.
+    records ``newton_iterations`` None. Each evaluation in a restart
+    warm-starts from the previous one's ``a_mode``. ``result.fit`` is the
+    :class:`FitResult` of the best evaluation over all restarts (the first
+    one on ties), kept as it was fitted: its ``spec`` is the best spec and
+    it is the fitted model to summarize and predict from. Nelder-Mead's
+    best point is always one it has evaluated, so no refit is needed.
     """
+    from scipy.optimize import minimize  # only fits need it; keeps CLI start-up light
+
     all_names = _param_names(spec_template)
     if bounds is None:
         names = all_names
@@ -527,20 +557,20 @@ def optimize_hyperparameters(
 
     builder = CovarianceBuilder(data.x, data.y, data.t)
     trace: list[dict] = []
-    # "u" warm-starts the next evaluation; "best_u" is the mode at the best
-    # point so far, which warm-starts the final refit there
-    warm: dict = {"u": None, "best_logml": -np.inf, "best_u": None}
+    # "a" warm-starts the next evaluation; "best" is (logml, fit, restart)
+    # of the best evaluation so far
+    state: dict = {"a": None, "restart": 0, "best": (-np.inf, None, 0)}
 
     def objective(theta: np.ndarray) -> float:
         spec = _spec_from_params(spec_template, names, theta)
         iterations, converged = None, False
         try:
-            fit = laplace_fit(data, spec, warm_u=warm["u"], sigma_builder=builder)
+            fit = laplace_fit(data, spec, warm_a=state["a"], sigma_builder=builder)
             value = fit.logml
             iterations, converged = fit.newton_iterations, bool(fit.converged)
-            warm["u"] = fit.u_mode
-            if value > warm["best_logml"]:
-                warm["best_logml"], warm["best_u"] = value, fit.u_mode
+            state["a"] = fit.a_mode
+            if value > state["best"][0]:
+                state["best"] = (value, fit, state["restart"])
         except (NotPositiveDefinite, NewtonDivergence):
             value = -_PENALTY
         trace.append({
@@ -551,31 +581,23 @@ def optimize_hyperparameters(
         })
         return -value
 
-    best = None
     for restart in range(max(1, restarts)):
         if restart == 0:
             x0 = np.clip(_start_values(spec_template, names), lo + 1e-6, hi - 1e-6)
         else:
             rng = RngStream(seed, 1000 + restart)
             x0 = rng.uniform(lo, hi)
-        warm["u"] = None
-        res = minimize(
+        state["a"], state["restart"] = None, restart
+        minimize(
             objective, x0,
             method="Nelder-Mead",
             bounds=list(zip(lo, hi)),
             options={"maxiter": max_iter, "xatol": 2e-3, "fatol": 1e-2},
         )
-        if np.isfinite(res.fun) and -res.fun > -_PENALTY / 2:
-            if best is None or res.fun < best[0]:
-                best = (res.fun, res.x.copy(), restart)
-    if best is None:
+    _, fit, best_restart = state["best"]
+    if fit is None:
         raise AllRestartsFailed("no restart produced a finite marginal likelihood")
 
-    _, x_best, best_restart = best
-    fit = laplace_fit(
-        data, _spec_from_params(spec_template, names, x_best),
-        warm_u=warm["best_u"], sigma_builder=builder,
-    )
     return OptimizeResult(
         fit=fit,
         trace=trace,
@@ -663,9 +685,10 @@ def predict(
 
     # spatial field: component draws at observed points, then kriging
     kernel = fit.spec.kernel
+    sigma_s = CovarianceBuilder(data.x, data.y, data.t)(kernel)  # the fit's, to the bit
     k_cross = CovarianceBuilder(new_data.x, new_data.y, new_data.t, data.x, data.y, data.t)(kernel)
     k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(kernel)
-    chol_s_obs = cholesky(fit.sigma_s, jitter=DEFAULT_KERNEL_JITTER)
+    chol_s_obs = cholesky(sigma_s, jitter=DEFAULT_KERNEL_JITTER)
     krig = solve_chol(chol_s_obs, k_cross.T).T            # (n_new, n_obs)
     cond_cov = k_new - krig @ k_cross.T
     chol_cond = cholesky(cond_cov, jitter=DEFAULT_KERNEL_JITTER)
@@ -685,7 +708,6 @@ def predict(
                 f"joint_field has {joint_field.n_nodes} nodes, expected "
                 f"{n_obs} fitted + {n_new} new records"
             )
-        sigma_s = fit.sigma_s
         r_s = solve_chol(fit.chol_su(), sigma_s).T         # Sigma_S Sigma_u^{-1}
         c_s = sigma_s - r_s @ sigma_s
         chol_cs = cholesky(c_s, jitter=1e-10)

@@ -65,19 +65,24 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def cholesky(a: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+def cholesky(a: np.ndarray, jitter: float = 0.0, overwrite_a: bool = False) -> np.ndarray:
     """Lower-triangular L with L @ L.T == a + jitter * I.
 
     Raises :class:`NotPositiveDefinite` (carrying the offending row) if a
     pivot is non-positive after the jitter is applied. ``a`` must be
-    symmetric as stored; only its lower triangle is read.
+    symmetric as stored; only its lower triangle is read. ``a`` is copied
+    once into the Fortran-ordered factor, unless ``overwrite_a`` is set and
+    ``a`` is already Fortran-ordered: then it is factored in place and the
+    returned factor is ``a`` itself.
     """
     a = _as_square(a)
     if jitter < 0:
         raise ValueError("jitter must be >= 0")
+    if not (overwrite_a and a.flags.f_contiguous):
+        a = np.array(a, order="F")
     if jitter:
-        a = a + jitter * np.eye(a.shape[0])
-    c, info = _lapack.dpotrf(a, lower=1, clean=1, overwrite_a=False)
+        a[np.diag_indices_from(a)] += jitter
+    c, info = _lapack.dpotrf(a, lower=1, clean=1, overwrite_a=True)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
     if info < 0:  # pragma: no cover - argument errors are caught above
@@ -95,10 +100,37 @@ def solve_chol(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:, 0] if vector_rhs else x
 
 
-def syrk(a: np.ndarray) -> np.ndarray:
-    """a @ a.T via dsyrk, symmetrized from the computed triangle."""
-    c = _blas.dsyrk(1.0, a, lower=0)
-    return c + np.triu(c, 1).T
+_MIRROR_BLOCK = 256
+
+
+def _mirror_upper(c: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of square ``c`` onto its lower one, in place.
+
+    Works in column blocks so that no n x n temporary is made.
+    """
+    n = c.shape[0]
+    for i0 in range(0, n, _MIRROR_BLOCK):
+        i1 = min(i0 + _MIRROR_BLOCK, n)
+        c[i1:, i0:i1] = c[i0:i1, i1:].T
+        diag = c[i0:i1, i0:i1]
+        diag[...] = np.triu(diag) + np.triu(diag, 1).T
+    return c
+
+
+def syrk(a: np.ndarray, alpha: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """alpha a @ a.T via dsyrk, symmetrized from the computed triangle.
+
+    With ``out`` (symmetric) the sum out + alpha a @ a.T is returned. It is
+    written into ``out`` itself when ``out`` is C-ordered, so no n x n
+    temporary is made.
+    """
+    if out is None:
+        c = _blas.dsyrk(alpha, a, lower=0)
+    else:
+        # out.T of a C-ordered out is Fortran-ordered, so dsyrk writes its
+        # lower triangle, the upper triangle of out, in place
+        c = _blas.dsyrk(alpha, a, beta=1.0, c=out.T, lower=1, overwrite_c=1).T
+    return _mirror_upper(c)
 
 
 @dataclass(frozen=True)

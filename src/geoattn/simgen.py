@@ -144,7 +144,16 @@ def gneiting_cov(d_s, d_t, phi_s: float, phi_t: float, gamma: float):
         raise DomainError("phi_s and phi_t must be positive")
     if gamma < 0:
         raise DomainError("gamma must be non-negative")
-    out = np.exp(-(d_s / phi_s + d_t / phi_t + gamma * d_s * d_t))
+    # built in place: one result and one scratch array, whatever the size
+    d_s, d_t = np.broadcast_arrays(d_s, d_t)
+    out = np.divide(d_s, phi_s, out=np.empty(d_s.shape))
+    scratch = np.divide(d_t, phi_t, out=np.empty(d_s.shape))
+    out += scratch
+    if gamma:
+        np.multiply(gamma, d_s, out=scratch)
+        scratch *= d_t
+        out += scratch
+    np.exp(np.negative(out, out=out), out=out)
     return out if out.ndim else float(out)
 
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,18 @@ def fit_config(tmp_path):
         "optimizer": {"max_iter": 2, "bounds": {"log_sigma2": [-3.0, 1.0]}},
     }))
     return path
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # every command pays for what the CLI imports; only fits need the optimizer
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, geoattn.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def rewrite_row(path, row, edit):

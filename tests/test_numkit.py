@@ -34,6 +34,41 @@ class TestCholesky:
         with pytest.raises(ValueError):
             numkit.cholesky(np.eye(2), jitter=-1.0)
 
+    def test_copies_unless_told_to_overwrite(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((6, 8))
+        a = m @ m.T
+        kept = a.copy()
+        lower = numkit.cholesky(a, jitter=1e-3)
+        np.testing.assert_array_equal(a, kept)
+        np.testing.assert_allclose(lower @ lower.T, a + 1e-3 * np.eye(6), rtol=1e-13)
+        f = np.asfortranarray(a)
+        in_place = numkit.cholesky(f, jitter=1e-3, overwrite_a=True)
+        assert np.shares_memory(in_place, f)
+        np.testing.assert_array_equal(in_place, lower)
+
+
+class TestSyrk:
+    # 300 rows cross the 256-row blocks that mirror the computed triangle
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_product_is_symmetric_in_full(self, n):
+        a = np.random.default_rng(n).standard_normal((n, 4))
+        c = numkit.syrk(a)
+        np.testing.assert_array_equal(c, c.T)
+        np.testing.assert_allclose(c, a @ a.T, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_out_takes_the_sum_in_place(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, 3))
+        m = rng.standard_normal((n, n))
+        out = m + m.T
+        want = out + 7.0 * (a @ a.T)
+        got = numkit.syrk(a, alpha=7.0, out=out)
+        assert got is out or np.shares_memory(got, out)
+        np.testing.assert_array_equal(got, got.T)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+
 
 class TestSolveSpd:
     """SPD solves through a Cholesky factor: solve_chol(cholesky(a), b)."""
