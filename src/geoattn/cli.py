@@ -25,6 +25,15 @@ integer field takes a JSON integer only, so ``2.0`` and ``true`` are
 refused; a float field takes any finite JSON number, so ``NaN`` and
 ``Infinity`` are refused. In a ``cv`` spec the ``seed`` key is accepted
 but unused: ``cv --seed`` seeds every fold.
+
+``optimizer.bounds`` maps free parameters to ``[lo, hi]``; Nelder-Mead
+searches those and holds the others at their config values. Without it,
+every free parameter is searched within ``geostat.DEFAULT_BOUNDS``. The
+free parameters of an mbg or hybrid spec are ``log_sigma2`` and, by kernel
+family, ``log_phi_s`` and ``log_phi_t`` (gneiting) or ``log_rho``
+(matern); a hybrid spec adds ``theta1`` and ``theta2``. An empty
+``bounds`` object, or a name that is not free for the spec's kind and
+kernel family, exits 2 before anything is fitted.
 """
 
 from __future__ import annotations

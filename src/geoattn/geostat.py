@@ -18,10 +18,13 @@ marginalized into a single n-dimensional Gaussian prior with covariance
 Sigma_u = sd^2 D D' + Sigma_S + Q^{-1}. The inner Newton solver follows the
 standard B = I + W^{1/2} Sigma W^{1/2} reformulation, which stays stable
 when Sigma_u is nearly singular, and searches in a = Sigma_u^{-1} u
-(Rasmussen & Williams, 2006, Alg. 3.1-3.2). So a fit never factors Sigma_u:
-a warm start takes u = Sigma_u a, and the posterior covariance of u comes
-from one triangular solve with the factor of B. Component posteriors (beta,
-S, A) are recovered exactly afterwards by Gaussian conditioning on u.
+(Rasmussen & Williams, 2006, Alg. 3.1-3.2). So neither a fit nor its
+summary factors Sigma_u: a warm start takes u = Sigma_u a, and the posterior
+covariance of u and the posterior sd of beta each come from one triangular
+solve with the factor of B. Only :func:`predict` factors Sigma_u, for the
+conditionals beta | u (mbg) and S | u (hybrid) by which it recovers the
+component posteriors (beta, S, A) exactly from draws of u. It builds them
+on each call; a :class:`FitResult` is frozen and holds no cache.
 
 The hyperparameter search keeps the fit of its best evaluation, so the
 model it returns is never fitted twice.
@@ -197,16 +200,15 @@ def _binom_grad_w(eta, z, n):
 # Laplace fit
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
     """A fitted model: the Gaussian approximation at the posterior mode of u.
 
     It keeps the spec and data it was fitted on (not copies) and the dense
     operators at the mode, Sigma_u and the Cholesky factor of B, so
-    posterior recovery and prediction need nothing else. Those are its only
-    n x n arrays until first use: the Cholesky factor of Sigma_u, the
-    posterior covariance of u and the beta | u conditional are built then
-    and kept, so a fit and its predictions share them.
+    posterior recovery and prediction need nothing else. It is a value:
+    every field is set by :func:`laplace_fit`, and nothing is added or
+    overwritten afterwards, so predicting from a fit leaves it as it was.
     """
 
     spec: ModelSpec
@@ -221,40 +223,29 @@ class FitResult:
     sq_w: np.ndarray = field(repr=False)
     offset: np.ndarray = field(repr=False)
     psi_trace: list[float] = field(repr=False)
-    _chol_sigma_u: np.ndarray | None = field(default=None, init=False, repr=False)
-    _post_cov_u: np.ndarray | None = field(default=None, init=False, repr=False)
-    _beta_given_u: tuple | None = field(default=None, init=False, repr=False)
-
-    def chol_su(self) -> np.ndarray:
-        if self._chol_sigma_u is None:
-            self._chol_sigma_u = cholesky(self.sigma_u, jitter=1e-10)
-        return self._chol_sigma_u
 
     def posterior_cov_u(self) -> np.ndarray:
         """V_u = Sigma_u - X'X with X = L_B^{-1} W^1/2 Sigma_u.
 
         That is Sigma_u - Sigma_u W^1/2 B^{-1} W^1/2 Sigma_u from one
         triangular solve and one symmetric rank-n update (Rasmussen &
-        Williams, 2006, Alg. 3.2).
+        Williams, 2006, Alg. 3.2). The result is a new C-ordered array,
+        symmetric as stored.
         """
-        if self._post_cov_u is None:
-            # W^1/2 Sigma_u is built C-ordered, so its transpose is Fortran-
-            # ordered and trsm solves it from the right in place:
-            # (W^1/2 Sigma_u)' L_B^{-T} = X'
-            x_t = (self.sq_w[:, None] * self.sigma_u).T
-            x_t = _blas.dtrsm(1.0, self.chol_b, x_t, side=1, lower=1, trans_a=1, overwrite_b=1)
-            self._post_cov_u = syrk(x_t, alpha=-1.0, out=self.sigma_u.copy())
-        return self._post_cov_u
+        # W^1/2 Sigma_u is built C-ordered, so its transpose is Fortran-
+        # ordered and trsm solves it from the right in place:
+        # (W^1/2 Sigma_u)' L_B^{-T} = X'
+        x_t = (self.sq_w[:, None] * self.sigma_u).T
+        x_t = _blas.dtrsm(1.0, self.chol_b, x_t, side=1, lower=1, trans_a=1, overwrite_b=1)
+        return syrk(x_t, alpha=-1.0, out=self.sigma_u.copy())
 
     def beta_given_u(self) -> tuple[np.ndarray, np.ndarray]:
         """(R, C) of beta | u ~ N(R u, C) for mbg: R = sd2 D' Sigma_u^-1, C = sd2 (I - R D)."""
-        if self._beta_given_u is None:
-            sd2 = self.spec.fixed_effect_sd ** 2
-            d = self.spec.design
-            siu_d = solve_chol(self.chol_su(), d)
-            c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
-            self._beta_given_u = (sd2 * siu_d.T, c_beta)
-        return self._beta_given_u
+        sd2 = self.spec.fixed_effect_sd ** 2
+        d = self.spec.design
+        siu_d = solve_chol(cholesky(self.sigma_u, jitter=1e-10), d)
+        c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
+        return sd2 * siu_d.T, c_beta
 
     @property
     def beta_hat(self) -> np.ndarray | None:
@@ -265,12 +256,18 @@ class FitResult:
 
     @property
     def beta_sd(self) -> np.ndarray | None:
-        """Posterior sd of the fixed effects from Var(beta | z) = C + R V_u R'; None for hybrid."""
-        if self.spec.design is None:
+        """Posterior sd of the fixed effects; None for hybrid.
+
+        Var(beta | z) = C + R V_u R' is, by Woodbury, sd2 I - sd2^2 X'X with
+        X = L_B^{-1} W^1/2 D: one triangular solve with the factor of B
+        that the fit holds, and no factor of Sigma_u.
+        """
+        d = self.spec.design
+        if d is None:
             return None
-        r_mat, c_beta = self.beta_given_u()
-        post = c_beta + r_mat @ self.posterior_cov_u() @ r_mat.T
-        return np.sqrt(np.maximum(np.diag(post), 0.0))
+        sd2 = self.spec.fixed_effect_sd ** 2
+        x = solve_triangular(self.chol_b, self.sq_w[:, None] * d, lower=True)
+        return np.sqrt(np.maximum(sd2 - sd2 ** 2 * np.sum(x * x, axis=0), 0.0))
 
     def summary(self) -> dict:
         spec, k = self.spec, self.spec.kernel
@@ -481,9 +478,14 @@ _FREE_PARAMS = {
 }
 
 
-def _param_names(spec: ModelSpec) -> list[str]:
-    tags = {spec.kernel.family, spec.kind}
+def free_param_names(kind: str, family: str) -> list[str]:
+    """The free parameters of a ``kind`` model with a ``family`` kernel, in Nelder-Mead order."""
+    tags = {kind, family}
     return [name for name, (_, _, by) in _FREE_PARAMS.items() if tags.intersection(by)]
+
+
+def _param_names(spec: ModelSpec) -> list[str]:
+    return free_param_names(spec.kind, spec.kernel.family)
 
 
 def _spec_from_params(spec: ModelSpec, names: list[str], values: np.ndarray) -> ModelSpec:
@@ -545,6 +547,8 @@ def optimize_hyperparameters(
         names = all_names
         box = {n: DEFAULT_BOUNDS[n] for n in names}
     else:
+        if not bounds:
+            raise ValueError("bounds is empty: name one or more parameters, or pass None")
         unknown = set(bounds) - set(all_names)
         if unknown:
             raise ValueError(f"not parameters of this model: {sorted(unknown)}")
@@ -638,7 +642,9 @@ def _summarize_draws(ids, eta_draws: np.ndarray, level: float) -> Prediction:
 
 
 def _draw_u(fit: FitResult, n_draws: int, rng: RngStream) -> np.ndarray:
-    chol_v = cholesky(fit.posterior_cov_u(), jitter=1e-10)
+    # V_u is a temporary, symmetric as stored: its Fortran-ordered transpose
+    # is factored in place, to the same bits as V_u itself
+    chol_v = cholesky(fit.posterior_cov_u().T, jitter=1e-10, overwrite_a=True)
     z = rng.standard_normal((len(fit.u_mode), n_draws))
     return fit.u_mode[:, None] + chol_v @ z
 
@@ -668,8 +674,8 @@ def predict(
     """Joint-conditioning prediction at new records.
 
     The spatial field is kriged from its posterior draws at the fitted
-    records. For mbg the fixed effects are drawn from beta | u, the
-    conditional that ``fit.beta_sd`` also reads. For hybrid fits
+    records. For mbg the fixed effects are drawn from beta | u
+    (``fit.beta_given_u``). For hybrid fits
     ``new_offsets`` supplies the new records' logit-scale offsets and the
     attention process is conditioned through the precision of
     ``joint_field``, the graph over the fitted records and then
@@ -708,7 +714,7 @@ def predict(
                 f"joint_field has {joint_field.n_nodes} nodes, expected "
                 f"{n_obs} fitted + {n_new} new records"
             )
-        r_s = solve_chol(fit.chol_su(), sigma_s).T         # Sigma_S Sigma_u^{-1}
+        r_s = solve_chol(cholesky(fit.sigma_u, jitter=1e-10), sigma_s).T  # Sigma_S Sigma_u^{-1}
         c_s = sigma_s - r_s @ sigma_s
         chol_cs = cholesky(c_s, jitter=1e-10)
         s_draws = r_s @ u_draws + chol_cs @ rng.standard_normal((n_obs, n_draws))

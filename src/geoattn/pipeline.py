@@ -55,6 +55,17 @@ class PipelineModelSpec:
             raise ValueError("n_draws must be >= 1")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie in (0, 1)")
+        if self.kind != "gat_only" and self.bounds is not None:
+            free = geostat.free_param_names(self.kind, self.kernel.family)
+            model = f"{self.kind} with a {self.kernel.family} kernel"
+            if not self.bounds:
+                raise ValueError(f"bounds is empty: name one or more of {', '.join(free)} for {model}")
+            for name in self.bounds:
+                if name not in free:
+                    raise ValueError(
+                        f"bounds names {name!r}, which is not a free parameter of {model} "
+                        f"({', '.join(free)})"
+                    )
 
 
 def concat_datasets(a: Dataset, b: Dataset) -> Dataset:

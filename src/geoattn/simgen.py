@@ -165,10 +165,16 @@ def pair_distances(xa, ya, ta, xb=None, yb=None, tb=None):
     """
     if xb is None:
         xb, yb, tb = xa, ya, ta
-    dx = xa[:, None] - xb[None, :]
+    # sqrt(dx*dx + dy*dy) and |ta - tb|, the same operations in the same
+    # order, built in two n x n buffers with no other temporaries
+    d_s = xa[:, None] - xb[None, :]
+    d_s *= d_s
     dy = ya[:, None] - yb[None, :]
-    d_s = np.sqrt(dx * dx + dy * dy)
-    d_t = np.abs(ta[:, None].astype(float) - tb[None, :])
+    dy *= dy
+    d_s += dy
+    np.sqrt(d_s, out=d_s)
+    d_t = np.subtract(ta[:, None].astype(float), tb[None, :], out=dy)
+    np.abs(d_t, out=d_t)
     return d_s, d_t
 
 

@@ -185,6 +185,16 @@ class TestBadArgumentsExitTwo:
         assert code == cli.EXIT_VALIDATION
         assert "need k >= 2 folds" in capsys.readouterr().err
 
+    def test_cv_bound_not_free_for_the_spec(self, tmp_path, dataset_csv, capsys):
+        specs = tmp_path / "bad_specs.json"
+        specs.write_text(json.dumps({"version": 1, "specs": [
+            {"name": "m", "kind": "mbg", "optimizer": {"bounds": {"theta2": [-1, 1]}}},
+        ]}))
+        code = self.cv(tmp_path, dataset_csv, specs, "--k", "2")
+        assert code == cli.EXIT_VALIDATION
+        assert "spec 'm': bounds names 'theta2'" in capsys.readouterr().err
+        assert not (tmp_path / "cv" / "cv_report.json").exists()
+
     def test_cv_more_folds_than_locations(self, tmp_path, dataset_csv, specs_json, capsys):
         code = self.cv(tmp_path, dataset_csv, specs_json, "--k", "50")
         assert code == cli.EXIT_VALIDATION
@@ -216,6 +226,15 @@ BAD_MODEL_CONFIGS = {
     ),
     "matern_nu_without_closed_form": (
         {"kernel": {"family": "matern", "nu": 1.0}}, "matern nu must be one of",
+    ),
+    "empty_bounds": ({"optimizer": {"bounds": {}}}, "bounds is empty"),
+    "bound_on_a_hybrid_parameter": (
+        {"optimizer": {"bounds": {"theta2": [-1, 1]}}},
+        "bounds names 'theta2', which is not a free parameter of mbg with a gneiting kernel",
+    ),
+    "bound_on_another_family_parameter": (
+        {"optimizer": {"bounds": {"log_sigma2": [-2, 1], "log_rho": [-2, 1]}}},
+        "bounds names 'log_rho'",
     ),
     "zero_epochs": ({"gat": {"epochs": 0}}, "epochs must be >= 1"),
     "negative_epochs": ({"gat": {"epochs": -3}}, "epochs must be >= 1"),

@@ -308,6 +308,8 @@ class TestOptimize:
         )
         with pytest.raises(ValueError):
             optimize_hyperparameters(data, template, bounds={"log_rho": (0, 1)})
+        with pytest.raises(ValueError, match="bounds is empty"):
+            optimize_hyperparameters(data, template, bounds={})
 
     def test_all_restarts_failed(self):
         data = make_data(n_times=2, locs=(5, 8), seed=1)
@@ -420,7 +422,7 @@ class TestPredict:
 
 
 class TestFitResultMatchesInlineAlgebra:
-    """The fitted model's cached beta | u conditional against the algebra it replaced."""
+    """The fitted model's beta summaries and conditionals against the algebra they replaced."""
 
     def test_beta_conditional_matches_inline_formulas(self):
         data, spec, fit = TestPredict().fitted_mbg()
@@ -431,14 +433,24 @@ class TestFitResultMatchesInlineAlgebra:
         # triangular solve and rank-n update reproduce to round-off
         t_mat = fit.sq_w[:, None] * fit.sigma_u
         post_cov_u = fit.sigma_u - t_mat.T @ numkit.solve_chol(fit.chol_b, t_mat)
-        # laplace_fit's beta_hat and beta_sd
+        # beta_hat, and beta_sd as it was: Var(beta | z) = C + R V_u R'
         siu_d = numkit.solve_chol(chol_su, d)
         c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
         r_mat = sd2 * siu_d.T
         post = c_beta + r_mat @ post_cov_u @ r_mat.T
         np.testing.assert_array_equal(fit.beta_hat, sd2 * (d.T @ fit.a_mode))
+        # both forms cancel terms near sd2 = 1000 down to variances near 0.01,
+        # so they agree only to about 1e-10 relative (measured 1.3e-10)
         np.testing.assert_allclose(
-            fit.beta_sd, np.sqrt(np.maximum(np.diag(post), 0.0)), rtol=1e-10, atol=0,
+            fit.beta_sd, np.sqrt(np.maximum(np.diag(post), 0.0)), rtol=1e-9, atol=0,
+        )
+        # the cancellation-free form (I / sd2 + D' (Sigma_S + nugget I + W^-1)^-1 D)^-1
+        # (measured 1.7e-11)
+        sigma_s = CovarianceBuilder(data.x, data.y, data.t)(spec.kernel)
+        m = sigma_s + np.diag(numkit.DEFAULT_KERNEL_JITTER + 1.0 / fit.sq_w ** 2)
+        prec = np.eye(d.shape[1]) / sd2 + d.T @ np.linalg.solve(m, d)
+        np.testing.assert_allclose(
+            fit.beta_sd, np.sqrt(np.diag(np.linalg.inv(prec))), rtol=1e-10, atol=0,
         )
         # predict's mbg branch
         r_beta = sd2 * siu_d.T
@@ -482,6 +494,64 @@ class TestFitResultMatchesInlineAlgebra:
         assert out.attention[1] == AttnHyper(0.5, 4.0)
         np.testing.assert_allclose(geostat._start_values(out, names), values, rtol=1e-15)
         assert spec.attention[1] == AttnHyper(1.5, -2.0)
+
+
+class TestFitResultIsAValue:
+    """A fit holds only what laplace_fit gave it, and using it changes nothing."""
+
+    def fitted_hybrid(self):
+        data = make_data(n_times=2, locs=(20, 25), seed=43)
+        n = len(data)
+        field = build_field(random_export(n, seed=9), n)
+        offset = np.random.default_rng(5).uniform(-2.0, 0.5, n)
+        spec = ModelSpec(
+            kind="hybrid", kernel=KernelSpec(family="gneiting", sigma2=0.5),
+            offset=offset[:n - 5],
+            attention=(attnfield.restrict_field(field, np.arange(n - 5)), AttnHyper(0.0, 0.0)),
+        )
+        fit = laplace_fit(data.subset(np.arange(n - 5)), spec)
+        new = {"new_offsets": offset[n - 5:], "joint_field": field}
+        return fit, data.subset(np.arange(n - 5, n)), new
+
+    def test_frozen_with_only_init_fields(self):
+        import dataclasses
+
+        assert geostat.FitResult.__dataclass_params__.frozen
+        assert all(f.init for f in dataclasses.fields(geostat.FitResult))
+        _, _, fit = TestPredict().fitted_mbg(seed=41, locs=(15, 20))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fit.sigma_u = None
+
+    def test_summary_factors_nothing(self, monkeypatch):
+        _, _, fit = TestPredict().fitted_mbg(seed=41, locs=(15, 20))
+        calls, cholesky = [], numkit.cholesky
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(numkit, "cholesky", counted)
+        monkeypatch.setattr(geostat, "cholesky", counted)
+        fit.summary()
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("kind", ["mbg", "hybrid"])
+    def test_predicting_leaves_the_fit_untouched(self, kind):
+        if kind == "mbg":
+            data, _, fit = TestPredict().fitted_mbg(seed=41, locs=(15, 20))
+            new, extra = data.subset(np.arange(0, len(data), 4)), {}
+        else:
+            fit, new, extra = self.fitted_hybrid()
+        names = ("sigma_u", "chol_b", "sq_w", "a_mode")
+        before = {name: getattr(fit, name).copy() for name in names}
+        first = predict_insample(fit, n_draws=200, seed=3)
+        predict(fit, new, n_draws=200, seed=3, **extra)
+        fit.summary()
+        second = predict_insample(fit, n_draws=200, seed=3)
+        for name in names:
+            np.testing.assert_array_equal(getattr(fit, name), before[name], err_msg=name)
+        for name in ("mean", "lo", "hi", "sd_linpred"):
+            np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
 
 
 def parent_laplace_fit(data, spec, warm_u=None):
@@ -533,15 +603,20 @@ def parent_laplace_fit(data, spec, warm_u=None):
             converged = True
             break
     _, _, sq_w, chol_b = operators(u)
-    fit = geostat.FitResult(
+    return TwoSidedFit(
         spec=spec, data=data, u_mode=u, a_mode=a,
         logml=psi - np.sum(np.log(np.diag(chol_b))), converged=converged,
         newton_iterations=it, sigma_u=sigma_u, chol_b=chol_b,
         sq_w=sq_w, offset=offset, psi_trace=[],
     )
-    t_mat = sq_w[:, None] * sigma_u
-    fit._post_cov_u = sigma_u - t_mat.T @ numkit.solve_chol(chol_b, t_mat)
-    return fit
+
+
+class TwoSidedFit(geostat.FitResult):
+    """A fit whose posterior covariance of u is the two-sided formula."""
+
+    def posterior_cov_u(self):
+        t_mat = self.sq_w[:, None] * self.sigma_u
+        return self.sigma_u - t_mat.T @ numkit.solve_chol(self.chol_b, t_mat)
 
 
 def parent_optimize(data, template, bounds, max_iter):

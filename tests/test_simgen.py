@@ -148,6 +148,18 @@ class TestSimulate:
         sigma = simgen.gneiting_cov(d_s, d_t, cfg.phi_s, cfg.phi_t, cfg.gamma)
         numkit.cholesky(sigma, jitter=1e-8)  # must not raise
 
+    def test_pair_distances_match_the_direct_formula(self):
+        rng = np.random.default_rng(4)
+        xa, ya, ta = rng.uniform(0, 1, 30), rng.uniform(0, 1, 30), rng.integers(1, 6, 30)
+        xb, yb, tb = rng.uniform(0, 1, 20), rng.uniform(0, 1, 20), rng.integers(1, 6, 20)
+        for b in (None, (xb, yb, tb)):
+            d_s, d_t = simgen.pair_distances(xa, ya, ta, *(b or ()))
+            xo, yo, to = b or (xa, ya, ta)
+            dx = xa[:, None] - xo[None, :]
+            dy = ya[:, None] - yo[None, :]
+            np.testing.assert_array_equal(d_s, np.sqrt(dx * dx + dy * dy))
+            np.testing.assert_array_equal(d_t, np.abs(ta[:, None].astype(float) - to[None, :]))
+
     def test_gamma_zero_factorizes(self):
         # separability check: the joint matrix equals the elementwise product
         # of the spatial-only and temporal-only exponential matrices
