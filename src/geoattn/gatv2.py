@@ -7,18 +7,23 @@ work is plain numpy and scipy.sparse. The score weights W act on
 [h_dst ; h_src], so every layer projects node features once per node (n
 rows) and gathers the results onto edges; backward scatters the edge
 gradients to nodes first and then takes the weight and input gradients as
-node-level GEMMs. Forward forms no per-edge messages: head k aggregates
-A_k @ (h V_kᵀ), where the n x n CSR matrix A_k holds that head's attention
-at (dst, src). Backward sends the value gradient to source nodes as
-A_kᵀ @ d_agg_k and gathers h Vᵀ onto edges only for the attention gradient.
+node-level GEMMs. Forward forms no per-edge messages: the K heads aggregate
+together through one Kn x Kn block-diagonal CSR matrix, which holds head
+k's attention at (k n + dst, k n + src) and multiplies the value projection
+h Vᵀ laid out head by head. Backward sends the value gradient to source
+nodes through the same matrix's transpose and gathers h Vᵀ onto edges only
+for the attention gradient. The score gradient reaches z as one GEMM with
+the (K, K d) block-diagonal of the attention vectors.
 
-The per-edge arrays of a layer are the score pre-activation z (turned into
-u = LeakyReLU(z) in place), its LeakyReLU slope factor, the attention alpha
-(also kept per head as the data of the A_k), and scratch for gathers and
-softmax terms; the scratch is shared by all layers. Forward writes them into
-a set of edge buffers and backward reads them from the cache, writing only
-the scratch. :func:`train` allocates one set and rewrites it every epoch;
-a :func:`forward` call without one gets its own, so the arrays it returns
+The per-edge arrays of a layer are u = LeakyReLU(z), written over the score
+pre-activation z, and the attention alpha, kept both per edge and per head
+(the data of the block-diagonal matrix). Backward recovers the LeakyReLU
+slope factor from the sign of u, so it is not stored. Scratch for gathers
+and softmax terms, and the index arrays of the block-diagonal matrix, are
+shared by all layers. Forward writes the per-layer arrays into a set of
+edge buffers and backward reads them from the cache, writing only the
+scratch. :func:`train` allocates one set and rewrites it every epoch; a
+:func:`forward` call without one gets its own, so the arrays it returns
 belong to the caller. Per-destination reductions work over a canonical edge
 ordering so results are bit-reproducible and independent of the caller's
 edge-list order.
@@ -34,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonFiniteActivation
-from .jsonconfig import typed_dataclass
+from .jsonconfig import typed, typed_dataclass
 from .numkit import RngStream
 from .simgen import Dataset
 
@@ -70,8 +75,6 @@ class GraphSpec:
     dst_starts: np.ndarray = field(init=False, repr=False)
     _sum_dst: sp.csr_matrix = field(init=False, repr=False)
     _sum_src: sp.csr_matrix = field(init=False, repr=False)
-    _csr_indptr: np.ndarray = field(init=False, repr=False)   # (n+1,) dst_starts, then E
-    _csr_indices: np.ndarray = field(init=False, repr=False)  # (E,) src
 
     def __post_init__(self):
         src = np.asarray(self.src, dtype=np.int64)
@@ -105,10 +108,6 @@ class GraphSpec:
         arange = np.arange(n_e)
         self._sum_dst = sp.csr_matrix((ones, (self.dst, arange)), shape=(self.n_nodes, n_e))
         self._sum_src = sp.csr_matrix((ones, (self.src, arange)), shape=(self.n_nodes, n_e))
-        # scipy's own index dtype, so that edge_matrix never copies them
-        idx = np.int32 if max(n_e, self.n_nodes) < np.iinfo(np.int32).max else np.int64
-        self._csr_indptr = np.append(self.dst_starts, n_e).astype(idx)
-        self._csr_indices = self.src.astype(idx)
 
     @property
     def n_edges(self) -> int:
@@ -123,15 +122,6 @@ class GraphSpec:
         """Sum per-edge values into their source node."""
         flat = per_edge.reshape(len(per_edge), -1)
         return (self._sum_src @ flat).reshape((self.n_nodes,) + per_edge.shape[1:])
-
-    def edge_matrix(self, weights: np.ndarray) -> sp.csr_matrix:
-        """n x n CSR matrix holding per-edge ``weights`` (E,) at (dst, src);
-        contiguous float weights are not copied. ``M @ x`` sums weighted
-        source rows into each destination and ``M.T @ y`` destination rows
-        into each source, both in edge order, like :meth:`scatter_dst` and
-        :meth:`scatter_src`."""
-        return sp.csr_matrix((weights, self._csr_indices, self._csr_indptr),
-                             shape=(self.n_nodes, self.n_nodes))
 
 
 def graph_features(records: Dataset) -> np.ndarray:
@@ -273,46 +263,34 @@ class GatModel:
 _STREAM_INIT = 101  # stream id reserved for weight initialization
 
 
-def init_model(d_in: int, config: GatConfig) -> GatModel:
-    """Seeded uniform(-s, s) initialization with s = scale / sqrt(fan_in)."""
-    rng = RngStream(config.seed, _STREAM_INIT)
-    layers = []
-    cur = d_in
-    k = config.heads
+def _layer_shapes(d_in: int, config: GatConfig) -> tuple[list[dict[str, tuple[int, ...]]], int]:
+    """The w, a and v shapes of each layer of a network on ``d_in`` node
+    features, and the width of its output: hidden layers concatenate their
+    K heads, the final layer averages them."""
+    k, shapes, cur = config.heads, [], d_in
     for li, d in enumerate(config.widths):
-        s_w = config.weight_init_scale / np.sqrt(2 * cur)
-        s_a = config.weight_init_scale / np.sqrt(d)
-        s_v = config.weight_init_scale / np.sqrt(cur)
-        layers.append(LayerParams(
-            w=rng.uniform(-s_w, s_w, (k, d, 2 * cur)),
-            a=rng.uniform(-s_a, s_a, (k, d)),
-            v=rng.uniform(-s_v, s_v, (k, d, cur)),
-        ))
-        is_final = li == len(config.widths) - 1
-        cur = d if is_final else k * d
-    s_o = config.weight_init_scale / np.sqrt(cur)
-    return GatModel(
-        layers=layers,
-        w_out=rng.uniform(-s_o, s_o, cur),
-        b_out=0.0,
-        config=config,
-    )
+        shapes.append({"w": (k, d, 2 * cur), "a": (k, d), "v": (k, d, cur)})
+        cur = d if li == len(config.widths) - 1 else k * d
+    return shapes, cur
+
+
+def init_model(d_in: int, config: GatConfig) -> GatModel:
+    """Seeded uniform(-s, s) initialization with s = scale / sqrt(fan_in),
+    the fan-in being the last axis of each parameter."""
+    rng = RngStream(config.seed, _STREAM_INIT)
+
+    def draw(shape):
+        s = config.weight_init_scale / np.sqrt(shape[-1])
+        return rng.uniform(-s, s, shape)
+
+    shapes, d_out = _layer_shapes(d_in, config)
+    layers = [LayerParams(**{name: draw(shape) for name, shape in sh.items()}) for sh in shapes]
+    return GatModel(layers=layers, w_out=draw((d_out,)), b_out=0.0, config=config)
 
 
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
-
-def _leaky_factor(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
-    """LeakyReLU slope per entry of ``z``, written into ``out``: exactly 1.0
-    where z > 0 and ``slope`` elsewhere. Multiplying by it is bit-identical to
-    ``np.maximum(z, slope*z)`` forward and ``np.where(z > 0, d, slope*d)``
-    backward, and avoids their slow branching on unpredictable sign masks."""
-    np.greater(z, 0.0, out=out)
-    out *= 1.0 - slope
-    out += slope
-    return out
-
 
 def _elu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
@@ -336,14 +314,16 @@ class AttentionExport:
 
 @dataclass
 class _EdgeBuffers:
-    """The edge-sized arrays of one layer. The first four carry values from
-    the layer's forward pass to its backward pass; the scratch arrays are
-    shared by all layers and hold nothing between layer calls."""
+    """The edge-sized arrays of one layer. ``u``, ``alpha`` and ``alpha_t``
+    carry values from the layer's forward pass to its backward pass. The
+    block-diagonal index arrays and the scratch arrays are shared by all
+    layers; the scratch holds nothing between layer calls."""
 
     u: np.ndarray        # (E, K*d) z, then LeakyReLU(z) in place
-    leaky: np.ndarray    # (E, K*d) LeakyReLU slope factor of z
     alpha: np.ndarray    # (E, K) attention
-    alpha_t: np.ndarray  # (K, E) attention per head: the data of each A_k
+    alpha_t: np.ndarray  # (K, E) attention per head: the data of the block-diagonal matrix
+    bd_indices: np.ndarray  # (K*E,) column k n + src of head k's edges
+    bd_indptr: np.ndarray   # (K*n + 1,) row k n + i starts at k E + dst_starts[i]
     scratch_kd: np.ndarray   # (E, K*d)
     scratch_kd2: np.ndarray  # (E, K*d)
     scratch_k: np.ndarray    # (E, K)
@@ -352,20 +332,31 @@ class _EdgeBuffers:
 
 def _edge_buffers(graph: GraphSpec, layers: list[LayerParams]) -> list[_EdgeBuffers]:
     """Uninitialised edge buffers for every layer of a network."""
-    n_e, k = graph.n_edges, layers[0].a.shape[0]
+    n, n_e, k = graph.n_nodes, graph.n_edges, layers[0].a.shape[0]
     widths = [lay.a.size for lay in layers]  # K*d per layer
     wide, wide2 = np.empty(n_e * max(widths)), np.empty(n_e * max(widths))
     narrow, narrow2 = np.empty((n_e, k)), np.empty((n_e, k))
+    # scipy's own index dtype, so that building the matrix never copies them
+    idx = np.int32 if k * max(n_e, n) < np.iinfo(np.int32).max else np.int64
+    heads = np.arange(k)[:, None]
+    bd_indices = (graph.src + n * heads).astype(idx).ravel()
+    bd_indptr = np.append(graph.dst_starts + n_e * heads, k * n_e).astype(idx)
     return [
         _EdgeBuffers(
-            u=np.empty((n_e, kd)), leaky=np.empty((n_e, kd)),
-            alpha=np.empty((n_e, k)), alpha_t=np.empty((k, n_e)),
+            u=np.empty((n_e, kd)), alpha=np.empty((n_e, k)), alpha_t=np.empty((k, n_e)),
+            bd_indices=bd_indices, bd_indptr=bd_indptr,
             scratch_kd=wide[:n_e * kd].reshape(n_e, kd),
             scratch_kd2=wide2[:n_e * kd].reshape(n_e, kd),
             scratch_k=narrow, scratch_k2=narrow2,
         )
         for kd in widths
     ]
+
+
+def _heads_first(x: np.ndarray, k: int) -> np.ndarray:
+    """(n, K*d) node rows as a new (K*n, d) array, head k in rows k n to k n + n - 1."""
+    n = len(x)
+    return x.reshape(n, k, -1).transpose(1, 0, 2).reshape(k * n, -1)
 
 
 @dataclass
@@ -375,7 +366,8 @@ class _LayerCache:
     h_in: np.ndarray      # (n, d_in) layer input: graph features or the previous layer's output
     hv: np.ndarray        # (n, K*d) value projection h Vᵀ; backward gathers it onto edges
     agg: np.ndarray       # (n, K, d) pre-activation head outputs
-    edges: _EdgeBuffers   # this pass's per-edge u, leaky, alpha and alpha_t; owned by
+    attn: sp.csr_matrix   # (K*n, K*n) block-diagonal attention; its data is edges.alpha_t
+    edges: _EdgeBuffers   # this pass's per-edge u, alpha and alpha_t; owned by
                           # train() for all its epochs, else by the forward() call
 
     @property
@@ -400,11 +392,12 @@ def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
     v_flat = lay.v.reshape(k * d, din)
 
     # z = W [h_dst ; h_src]: project each node once, then gather onto edges;
-    # u = LeakyReLU(z) overwrites z. Every take uses mode="clip" (the indices
-    # are in range) because the default mode still allocates a temporary.
+    # u = LeakyReLU(z) = max(z, slope z) overwrites z, as 0 < slope < 1.
+    # Every take uses mode="clip" (the indices are in range) because the
+    # default mode still allocates a temporary.
     z = np.take(h @ w_flat[:, :din].T, dst, axis=0, out=buf.u, mode="clip")
     z += np.take(h @ w_flat[:, din:].T, src, axis=0, out=buf.scratch_kd, mode="clip")
-    u = np.multiply(z, _leaky_factor(z, slope, out=buf.leaky), out=z)
+    u = np.maximum(z, np.multiply(z, slope, out=buf.scratch_kd), out=z)
     scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a, out=buf.scratch_k)
 
     smax = np.maximum.reduceat(scores, graph.dst_starts, axis=0)
@@ -413,19 +406,20 @@ def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
     alpha = np.take(graph.scatter_dst(ex), dst, axis=0, out=buf.alpha, mode="clip")
     np.divide(ex, alpha, out=alpha)
     buf.alpha_t[...] = alpha.T
+    attn = sp.csr_matrix((buf.alpha_t.reshape(-1), buf.bd_indices, buf.bd_indptr),
+                         shape=(k * n, k * n))
 
-    # head k aggregates A_k @ (h V_kᵀ), A_k holding alpha[:, k] at (dst, src)
+    # head k aggregates A_k @ (h V_kᵀ), A_k holding alpha[:, k] at (dst, src):
+    # all heads at once as attn @ (h Vᵀ laid out head by head)
     hv = h @ v_flat.T
-    hv3 = hv.reshape(n, k, d)
     agg = np.empty((n, k, d))
-    for j in range(k):
-        agg[:, j] = graph.edge_matrix(buf.alpha_t[j]) @ hv3[:, j]
+    agg[...] = (attn @ _heads_first(hv, k)).reshape(k, n, d).transpose(1, 0, 2)
 
     if is_final:
         out = _elu(agg.mean(axis=1))
     else:
         out = _elu(agg).reshape(n, k * d)
-    return out, _LayerCache(h_in=h, hv=hv, agg=agg, edges=buf)
+    return out, _LayerCache(h_in=h, hv=hv, agg=agg, attn=attn, edges=buf)
 
 
 def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | None = None,
@@ -486,12 +480,9 @@ def _layer_backward(graph: GraphSpec, lay: LayerParams, cache: _LayerCache,
 
     # every projection is per node, so sum the edge gradients into nodes
     # first and take the weight and input gradients as node-level gemms;
-    # the value gradient reaches source nodes through A_kᵀ
-    d_agg3 = d_agg.reshape(n, k, d)
-    s_msg = np.empty((n, k, d))
-    for j in range(k):
-        s_msg[:, j] = graph.edge_matrix(buf.alpha_t[j]).T @ d_agg3[:, j]
-    s_msg = s_msg.reshape(n, k * d)
+    # the value gradient reaches source nodes through the attention's transpose
+    s_msg = cache.attn.T @ _heads_first(d_agg, k)
+    s_msg = s_msg.reshape(k, n, d).transpose(1, 0, 2).reshape(n, k * d)
     h = cache.h_in
     d_v = (s_msg.T @ h).reshape(k, d, din)
 
@@ -508,9 +499,14 @@ def _layer_backward(graph: GraphSpec, lay: LayerParams, cache: _LayerCache,
     d_score *= alpha
 
     d_a = np.einsum("ek,ekd->kd", d_score, buf.u.reshape(-1, k, d))
-    d_u = np.multiply(d_score[:, :, None], lay.a[None], out=buf.scratch_kd.reshape(-1, k, d))
-    d_z = d_u.reshape(-1, k * d)
-    d_z *= buf.leaky
+    # d_u = d_score times a, head by head: one gemm with the (K, K*d)
+    # block-diagonal of a, whose zeros add nothing to the products
+    a_bd = np.zeros((k, k * d))
+    a_bd.reshape(k, k, d)[np.arange(k), np.arange(k)] = lay.a
+    d_z = np.matmul(d_score, a_bd, out=buf.scratch_kd)
+    # LeakyReLU's slope factor, max(u > 0, slope): 1 where u > 0, slope elsewhere
+    leaky = np.greater(buf.u, 0.0, out=buf.scratch_kd2)
+    d_z *= np.maximum(leaky, slope, out=leaky)
     z_dst = graph.scatter_dst(d_z)                           # (n, K*d)
     z_src = graph.scatter_src(d_z)                           # (n, K*d)
 
@@ -631,24 +627,32 @@ def save_checkpoint(model: GatModel, path: str | Path, extra: dict | None = None
 
 def load_checkpoint(path: str | Path) -> tuple[GatModel, dict]:
     """Model and ``extra`` of a :func:`save_checkpoint` file; ValueError unless
-    its config holds exactly the GatConfig fields and its params are finite,
-    and ValidationFailure unless each config field holds a value of its type."""
+    its config holds exactly the GatConfig fields, its shapes are those its
+    config gives on its first layer's input width, and its params are finite;
+    ValidationFailure unless each config field holds a value of its type."""
     payload = json.loads(Path(path).read_text())
     cfg = payload["config"]
     if set(cfg) != {f.name for f in fields(GatConfig)}:
         raise ValueError(f"checkpoint config keys {sorted(cfg)} are not the GatConfig fields")
     config = typed_dataclass(cfg, GatConfig, "checkpoint config")
-    layers = [
-        LayerParams(
-            w=np.zeros(tuple(sh["w"])),
-            a=np.zeros(tuple(sh["a"])),
-            v=np.zeros(tuple(sh["v"])),
-        )
-        for sh in payload["shapes"]["layers"]
-    ]
+    file_shapes = payload["shapes"]
+    if len(file_shapes["layers"]) != len(config.widths):
+        raise ValueError(f"checkpoint has {len(file_shapes['layers'])} layers, "
+                         f"its config gives {len(config.widths)}")
+    d_in = typed(file_shapes["layers"][0]["v"], tuple[int, int, int],
+                 "checkpoint shapes.layers[0].v")[2]
+    shapes, d_out = _layer_shapes(d_in, config)
+    for li, (got, want) in enumerate(zip(file_shapes["layers"], shapes)):
+        got = {name: tuple(got[name]) for name in want}
+        if got != want:
+            raise ValueError(f"checkpoint layer {li} has shapes {got}, its config gives {want}")
+    if tuple(file_shapes["w_out"]) != (d_out,):
+        raise ValueError(f"checkpoint w_out has shape {tuple(file_shapes['w_out'])}, "
+                         f"its config gives {(d_out,)}")
     model = GatModel(
-        layers=layers,
-        w_out=np.zeros(payload["shapes"]["w_out"][0]),
+        layers=[LayerParams(**{name: np.zeros(shape) for name, shape in sh.items()})
+                for sh in shapes],
+        w_out=np.zeros(d_out),
         b_out=0.0,
         config=config,
     )

@@ -56,13 +56,14 @@ def fit_mbg(dataset, config, out):
     ])
 
 
-def fit_gat_then_hybrid(tmp_path, gat_dataset, hybrid_dataset, edit_checkpoint=None):
+def fit_gat_then_hybrid(tmp_path, gat_dataset, hybrid_dataset, edit_checkpoint=None,
+                        widths=(4,)):
     """``fit gat_only`` on one dataset, then ``fit hybrid`` with its checkpoint."""
     gat_config = tmp_path / "gat.json"
     # a graph other than the default, which the hybrid fit must take from the checkpoint
     gat_config.write_text(json.dumps({
         "version": 1, "graph": {"k_neighbors": 5, "time_scale": 0.5},
-        "gat": {"epochs": 3, "widths": [4]},
+        "gat": {"epochs": 3, "widths": list(widths)},
     }))
     assert cli.main([
         "fit", "--kind", "gat_only", "--dataset", str(gat_dataset),
@@ -417,6 +418,24 @@ class TestBadCheckpointExitsTwo:
         assert code == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "cannot load checkpoint" in err and message in err
+
+
+    # each reshape keeps the parameter count, so the flat params still load
+    @pytest.mark.parametrize("widths, layer, heads, width", [
+        ((4,), 0, 8, 2),
+        ((4, 4), 1, 2, 8),
+    ], ids=["layer0_8x2", "layer1_2x8"])
+    def test_checkpoint_shapes_not_its_config(self, widths, layer, heads, width,
+                                              tmp_path, dataset_csv, capsys):
+        def reshape_layer(payload):
+            sh = payload["shapes"]["layers"][layer]
+            sh["w"][:2] = sh["v"][:2] = sh["a"] = [heads, width]
+
+        code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, dataset_csv, reshape_layer, widths)
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"cannot load checkpoint: checkpoint layer {layer} has shapes" in err
+        assert "Traceback" not in err
 
 
 class TestHybridFitMatchesInlineReference:

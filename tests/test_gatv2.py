@@ -1,6 +1,6 @@
 """Graph attention network: forward oracle, exact gradients, training."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -341,8 +341,11 @@ class TestPerEdgeReference:
 
     def test_sparse_aggregation_equals_edge_scatter_layers(self, monkeypatch):
         graph, targets = random_graph(30, seed=37)
-        for widths, heads in [((4, 3), 3), ((5,), 1)]:
-            model = init_model(3, GatConfig(widths=widths, heads=heads, seed=4))
+        # (16, 16) with 4 heads is the default network; slope 0.9 checks the
+        # LeakyReLU forms max(z, slope z) and max(u > 0, slope) near slope 1
+        for widths, heads, slope in [((4, 3), 3, 0.2), ((5,), 1, 0.2),
+                                     ((16, 16), 4, 0.2), ((4, 3), 3, 0.9)]:
+            model = init_model(3, GatConfig(widths=widths, heads=heads, leaky_slope=slope, seed=4))
 
             def run():
                 preds, export, cache = forward(model, graph)
@@ -356,6 +359,22 @@ class TestPerEdgeReference:
                 want = run()
             for g, w in zip(got, want, strict=True):
                 np.testing.assert_array_equal(g, w)
+
+
+class TestEdgeBuffers:
+    def test_wide_arrays_are_one_u_per_layer_and_two_scratch(self):
+        # E x K*d arrays dominate training memory: each layer keeps only u
+        # for its backward pass, and all layers share two scratch arrays
+        graph, _ = random_graph(30, seed=41)
+        model = init_model(3, GatConfig(widths=(4, 4), heads=3))
+        wide = {}
+        for buf in gatv2._edge_buffers(graph, model.layers):
+            for f in fields(buf):
+                arr = getattr(buf, f.name)
+                base = arr if arr.base is None else arr.base
+                if base.size >= graph.n_edges * 3 * 4:
+                    wide[id(base)] = base.nbytes
+        assert sum(wide.values()) == (2 + 2) * graph.n_edges * 3 * 4 * 8
 
 
 class TestTrain:
