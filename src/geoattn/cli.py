@@ -11,29 +11,18 @@ keys are hard errors; outputs are written atomically (temp file + rename)
 into the --out directory together with exactly one manifest recording the
 config snapshot, seeds, and SHA-256 digests of all inputs and outputs; exit
 code 0 means success, 2 a validation failure, 3 a numerical failure.
-``GEOATTN_SEED`` overrides the config seed; a negative seed exits 2.
-Cross-validation runs its folds one at a time: ``cv --workers`` accepts
-only 1.
+``GEOATTN_SEED`` overrides the config seed; a seed below 0 or at least
+2**63 exits 2. Cross-validation runs its folds one at a time: ``cv
+--workers`` accepts only 1.
 
-Each config section is read from its dataclass, whose keys, defaults and
-types it takes: the simulation config from ``simgen.SimConfig``, ``gat``
-from ``gatv2.GatConfig`` (its ``seed`` is the top-level ``seed``),
-``kernel`` from ``geostat.KernelSpec``, ``attention_start`` from
-``attnfield.AttnHyper``, and the top level, ``graph`` and ``optimizer``
-(``max_iter`` is ``nm_max_iter``) from ``pipeline.PipelineModelSpec``. An
-integer field takes a JSON integer only, so ``2.0`` and ``true`` are
-refused; a float field takes any finite JSON number, so ``NaN`` and
-``Infinity`` are refused. In a ``cv`` spec the ``seed`` key is accepted
-but unused: ``cv --seed`` seeds every fold.
-
-``optimizer.bounds`` maps free parameters to ``[lo, hi]``; Nelder-Mead
-searches those and holds the others at their config values. Without it,
-every free parameter is searched within ``geostat.DEFAULT_BOUNDS``. The
-free parameters of an mbg or hybrid spec are ``log_sigma2`` and, by kernel
-family, ``log_phi_s`` and ``log_phi_t`` (gneiting) or ``log_rho``
-(matern); a hybrid spec adds ``theta1`` and ``theta2``. An empty
-``bounds`` object, or a name that is not free for the spec's kind and
-kernel family, exits 2 before anything is fitted.
+Each JSON section is the dataclass of the same name, read by
+``jsonconfig.typed_dataclass``: a fit config or cv spec is
+``pipeline.PipelineModelSpec``, whose sections are ``graph``, ``gat``,
+``kernel``, ``attention_start`` and ``optimizer``, and a simulation config
+is ``simgen.SimConfig``. Two fields are set by the caller and are never
+JSON keys: ``gat.seed`` is the top-level ``seed`` (unused in a cv spec,
+since ``cv --seed`` seeds every fold), and a fit's ``kind`` is ``fit
+--kind``.
 """
 
 from __future__ import annotations
@@ -45,16 +34,14 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evalkit, gatv2, geostat, pipeline, simgen
 from .errors import GeoattnError, TooFewPoints
-from .jsonconfig import (
-    ValidationFailure, build, check_keys, typed, typed_dataclass, typed_kwargs,
-)
+from .jsonconfig import ValidationFailure, check_keys, typed, typed_dataclass
 
 ARTIFACT_VERSION = 1
 
@@ -97,49 +84,12 @@ def parse_sim_config(obj: dict) -> simgen.SimConfig:
     return typed_dataclass(body, simgen.SimConfig, context)
 
 
-# JSON key -> PipelineModelSpec field, at the top level and in `graph` and `optimizer`
-_SPEC_KEYS = {key: key for key in ("name", "kind", "tag", "n_draws", "level")}
-_GRAPH_KEYS = {"k_neighbors": "k_neighbors", "time_scale": "time_scale"}
-_OPTIMIZER_KEYS = {"restarts": "restarts", "max_iter": "nm_max_iter", "bounds": "bounds"}
-_NOT_SPEC_KEYS = ("version", "seed", "graph", "gat", "kernel", "attention_start", "optimizer")
-
-
-def _parse_bounds(obj, context: str):
-    if obj is None:
-        return None
-    out = {}
-    for name, pair in obj.items():
-        if name not in geostat.DEFAULT_BOUNDS:
-            raise ValidationFailure(f"{context}: unknown bound name {name!r}")
-        lo, hi = typed(pair, tuple[float, float], f"{context}.bounds.{name}")
-        if not lo < hi:
-            raise ValidationFailure(
-                f"{context}: bound {name!r} must have lo < hi, got [{lo}, {hi}]"
-            )
-        out[name] = (lo, hi)
-    return out
-
-
-def parse_model_config(obj: dict, name: str = "model", kind: str | None = None,
-                       context: str = "fit config") -> pipeline.PipelineModelSpec:
-    spec = {"name": name, "kind": kind, **typed_kwargs(
-        {k: v for k, v in obj.items() if k not in _NOT_SPEC_KEYS},
-        pipeline.PipelineModelSpec, context, _SPEC_KEYS,
-    )}
-    if spec["kind"] is None:
-        raise ValidationFailure(f"{context}: field 'kind' is required")
+def parse_model_config(obj: dict, context: str = "fit config",
+                       **fixed) -> pipeline.PipelineModelSpec:
+    """The spec of a fit config or cv spec; the ``fixed`` fields are not JSON keys."""
     seed = typed(obj.get("seed", 0), int, f"{context}.seed")
-    for key, keys in (("graph", _GRAPH_KEYS), ("optimizer", _OPTIMIZER_KEYS)):
-        spec.update(typed_kwargs(
-            obj.get(key, {}), pipeline.PipelineModelSpec, f"{context}.{key}", keys,
-        ))
-    spec["bounds"] = _parse_bounds(spec.get("bounds"), f"{context}.optimizer")
-    spec["gat"] = typed_dataclass(obj.get("gat", {}), gatv2.GatConfig, f"{context}.gat", seed=seed)
-    spec["kernel"] = typed_dataclass(obj.get("kernel", {}), geostat.KernelSpec, f"{context}.kernel")
-    spec["attn_start"] = typed_dataclass(
-        obj.get("attention_start", {}), geostat.AttnHyper, f"{context}.attention_start",
-    )
-    return build(pipeline.PipelineModelSpec, spec, context)
+    body = {k: v for k, v in obj.items() if k not in ("version", "seed")}
+    return typed_dataclass(body, pipeline.PipelineModelSpec, context, **fixed, **{"gat.seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +104,18 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _atomic_write(final: Path, writer) -> None:
+    """writer(path) produces a temp file beside ``final``, renamed onto it when done."""
+    fd, tmp = tempfile.mkstemp(dir=final.parent, prefix=f".{final.name}.")
+    os.close(fd)
+    tmp = Path(tmp)
+    try:
+        writer(tmp)
+        os.replace(tmp, final)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 class OutputDir:
     """Atomic writes into one output directory, with digest tracking."""
 
@@ -165,14 +127,7 @@ class OutputDir:
     def write(self, name: str, writer) -> Path:
         """writer(path) produces the file; committed via rename."""
         final = self.root / name
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{name}.")
-        os.close(fd)
-        tmp = Path(tmp)
-        try:
-            writer(tmp)
-            os.replace(tmp, final)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _atomic_write(final, writer)
         self.outputs[name] = _sha256(final)
         return final
 
@@ -198,11 +153,7 @@ def write_manifest(out: OutputDir, command: str, config_snapshot, seed,
     if extra:
         manifest.update(extra)
     payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    final = out.root / "manifest.json"
-    fd, tmp = tempfile.mkstemp(dir=out.root, prefix=".manifest.")
-    os.close(fd)
-    Path(tmp).write_text(payload)
-    os.replace(tmp, final)
+    _atomic_write(out.root / "manifest.json", lambda p: p.write_text(payload))
 
 
 def _input_digests(paths: list[str | Path]) -> dict[str, str]:
@@ -216,15 +167,19 @@ def _input_digests(paths: list[str | Path]) -> dict[str, str]:
 
 
 def _env_seed(seed: int) -> int:
-    """The run's seed: ``GEOATTN_SEED`` when set, else ``seed``; never negative."""
+    """The run's seed: ``GEOATTN_SEED`` when set, else ``seed``.
+
+    It lies in [0, 2**63), so every fold seed ``seed + fold_id`` fits the
+    uint64 key of ``numkit.RngStream``.
+    """
     override = os.environ.get("GEOATTN_SEED")
     if override is not None:
         try:
             seed = int(override)
         except ValueError as err:
             raise ValidationFailure("GEOATTN_SEED must be an integer") from err
-    if seed < 0:
-        raise ValidationFailure(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < 2**63:
+        raise ValidationFailure(f"seed must be >= 0 and < 2**63, got {seed}")
     return seed
 
 
@@ -326,7 +281,8 @@ def cmd_fit(args) -> int:
     started = time.time()
     raw = _load_json(args.config, "fit config")
     _check_version(raw, "fit config")
-    spec = parse_model_config(raw, name=args.kind, kind=args.kind)
+    # the name only labels cv reports; a fit config may still give one
+    spec = parse_model_config({"name": args.kind, **raw}, kind=args.kind)
     seed = _env_seed(spec.gat.seed)
     spec = replace(spec, gat=replace(spec.gat, seed=seed))
     input_paths = [args.config, args.dataset]
@@ -361,14 +317,10 @@ def cmd_fit(args) -> int:
                 f"checkpoint expects {n_inputs} node features, the dataset gives {n_features}"
             )
         # the network runs on the graph it was trained on
-        ckpt_graph = {k: v for k, v in typed(ckpt_extra, dict, "checkpoint extra").items()
-                      if k in _GRAPH_KEYS}
-        try:
-            spec = replace(spec, **typed_kwargs(
-                ckpt_graph, pipeline.PipelineModelSpec, "checkpoint extra", _GRAPH_KEYS,
-            ))
-        except ValueError as err:
-            raise ValidationFailure(f"checkpoint extra: {err}") from err
+        graph = asdict(spec.graph)
+        graph.update((k, v) for k, v in typed(ckpt_extra, dict, "checkpoint extra").items()
+                     if k in graph)
+        spec = replace(spec, graph=typed_dataclass(graph, gatv2.GraphConfig, "checkpoint extra"))
     run = pipeline.run_insample(data, spec, seed=seed, model=model)
 
     extra: dict = {"kind": args.kind, "n_records": len(data)}
@@ -376,11 +328,7 @@ def cmd_fit(args) -> int:
     if args.kind == "gat_only":
         out.write("checkpoint.json", lambda p: gatv2.save_checkpoint(
             gat.model, p,
-            extra={
-                "k_neighbors": spec.k_neighbors,
-                "time_scale": spec.time_scale,
-                "final_loss": float(gat.loss_trace[-1]),
-            },
+            extra={**asdict(spec.graph), "final_loss": float(gat.loss_trace[-1])},
         ))
         out.write("attention.csv", lambda p: gatv2.write_attention_csv(gat.export, p))
         out.write_text("loss_trace.csv", "epoch,loss\n" + "".join(
@@ -482,7 +430,7 @@ def cmd_cv(args) -> int:
         name = entry.get("name")
         if not name:
             raise ValidationFailure(f"spec #{i}: field 'name' is required")
-        specs.append(parse_model_config(entry, name=name, context=f"spec {name!r}"))
+        specs.append(parse_model_config(entry, context=f"spec {name!r}"))
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ValidationFailure("duplicate spec names in the spec list")

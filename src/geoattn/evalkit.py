@@ -233,20 +233,20 @@ def spatial_cv(
     of aborting the run.
 
     The default runner trains each fold's network once per distinct network
-    setting (``gat`` config, ``k_neighbors``, ``time_scale``) and shares it
-    with every other gat_only or hybrid spec that has the same setting: those
-    rebuild the graph and run the trained network forward. The fold seed
+    setting (its ``gat`` and ``graph`` configs) and shares it with every
+    other gat_only or hybrid spec that has the same setting: those rebuild
+    the graph and run the trained network forward. The fold seed
     ``seed + fold_id`` replaces the ``gat`` seed, as in training, so it also
     identifies the fold's training records within the call.
     """
     if runner is None:
         from .pipeline import fit_and_predict  # avoids an import cycle
 
-        trained = {}  # (gat config with the fold seed, k_neighbors, time_scale) -> GatModel
+        trained = {}  # (gat config with the fold seed, graph config) -> GatModel
 
         def runner(train, test, spec, seed):
             # mbg ignores the model and trains no network, so it stores nothing
-            key = (replace(spec.gat, seed=seed), spec.k_neighbors, spec.time_scale)
+            key = (replace(spec.gat, seed=seed), spec.graph)
             run = fit_and_predict(train, test, spec, seed=seed, model=trained.get(key))
             if run.gat is not None:
                 trained[key] = run.gat.model

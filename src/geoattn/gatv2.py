@@ -43,9 +43,6 @@ from .jsonconfig import typed, typed_dataclass
 from .numkit import RngStream
 from .simgen import Dataset
 
-DEFAULT_K_NEIGHBORS = 8
-DEFAULT_TIME_SCALE = 0.1
-
 PREVALENCE_CLAMP = 1e-6  # predictions clamped to [eps, 1-eps] before logit
 
 _KNN_BLOCK_ROWS = 256  # rows of the distance matrix held at once in build_graph
@@ -132,10 +129,23 @@ def graph_features(records: Dataset) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True)
+class GraphConfig:
+    """The k-nearest-neighbour graph: k and the weight of time in distances."""
+
+    k_neighbors: int = 8
+    time_scale: float = 0.1
+
+    def __post_init__(self):
+        if self.k_neighbors < 1:
+            raise ValueError("k_neighbors must be >= 1")
+        if not (np.isfinite(self.time_scale) and self.time_scale >= 0):
+            raise ValueError("time_scale must be finite and >= 0")
+
+
 def build_graph(
     records: Dataset,
-    k_neighbors: int = DEFAULT_K_NEIGHBORS,
-    time_scale: float = DEFAULT_TIME_SCALE,
+    config: GraphConfig = GraphConfig(),
     train_mask: np.ndarray | None = None,
 ) -> GraphSpec:
     """Symmetrized k-nearest-neighbour graph over space-time records.
@@ -145,14 +155,10 @@ def build_graph(
     directions, and every node gets a self-loop, so in-degree >= k + 1
     wherever n > k.
     """
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be >= 1")
-    if not (np.isfinite(time_scale) and time_scale >= 0):
-        raise ValueError("time_scale must be finite and >= 0")
     n = len(records)
     if n == 0:
         raise ValueError("empty record set")
-    k = min(k_neighbors, n - 1)
+    k = min(config.k_neighbors, n - 1)
     # self-loops; the mirrored copies below are deduplicated by GraphSpec
     node_parts, neigh_parts = [np.arange(n)], [np.arange(n)]
     # row blocks keep memory at O(block * n) instead of O(n^2)
@@ -161,7 +167,7 @@ def build_graph(
         dx = records.x[rows, None] - records.x[None, :]
         dy = records.y[rows, None] - records.y[None, :]
         dt = records.t[rows, None].astype(float) - records.t[None, :]
-        dist = np.sqrt(dx * dx + dy * dy + (time_scale * dt) ** 2)
+        dist = np.sqrt(dx * dx + dy * dy + (config.time_scale * dt) ** 2)
         local = np.arange(len(rows))
         dist[local, rows] = np.inf
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]

@@ -484,8 +484,33 @@ def free_param_names(kind: str, family: str) -> list[str]:
     return [name for name, (_, _, by) in _FREE_PARAMS.items() if tags.intersection(by)]
 
 
-def _param_names(spec: ModelSpec) -> list[str]:
-    return free_param_names(spec.kind, spec.kernel.family)
+def searched_params(bounds: dict | None, kind: str, family: str) -> list[str]:
+    """The parameters Nelder-Mead searches for a ``kind`` model with a ``family`` kernel.
+
+    These are the keys of ``bounds``, or every free parameter when it is
+    None. ValueError unless each bound names a parameter of
+    :data:`DEFAULT_BOUNDS` and is finite with lo < hi, and, for mbg and
+    hybrid, ``bounds`` is not empty and names free parameters only. A
+    gat_only model searches nothing, so its bounds are never used.
+    """
+    free = free_param_names(kind, family)
+    if bounds is None:
+        return free
+    model = f"{kind} with a {family} kernel"
+    fitted = kind != "gat_only"
+    if fitted and not bounds:
+        raise ValueError(f"bounds is empty: name one or more of {', '.join(free)} for {model}")
+    for name, (lo, hi) in bounds.items():
+        if name not in DEFAULT_BOUNDS:
+            raise ValueError(f"unknown bound name {name!r}")
+        if fitted and name not in free:
+            raise ValueError(
+                f"bounds names {name!r}, which is not a free parameter of {model} "
+                f"({', '.join(free)})"
+            )
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"bound {name!r} must be finite with lo < hi, got [{lo}, {hi}]")
+    return [n for n in free if n in bounds]
 
 
 def _spec_from_params(spec: ModelSpec, names: list[str], values: np.ndarray) -> ModelSpec:
@@ -508,6 +533,23 @@ def _start_values(spec: ModelSpec, names: list[str]) -> np.ndarray:
     return np.array(values)
 
 
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """Nelder-Mead settings: ``bounds`` maps the parameters searched to
+    ``[lo, hi]`` (None: every free one, within :data:`DEFAULT_BOUNDS`);
+    :func:`searched_params` checks them against the model."""
+
+    restarts: int = 1
+    max_iter: int = 150
+    bounds: dict[str, tuple[float, float]] | None = None
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+
+
 @dataclass
 class OptimizeResult:
     fit: FitResult
@@ -519,19 +561,17 @@ class OptimizeResult:
 def optimize_hyperparameters(
     data: Dataset,
     spec_template: ModelSpec,
-    bounds: dict[str, tuple[float, float]] | None = None,
-    restarts: int = 1,
+    optimizer: OptimizerConfig = OptimizerConfig(),
     seed: int = 0,
-    max_iter: int = 200,
 ) -> OptimizeResult:
     """Maximize the Laplace log marginal likelihood over the free parameters.
 
-    Free parameters are the keys of ``bounds`` (all the model's natural
-    parameters when ``bounds`` is None): logs of the kernel parameters plus
-    the attention (theta1, theta2) for hybrid fits. Runs Nelder-Mead from
-    the template values and ``restarts - 1`` additional seeded starts drawn
-    uniformly inside the bounds. Every evaluation lands in the trace with its
-    ``params``, ``logml``, ``newton_iterations`` and ``converged``; an
+    The parameters searched are those of :func:`searched_params`: logs of
+    the kernel parameters plus the attention (theta1, theta2) for hybrid
+    fits. Runs Nelder-Mead from the template values and ``restarts - 1``
+    additional seeded starts drawn uniformly inside the bounds. Every
+    evaluation lands in the trace with its ``params``, ``logml``,
+    ``newton_iterations`` and ``converged``; an
     evaluation whose fit failed numerically scores ``logml`` = -1e12 and
     records ``newton_iterations`` None. Each evaluation in a restart
     warm-starts from the previous one's ``a_mode``. ``result.fit`` is the
@@ -542,22 +582,10 @@ def optimize_hyperparameters(
     """
     from scipy.optimize import minimize  # only fits need it; keeps CLI start-up light
 
-    all_names = _param_names(spec_template)
-    if bounds is None:
-        names = all_names
-        box = {n: DEFAULT_BOUNDS[n] for n in names}
-    else:
-        if not bounds:
-            raise ValueError("bounds is empty: name one or more parameters, or pass None")
-        unknown = set(bounds) - set(all_names)
-        if unknown:
-            raise ValueError(f"not parameters of this model: {sorted(unknown)}")
-        names = [n for n in all_names if n in bounds]
-        box = dict(bounds)
+    names = searched_params(optimizer.bounds, spec_template.kind, spec_template.kernel.family)
+    box = optimizer.bounds or DEFAULT_BOUNDS
     lo = np.array([box[n][0] for n in names])
     hi = np.array([box[n][1] for n in names])
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
-        raise ValueError("bounds must be finite with lo < hi")
 
     builder = CovarianceBuilder(data.x, data.y, data.t)
     trace: list[dict] = []
@@ -585,7 +613,7 @@ def optimize_hyperparameters(
         })
         return -value
 
-    for restart in range(max(1, restarts)):
+    for restart in range(optimizer.restarts):
         if restart == 0:
             x0 = np.clip(_start_values(spec_template, names), lo + 1e-6, hi - 1e-6)
         else:
@@ -596,7 +624,7 @@ def optimize_hyperparameters(
             objective, x0,
             method="Nelder-Mead",
             bounds=list(zip(lo, hi)),
-            options={"maxiter": max_iter, "xatol": 2e-3, "fatol": 1e-2},
+            options={"maxiter": optimizer.max_iter, "xatol": 2e-3, "fatol": 1e-2},
         )
     _, fit, best_restart = state["best"]
     if fit is None:

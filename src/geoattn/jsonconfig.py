@@ -38,16 +38,22 @@ def typed(value, hint, key: str):
 
     ``int`` takes a JSON integer only; ``float`` any finite JSON number,
     returned as a float; ``tuple[...]`` a list, item by item and of the
-    annotated length when it is fixed; ``X | None`` also ``null``. Raises
-    ValidationFailure naming ``key``.
+    annotated length when it is fixed; ``dict[str, T]`` an object, value by
+    value; a dataclass an object, as :func:`typed_dataclass` reads it;
+    ``X | None`` also ``null``. Raises ValidationFailure naming ``key``.
     """
     args = typing.get_args(hint)
-    if typing.get_origin(hint) in (types.UnionType, typing.Union):
+    origin = typing.get_origin(hint)
+    if origin in (types.UnionType, typing.Union):
         if value is None:
             return None
         (hint,) = [a for a in args if a is not type(None)]
         return typed(value, hint, key)
-    if typing.get_origin(hint) is tuple:
+    if dataclasses.is_dataclass(hint):
+        return typed_dataclass(value, hint, key)
+    if origin is dict:
+        return {k: typed(v, args[1], f"{key}.{k}") for k, v in typed(value, dict, key).items()}
+    if origin is tuple:
         fixed = args[-1] is not Ellipsis
         if isinstance(value, list) and (not fixed or len(value) == len(args)):
             items = args if fixed else args[:1] * len(value)
@@ -66,31 +72,32 @@ def typed(value, hint, key: str):
     raise ValidationFailure(f"{key} must be {wanted}, got {json.dumps(value)}")
 
 
-def typed_kwargs(obj, cls, context: str, keys: dict[str, str]) -> dict:
-    """Checked keyword arguments of the dataclass ``cls`` from the JSON object ``obj``.
+def typed_dataclass(obj, cls, context: str, **fixed):
+    """``cls`` from a JSON object whose keys are its init fields.
 
-    ``keys`` maps each accepted JSON key to its field of ``cls``. Only the
-    keys given are returned, so ``cls`` supplies every default.
+    A field without a default is required. A field whose type is a
+    dataclass is a section, read the same way; an absent section takes its
+    defaults. The ``fixed`` fields are set by the caller and are not JSON
+    keys; a dotted name, such as ``"gat.seed"``, fixes a field of a section.
+    The ValueError of the class's own checks becomes a ValidationFailure.
     """
     if not isinstance(obj, dict):
         raise ValidationFailure(f"{context} must be a JSON object, got {json.dumps(obj)}")
-    check_keys(obj, keys, context)
+    fields = [f for f in dataclasses.fields(cls) if f.init and f.name not in fixed]
+    check_keys(obj, [f.name for f in fields], context)
     hints = typing.get_type_hints(cls)
-    return {keys[k]: typed(v, hints[keys[k]], f"{context}.{k}") for k, v in obj.items()}
-
-
-def build(cls, kwargs: dict, context: str):
-    """``cls(**kwargs)``, with the ValueError of its own checks as a ValidationFailure."""
+    kwargs = {k: v for k, v in fixed.items() if "." not in k}
+    for f in fields:
+        inner = {k.split(".", 1)[1]: v for k, v in fixed.items() if k.startswith(f"{f.name}.")}
+        if inner:
+            kwargs[f.name] = typed_dataclass(
+                obj.get(f.name, {}), hints[f.name], f"{context}.{f.name}", **inner,
+            )
+        elif f.name in obj:
+            kwargs[f.name] = typed(obj[f.name], hints[f.name], f"{context}.{f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValidationFailure(f"{context}: field {f.name!r} is required")
     try:
         return cls(**kwargs)
     except ValueError as err:
         raise ValidationFailure(f"{context}: {err}") from err
-
-
-def typed_dataclass(obj, cls, context: str, **fixed):
-    """``cls`` from a JSON object whose keys are its init fields.
-
-    The ``fixed`` fields are set by the caller and are not JSON keys.
-    """
-    keys = {f.name: f.name for f in dataclasses.fields(cls) if f.init and f.name not in fixed}
-    return build(cls, {**typed_kwargs(obj, cls, context, keys), **fixed}, context)

@@ -29,43 +29,23 @@ class PipelineModelSpec:
     name: str
     kind: str  # 'mbg' | 'gat_only' | 'hybrid'
     tag: str = ""
-    k_neighbors: int = gatv2.DEFAULT_K_NEIGHBORS
-    time_scale: float = gatv2.DEFAULT_TIME_SCALE
+    graph: gatv2.GraphConfig = field(default_factory=gatv2.GraphConfig)
     gat: gatv2.GatConfig = field(default_factory=gatv2.GatConfig)
     kernel: geostat.KernelSpec = field(default_factory=geostat.KernelSpec)
-    attn_start: attnfield.AttnHyper = field(default_factory=attnfield.AttnHyper)
-    bounds: dict | None = None
-    restarts: int = 1
-    nm_max_iter: int = 150
+    attention_start: attnfield.AttnHyper = field(default_factory=attnfield.AttnHyper)
+    optimizer: geostat.OptimizerConfig = field(default_factory=geostat.OptimizerConfig)
     n_draws: int = 2000
     level: float = 0.95
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {', '.join(MODEL_KINDS)}, got {self.kind!r}")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        if not (np.isfinite(self.time_scale) and self.time_scale >= 0):
-            raise ValueError("time_scale must be finite and >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.nm_max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
         if self.n_draws < 1:
             raise ValueError("n_draws must be >= 1")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie in (0, 1)")
-        if self.kind != "gat_only" and self.bounds is not None:
-            free = geostat.free_param_names(self.kind, self.kernel.family)
-            model = f"{self.kind} with a {self.kernel.family} kernel"
-            if not self.bounds:
-                raise ValueError(f"bounds is empty: name one or more of {', '.join(free)} for {model}")
-            for name in self.bounds:
-                if name not in free:
-                    raise ValueError(
-                        f"bounds names {name!r}, which is not a free parameter of {model} "
-                        f"({', '.join(free)})"
-                    )
+        # bad bounds are refused before anything is fitted
+        geostat.searched_params(self.optimizer.bounds, self.kind, self.kernel.family)
 
 
 def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
@@ -108,10 +88,7 @@ def train_gat(
 
     A given trained ``model`` is run on the graph instead of training one.
     """
-    graph = gatv2.build_graph(
-        joint, k_neighbors=spec.k_neighbors, time_scale=spec.time_scale,
-        train_mask=train_mask,
-    )
+    graph = gatv2.build_graph(joint, spec.graph, train_mask=train_mask)
     trace = None
     if model is None:
         config = replace(spec.gat, seed=seed)
@@ -172,15 +149,9 @@ def fit_and_predict(
             kind="hybrid",
             kernel=spec.kernel,
             offset=offsets[:n_tr],
-            attention=(train_field, spec.attn_start),
+            attention=(train_field, spec.attention_start),
         )
-    result = geostat.optimize_hyperparameters(
-        train, template,
-        bounds=spec.bounds,
-        restarts=spec.restarts,
-        seed=seed,
-        max_iter=spec.nm_max_iter,
-    )
+    result = geostat.optimize_hyperparameters(train, template, spec.optimizer, seed=seed)
     if test is None:
         pred = geostat.predict_insample(
             result.fit, n_draws=spec.n_draws, seed=seed, level=spec.level,

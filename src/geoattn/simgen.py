@@ -343,8 +343,8 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     """Dataset from a CSV written by :func:`write_dataset_csv`.
 
     Raises ValueError naming the data row (1-based, after the header) when a
-    row has the wrong number of fields or a value that does not parse, and
-    both rows when two records share an id.
+    row has the wrong number of fields or a value that does not parse or is
+    not finite, and both rows when two records share an id.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -375,7 +375,12 @@ def read_dataset_csv(path: str | Path) -> Dataset:
                 values.append(dtype(row[idx[name]]))
             except ValueError as err:
                 raise ValueError(f"dataset CSV row {k}, column {name!r}: {err}") from None
-        return np.array(values)
+        values = np.array(values)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"dataset CSV row {bad[0] + 1}, column {name!r}: "
+                             f"{rows[bad[0]][idx[name]]!r} is not finite")
+        return values
 
     ids = col("id", int)
     check_unique_ids(ids, "dataset CSV")

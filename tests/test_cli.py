@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geoattn import attnfield, cli, gatv2, geostat, simgen
+from geoattn import attnfield, cli, gatv2, geostat, pipeline, simgen
 
 
 @pytest.fixture
@@ -147,6 +149,37 @@ class TestBadInputExitsTwo:
         ])
         assert code == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, column, value", [
+        ("mbg", "cov_1", "nan"),
+        ("gat_only", "x", "inf"),
+        ("mbg", "y", "NaN"),
+        ("cv", "true_p", "nan"),
+        ("evaluate", "true_S", "-inf"),
+    ])
+    def test_non_finite_dataset_value(self, command, column, value, tmp_path, dataset_csv,
+                                      fit_config, capsys):
+        header = dataset_csv.read_text().splitlines()[0].split(",")
+
+        def poison(fields):
+            fields[header.index(column)] = value
+            return ",".join(fields)
+
+        rewrite_row(dataset_csv, 4, poison)
+        out = str(tmp_path / "out")
+        if command == "cv":
+            specs = tmp_path / "specs.json"
+            specs.write_text(json.dumps({"version": 1, "specs": [{"name": "m", "kind": "mbg"}]}))
+            argv = ["cv", "--specs", str(specs), "--k", "2"]
+        elif command == "evaluate":
+            pred = tmp_path / "pred.csv"
+            pred.write_text("id,mean,lo95,hi95,sd_linpred\n0,0.2,0.1,0.3,0.5\n")
+            argv = ["evaluate", "--pred", f"m={pred}", "--mode", "truth"]
+        else:
+            argv = ["fit", "--kind", command, "--config", str(fit_config)]
+        assert cli.main([*argv, "--dataset", str(dataset_csv), "--out", out]) == cli.EXIT_VALIDATION
+        assert f"dataset CSV row 4, column '{column}': '{value}' is not finite" \
+            in capsys.readouterr().err
 
     def test_repeated_prediction_id(self, tmp_path, dataset_csv, capsys):
         pred = tmp_path / "pred.csv"
@@ -337,6 +370,124 @@ def test_negative_seed_exits_two(where, tmp_path, dataset_csv, fit_config, monke
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, seed", [
+    ("simulate", 2**70), ("env", 2**63), ("cv", 2**64 - 1),
+])
+def test_seed_from_2_63_exits_two(where, seed, tmp_path, dataset_csv, fit_config,
+                                  monkeypatch, capsys):
+    # fold seeds seed + fold_id must fit the uint64 key of the random streams
+    out = str(tmp_path / "out")
+    if where == "simulate":
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({**SIM_CONFIG, "seed": seed}))
+        code = cli.main(["simulate", "--config", str(config), "--out", out])
+    elif where == "cv":
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"version": 1, "specs": [{"name": "m", "kind": "mbg"}]}))
+        code = cli.main(["cv", "--dataset", str(dataset_csv), "--specs", str(specs),
+                         "--k", "2", "--seed", str(seed), "--out", out])
+    else:
+        monkeypatch.setenv("GEOATTN_SEED", str(seed))
+        code = fit_mbg(dataset_csv, fit_config, out)
+    assert code == cli.EXIT_VALIDATION
+    assert f"seed must be >= 0 and < 2**63, got {seed}" in capsys.readouterr().err
+
+
+def test_cv_runs_every_fold_at_the_largest_seed(tmp_path, dataset_csv):
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps({"version": 1, "specs": [
+        {"name": "m", "kind": "mbg", "n_draws": 20, "optimizer": {"max_iter": 0}},
+    ]}))
+    out = tmp_path / "cv"
+    assert cli.main(["cv", "--dataset", str(dataset_csv), "--specs", str(specs), "--k", "3",
+                     "--seed", str(2**63 - 1), "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "cv_report.json").read_text())
+    assert report["m"]["complete"] is True
+
+
+@pytest.mark.parametrize("kind, config_kind", [
+    ("mbg", "gat_only"), ("gat_only", "mbg"), ("mbg", "mbg"),
+])
+def test_kind_key_in_fit_config_exits_two(kind, config_kind, tmp_path, dataset_csv, capsys):
+    # fit --kind sets the kind; the config may not give it a second time
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({"version": 1, "kind": config_kind}))
+    code = cli.main(["fit", "--kind", kind, "--dataset", str(dataset_csv),
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "unknown key(s) in fit config: kind" in err
+    assert "Traceback" not in err
+
+
+BAD_CV_SPECS = {
+    "no_kind": ({}, "spec 'm': field 'kind' is required"),
+    "unknown_top_key": ({"kind": "mbg", "epochs": 3}, "unknown key(s) in spec 'm': epochs"),
+    "unknown_graph_key": (
+        {"kind": "mbg", "graph": {"k": 3}}, "unknown key(s) in spec 'm'.graph: k",
+    ),
+    "seed_in_gat": ({"kind": "mbg", "gat": {"seed": 3}}, "unknown key(s) in spec 'm'.gat: seed"),
+    "unknown_kernel_key": (
+        {"kind": "mbg", "kernel": {"range": 1.0}}, "unknown key(s) in spec 'm'.kernel: range",
+    ),
+    "unknown_attention_start_key": (
+        {"kind": "hybrid", "attention_start": {"tau": 1.0}},
+        "unknown key(s) in spec 'm'.attention_start: tau",
+    ),
+    "unknown_optimizer_key": (
+        {"kind": "mbg", "optimizer": {"maxiter": 2}},
+        "unknown key(s) in spec 'm'.optimizer: maxiter",
+    ),
+    "unknown_bound_name": (
+        {"kind": "mbg", "optimizer": {"bounds": {"log_tau": [0, 1]}}},
+        "spec 'm': unknown bound name 'log_tau'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CV_SPECS))
+def test_bad_cv_spec_exits_two(case, tmp_path, dataset_csv, capsys):
+    edit, message = BAD_CV_SPECS[case]
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps({"version": 1, "specs": [{"name": "m", **edit}]}))
+    code = cli.main(["cv", "--dataset", str(dataset_csv), "--specs", str(specs),
+                     "--k", "2", "--out", str(tmp_path / "cv")])
+    assert code == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    pipeline.PipelineModelSpec(name="m", kind="hybrid"),
+    pipeline.PipelineModelSpec(
+        name="m", kind="mbg", gat=gatv2.GatConfig(seed=7),
+        optimizer=geostat.OptimizerConfig(bounds={"log_sigma2": (-3.0, 1.0)}),
+    ),
+], ids=["defaults", "seed_and_bounds"])
+def test_config_fields_round_trip_as_json_keys(spec):
+    # every field is the JSON key of its own name, except the caller-set gat.seed
+    obj = json.loads(json.dumps(asdict(spec)))
+    obj["seed"] = obj["gat"].pop("seed")
+    assert cli.parse_model_config(obj) == spec
+    sim = simgen.SimConfig()
+    assert cli.parse_sim_config(json.loads(json.dumps({"version": 1, **asdict(sim)}))) == sim
+
+
+@pytest.mark.parametrize("write", [
+    lambda out: cli.write_manifest(out, "simulate", {}, 0, {}, time.time()),
+    lambda out: out.write_text("dataset.csv", "id\n"),
+], ids=["manifest", "output"])
+def test_failed_write_leaves_no_temp_file(write, tmp_path, monkeypatch):
+    out = cli.OutputDir(tmp_path / "out")
+
+    def disk_full(path, text):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        write(out)
+    assert list(out.root.iterdir()) == []
+
+
 class TestFitArtifacts:
     def test_mbg_fit_json_records_optimizer_trace(self, tmp_path, dataset_csv, fit_config):
         out = tmp_path / "out"
@@ -450,21 +601,18 @@ class TestHybridFitMatchesInlineReference:
 
         # the hybrid fit as the command wired it before it went through the pipeline
         data = simgen.read_dataset_csv(dataset)
-        spec = cli.parse_model_config(json.loads(config.read_text()), kind="hybrid")
+        spec = cli.parse_model_config(json.loads(config.read_text()), name="hybrid", kind="hybrid")
         model, extra = gatv2.load_checkpoint(checkpoint)
-        graph = gatv2.build_graph(
-            data, k_neighbors=int(extra["k_neighbors"]), time_scale=float(extra["time_scale"]),
-        )
+        graph = gatv2.build_graph(data, gatv2.GraphConfig(
+            k_neighbors=int(extra["k_neighbors"]), time_scale=float(extra["time_scale"]),
+        ))
         preds, export, _ = gatv2.forward(model, graph)
         field = attnfield.build_field(export, len(data))
         template = geostat.ModelSpec(
             kind="hybrid", kernel=spec.kernel, offset=gatv2.logit_offset(preds),
-            attention=(field, spec.attn_start),
+            attention=(field, spec.attention_start),
         )
-        result = geostat.optimize_hyperparameters(
-            data, template, bounds=spec.bounds, restarts=spec.restarts,
-            seed=5, max_iter=spec.nm_max_iter,
-        )
+        result = geostat.optimize_hyperparameters(data, template, spec.optimizer, seed=5)
         want = geostat.predict_insample(result.fit, n_draws=spec.n_draws, seed=5, level=spec.level)
 
         got = geostat.read_prediction_csv(out / "predictions.csv")

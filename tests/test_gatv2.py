@@ -12,6 +12,7 @@ from geoattn.gatv2 import (
     AttentionExport,
     GatConfig,
     GatModel,
+    GraphConfig,
     GraphSpec,
     LayerParams,
     build_graph,
@@ -425,7 +426,7 @@ class TestTrain:
 
     def test_beats_mean_predictor_on_simulated_data(self):
         data = simgen.simulate(simgen.SimConfig(n_times=3, locs_per_time=(30, 40), seed=21))
-        graph = build_graph(data, k_neighbors=6)
+        graph = build_graph(data, GraphConfig(k_neighbors=6))
         targets = data.empirical_prevalence
         config = GatConfig(epochs=300, seed=2)
         model, trace = train(graph, targets, config)
@@ -484,7 +485,7 @@ class TestBuildGraph:
         )
 
     def test_single_node_self_loop(self):
-        graph = build_graph(self.small_dataset([0.5], [0.5]), k_neighbors=3)
+        graph = build_graph(self.small_dataset([0.5], [0.5]), GraphConfig(k_neighbors=3))
         assert graph.n_edges == 1
         assert graph.src[0] == graph.dst[0] == 0
 
@@ -495,8 +496,8 @@ class TestBuildGraph:
         data = self.small_dataset(
             [0.0, 0.5, 1.0, -0.01, 1.01], [0.0, 0.0, 0.0, 0.0, 0.0],
         )
-        a = build_graph(data, k_neighbors=1)
-        b = build_graph(data, k_neighbors=1)
+        a = build_graph(data, GraphConfig(k_neighbors=1))
+        b = build_graph(data, GraphConfig(k_neighbors=1))
         np.testing.assert_array_equal(a.src, b.src)
         np.testing.assert_array_equal(a.dst, b.dst)
         edges = set(zip(a.src.tolist(), a.dst.tolist()))
@@ -506,7 +507,7 @@ class TestBuildGraph:
     def test_in_degree_with_mutual_knn(self):
         rng = np.random.default_rng(17)
         data = self.small_dataset(rng.uniform(0, 1, 200), rng.uniform(0, 1, 200))
-        graph = build_graph(data, k_neighbors=8)
+        graph = build_graph(data, GraphConfig(k_neighbors=8))
         in_deg = np.bincount(graph.dst, minlength=200)
         assert in_deg.min() >= 9
         # brute-force oracle: each node's 8 nearest must appear as in-edges
@@ -542,13 +543,13 @@ class TestBuildGraph:
             dst += [np.full(k, i), neigh]
         want = GraphSpec(n_nodes=n, features=np.zeros((n, 1)), src=np.concatenate(src),
                          dst=np.concatenate(dst), train_mask=np.ones(n, bool))
-        got = build_graph(data, k_neighbors=k, time_scale=time_scale)
+        got = build_graph(data, GraphConfig(k_neighbors=k, time_scale=time_scale))
         np.testing.assert_array_equal(got.src, want.src)
         np.testing.assert_array_equal(got.dst, want.dst)
 
     def test_features_include_scaled_time(self):
         data = self.small_dataset([0.1, 0.2], [0.3, 0.4], t=[1, 2])
-        graph = build_graph(data, k_neighbors=1)
+        graph = build_graph(data, GraphConfig(k_neighbors=1))
         np.testing.assert_allclose(graph.features[:, -1], [0.5, 1.0])
 
     def test_requires_self_loops(self):

@@ -10,6 +10,7 @@ from geoattn.geostat import (
     CovarianceBuilder,
     KernelSpec,
     ModelSpec,
+    OptimizerConfig,
     build_design,
     laplace_fit,
     matern_cov,
@@ -230,7 +231,7 @@ class TestOptimize:
         )
         lo, hi = np.log(1e-3), np.log(9.0)
         result = optimize_hyperparameters(
-            data, template, bounds={"log_sigma2": (lo, hi)}, restarts=1, seed=0,
+            data, template, OptimizerConfig(max_iter=200, bounds={"log_sigma2": (lo, hi)}), seed=0,
         )
         grid = np.linspace(lo, hi, 200)
         builder = CovarianceBuilder(data.x, data.y, data.t)
@@ -262,7 +263,7 @@ class TestOptimize:
             ),
             design=build_design(data),
         )
-        result = optimize_hyperparameters(data, template, restarts=1, seed=1, max_iter=120)
+        result = optimize_hyperparameters(data, template, OptimizerConfig(max_iter=120), seed=1)
         k = result.fit.spec.kernel
         assert 0.125 <= k.phi_s <= 0.5
         assert k.phi_t <= 0.5
@@ -276,8 +277,9 @@ class TestOptimize:
         template = ModelSpec(
             kind="mbg", kernel=KernelSpec(family="gneiting"), design=build_design(data),
         )
-        a = optimize_hyperparameters(data, template, restarts=2, seed=5, max_iter=25)
-        b = optimize_hyperparameters(data, template, restarts=2, seed=5, max_iter=25)
+        optimizer = OptimizerConfig(restarts=2, max_iter=25)
+        a = optimize_hyperparameters(data, template, optimizer, seed=5)
+        b = optimize_hyperparameters(data, template, optimizer, seed=5)
         assert len(a.trace) == len(b.trace)
         for ra, rb in zip(a.trace, b.trace):
             assert ra["params"] == rb["params"]
@@ -291,7 +293,7 @@ class TestOptimize:
         )
         bounds = {name: geostat.DEFAULT_BOUNDS[name] for name in ("log_sigma2", "log_phi_s")}
         result = optimize_hyperparameters(
-            data, template, bounds=bounds, restarts=2, seed=5, max_iter=10,
+            data, template, OptimizerConfig(restarts=2, max_iter=10, bounds=bounds), seed=5,
         )
         best = max(result.trace, key=lambda e: e["logml"])  # the first one on ties
         assert result.fit.logml == best["logml"]
@@ -307,9 +309,9 @@ class TestOptimize:
             kind="mbg", kernel=KernelSpec(family="gneiting"), design=build_design(data),
         )
         with pytest.raises(ValueError):
-            optimize_hyperparameters(data, template, bounds={"log_rho": (0, 1)})
+            optimize_hyperparameters(data, template, OptimizerConfig(bounds={"log_rho": (0, 1)}))
         with pytest.raises(ValueError, match="bounds is empty"):
-            optimize_hyperparameters(data, template, bounds={})
+            optimize_hyperparameters(data, template, OptimizerConfig(bounds={}))
 
     def test_all_restarts_failed(self):
         data = make_data(n_times=2, locs=(5, 8), seed=1)
@@ -321,7 +323,7 @@ class TestOptimize:
         # poison the objective through non-finite bounds instead of data
         with pytest.raises(ValueError):
             optimize_hyperparameters(
-                data, template, bounds={"log_sigma2": (0.0, np.inf)},
+                data, template, OptimizerConfig(bounds={"log_sigma2": (0.0, np.inf)}),
             )
 
 
@@ -475,14 +477,14 @@ class TestFitResultMatchesInlineAlgebra:
         spec = hybrid_spec(data) if kind == "hybrid" else ModelSpec(
             kind="mbg", kernel=KernelSpec(family=family), design=build_design(data),
         )
-        assert geostat._param_names(spec) == names
+        assert geostat.free_param_names(spec.kind, spec.kernel.family) == names
 
     def test_params_round_trip_through_the_spec(self):
         from dataclasses import replace
 
         data = make_data(n_times=2, locs=(5, 6), seed=1)
         spec = hybrid_spec(data, theta1=1.5, theta2=-2.0, sigma2=0.7)
-        names = geostat._param_names(spec)
+        names = geostat.free_param_names(spec.kind, spec.kernel.family)
         values = np.array([np.log(0.7), np.log(0.3), np.log(0.6), 0.5, 4.0])
         out = geostat._spec_from_params(spec, names, values)
         k = out.kernel
@@ -660,7 +662,9 @@ class TestMatchesRefitPath:
             design=build_design(data),
         )
         bounds = {name: geostat.DEFAULT_BOUNDS[name] for name in ("log_sigma2", "log_phi_s")}
-        got = optimize_hyperparameters(data, template, bounds=bounds, max_iter=6).fit
+        got = optimize_hyperparameters(
+            data, template, OptimizerConfig(max_iter=6, bounds=bounds),
+        ).fit
         want = parent_optimize(data, template, bounds, max_iter=6)
         self.check(got, want, predict_insample(got, n_draws=300, seed=2),
                    predict_insample(want, n_draws=300, seed=2))
@@ -677,7 +681,9 @@ class TestMatchesRefitPath:
         )
         fitted, new = data.subset(np.arange(n_fit)), data.subset(np.arange(n_fit, n))
         bounds = {name: geostat.DEFAULT_BOUNDS[name] for name in ("log_sigma2", "theta2")}
-        got = optimize_hyperparameters(fitted, template, bounds=bounds, max_iter=6).fit
+        got = optimize_hyperparameters(
+            fitted, template, OptimizerConfig(max_iter=6, bounds=bounds),
+        ).fit
         want = parent_optimize(fitted, template, bounds, max_iter=6)
         preds = [predict(fit, new, n_draws=300, seed=2, new_offsets=offset[n_fit:],
                          joint_field=field) for fit in (got, want)]
@@ -696,7 +702,9 @@ class TestBetaRecovery:
                 kernel=KernelSpec(family="gneiting", sigma2=0.6, phi_s=0.25, phi_t=0.25),
                 design=build_design(data),
             )
-            result = optimize_hyperparameters(data, template, restarts=1, seed=seed, max_iter=60)
+            result = optimize_hyperparameters(
+                data, template, OptimizerConfig(max_iter=60), seed=seed,
+            )
             fit = result.fit
             true_beta = np.concatenate([[simgen.SimConfig().beta0], data.beta])
             inside = np.abs(fit.beta_hat - true_beta) <= 3 * fit.beta_sd

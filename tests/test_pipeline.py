@@ -16,15 +16,20 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 def specs():
     gat = gatv2.GatConfig(widths=(4,), epochs=3)
-    common = dict(n_draws=50, nm_max_iter=2, gat=gat)
+    common = dict(n_draws=50, gat=gat)
     return [
         pipeline.PipelineModelSpec(
-            name="mbg", kind="mbg", bounds={"log_sigma2": (-3.0, 1.0)}, **common,
+            name="mbg", kind="mbg", **common,
+            optimizer=geostat.OptimizerConfig(max_iter=2, bounds={"log_sigma2": (-3.0, 1.0)}),
         ),
         pipeline.PipelineModelSpec(
-            name="hybrid", kind="hybrid", bounds={"theta2": (-15.0, 15.0)}, **common,
+            name="hybrid", kind="hybrid", **common,
+            optimizer=geostat.OptimizerConfig(max_iter=2, bounds={"theta2": (-15.0, 15.0)}),
         ),
-        pipeline.PipelineModelSpec(name="gat_only", kind="gat_only", **common),
+        pipeline.PipelineModelSpec(
+            name="gat_only", kind="gat_only", **common,
+            optimizer=geostat.OptimizerConfig(max_iter=2),
+        ),
     ]
 
 
@@ -33,10 +38,7 @@ def reference_fit_and_predict(train, test, spec, seed=0):
     n_tr, n_te = len(train), len(test)
 
     def optimize(template):
-        return geostat.optimize_hyperparameters(
-            train, template, bounds=spec.bounds, restarts=spec.restarts,
-            seed=seed, max_iter=spec.nm_max_iter,
-        )
+        return geostat.optimize_hyperparameters(train, template, spec.optimizer, seed=seed)
 
     if spec.kind == "mbg":
         template = geostat.ModelSpec(
@@ -48,9 +50,7 @@ def reference_fit_and_predict(train, test, spec, seed=0):
     joint = pipeline.concat_datasets(train, test)
     mask = np.zeros(n_tr + n_te, dtype=bool)
     mask[:n_tr] = True
-    graph = gatv2.build_graph(
-        joint, k_neighbors=spec.k_neighbors, time_scale=spec.time_scale, train_mask=mask,
-    )
+    graph = gatv2.build_graph(joint, spec.graph, train_mask=mask)
     model, _ = gatv2.train(graph, joint.empirical_prevalence, replace(spec.gat, seed=seed))
     preds, export, _ = gatv2.forward(model, graph)
     if spec.kind == "gat_only":
@@ -61,7 +61,7 @@ def reference_fit_and_predict(train, test, spec, seed=0):
     offsets = gatv2.logit_offset(preds)
     template = geostat.ModelSpec(
         kind="hybrid", kernel=spec.kernel, offset=offsets[:n_tr],
-        attention=(train_field, spec.attn_start),
+        attention=(train_field, spec.attention_start),
     )
     result = optimize(template)
     return geostat.predict(
@@ -126,7 +126,7 @@ class TestHeldOutFitsMatchInlineReference:
     @pytest.mark.parametrize("edit, trainings", [
         ({}, 3),
         ({"gat": gatv2.GatConfig(widths=(4,), epochs=4)}, 6),
-        ({"k_neighbors": 5}, 6),
+        ({"graph": gatv2.GraphConfig(k_neighbors=5)}, 6),
     ], ids=["same_network", "other_epochs", "other_neighbors"])
     def test_cv_trains_each_network_once_per_fold(self, edit, trainings, monkeypatch):
         data, folds = self.make()
@@ -146,6 +146,27 @@ class TestHeldOutFitsMatchInlineReference:
         assert len(calls) == trainings
         # each fold trains with its own seed
         assert sorted(set(calls)) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("kind, bounds, message", [
+    ("mbg", {"theta2": (-1.0, 1.0)}, "bounds names 'theta2'"),
+    ("hybrid", {}, "bounds is empty"),
+    ("gat_only", {"log_tau": (-1.0, 1.0)}, "unknown bound name 'log_tau'"),
+    ("gat_only", {"theta2": (1.0, 1.0)}, "bound 'theta2' must be finite with lo < hi"),
+    ("mbg", {"log_sigma2": (-1.0, float("inf"))}, "bound 'log_sigma2' must be finite"),
+])
+def test_spec_checks_its_bounds(kind, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        pipeline.PipelineModelSpec(
+            name="m", kind=kind, optimizer=geostat.OptimizerConfig(bounds=bounds),
+        )
+
+
+def test_gat_only_spec_takes_any_known_bound():
+    # a gat_only fit searches no parameter, so its bounds go unused
+    optimizer = geostat.OptimizerConfig(bounds={"theta2": (-1.0, 1.0)})
+    spec = pipeline.PipelineModelSpec(name="m", kind="gat_only", optimizer=optimizer)
+    assert spec.optimizer.bounds == {"theta2": (-1.0, 1.0)}
 
 
 def test_every_traced_name_is_a_callable():
