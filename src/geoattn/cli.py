@@ -23,6 +23,13 @@ is ``simgen.SimConfig``. Two fields are set by the caller and are never
 JSON keys: ``gat.seed`` is the top-level ``seed`` (unused in a cv spec,
 since ``cv --seed`` seeds every fold), and a fit's ``kind`` is ``fit
 --kind``.
+
+Each command loads only what it runs. This module imports ``evalkit``,
+``simgen`` and ``jsonconfig`` at the top, and none of them loads scipy, so
+``simulate`` and ``--help`` run on numpy alone. ``fit`` and ``cv`` import
+``pipeline`` to read their configs, and with it ``gatv2``, ``attnfield``
+and ``geostat``, which load scipy; ``evaluate`` imports ``geostat`` to read
+prediction files.
 """
 
 from __future__ import annotations
@@ -36,18 +43,25 @@ import tempfile
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import evalkit, gatv2, geostat, pipeline, simgen
+from . import evalkit, simgen
 from .errors import GeoattnError, TooFewPoints
 from .jsonconfig import ValidationFailure, check_keys, typed, typed_dataclass
+
+if TYPE_CHECKING:
+    from . import geostat, pipeline
 
 ARTIFACT_VERSION = 1
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+# pipeline.MODEL_KINDS, spelled out so that building the parser loads no scipy
+MODEL_KINDS = ("mbg", "gat_only", "hybrid")
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +85,8 @@ def _load_json(path: str | Path, context: str) -> dict:
 
 
 def _check_version(obj: dict, context: str) -> None:
-    if obj.get("version") != 1:
+    # a JSON integer, as jsonconfig reads one: ``true`` and ``1.0`` equal 1 in Python
+    if obj.get("version") != 1 or type(obj["version"]) is not int:
         raise ValidationFailure(f"{context}: 'version' must be present and equal to 1")
 
 
@@ -87,6 +102,8 @@ def parse_sim_config(obj: dict) -> simgen.SimConfig:
 def parse_model_config(obj: dict, context: str = "fit config",
                        **fixed) -> pipeline.PipelineModelSpec:
     """The spec of a fit config or cv spec; the ``fixed`` fields are not JSON keys."""
+    from . import pipeline
+
     seed = typed(obj.get("seed", 0), int, f"{context}.seed")
     body = {k: v for k, v in obj.items() if k not in ("version", "seed")}
     return typed_dataclass(body, pipeline.PipelineModelSpec, context, **fixed, **{"gat.seed": seed})
@@ -166,21 +183,24 @@ def _input_digests(paths: list[str | Path]) -> dict[str, str]:
     return out
 
 
-def _env_seed(seed: int) -> int:
-    """The run's seed: ``GEOATTN_SEED`` when set, else ``seed``.
+def _check_seed(seed: int, key: str = "seed") -> int:
+    """``seed`` if it lies in [0, 2**63), so that every fold seed ``seed +
+    fold_id`` fits the uint64 key of ``numkit.RngStream``."""
+    if not 0 <= seed < 2**63:
+        raise ValidationFailure(f"{key} must be >= 0 and < 2**63, got {seed}")
+    return seed
 
-    It lies in [0, 2**63), so every fold seed ``seed + fold_id`` fits the
-    uint64 key of ``numkit.RngStream``.
-    """
+
+def _env_seed(seed: int) -> int:
+    """The run's seed, checked by :func:`_check_seed`: ``GEOATTN_SEED`` when
+    set, else ``seed``."""
     override = os.environ.get("GEOATTN_SEED")
     if override is not None:
         try:
             seed = int(override)
         except ValueError as err:
             raise ValidationFailure("GEOATTN_SEED must be an integer") from err
-    if not 0 <= seed < 2**63:
-        raise ValidationFailure(f"seed must be >= 0 and < 2**63, got {seed}")
-    return seed
+    return _check_seed(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +298,8 @@ def _optimizer_block(result: geostat.OptimizeResult) -> dict:
 
 
 def cmd_fit(args) -> int:
+    from . import gatv2, geostat, pipeline
+
     started = time.time()
     raw = _load_json(args.config, "fit config")
     _check_version(raw, "fit config")
@@ -359,6 +381,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import geostat
+
     started = time.time()
     if args.mode not in ("truth", "empirical"):
         raise ValidationFailure("mode must be 'truth' or 'empirical'")
@@ -430,7 +454,14 @@ def cmd_cv(args) -> int:
         name = entry.get("name")
         if not name:
             raise ValidationFailure(f"spec #{i}: field 'name' is required")
-        specs.append(parse_model_config(entry, context=f"spec {name!r}"))
+        context = f"spec {name!r}"
+        # a spec entry may carry a fit config's version and seed; the seed is
+        # unused, since cv --seed seeds every fold, but both are checked
+        if "version" in entry:
+            _check_version(entry, context)
+        spec = parse_model_config(entry, context=context)
+        _check_seed(spec.gat.seed, f"{context}.seed")
+        specs.append(spec)
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ValidationFailure("duplicate spec names in the spec list")
@@ -496,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one model on a dataset (in-sample predictions)")
     p.add_argument("--dataset", required=True, help="dataset CSV")
-    p.add_argument("--kind", required=True, choices=pipeline.MODEL_KINDS)
+    p.add_argument("--kind", required=True, choices=MODEL_KINDS)
     p.add_argument("--config", required=True, help="fit config JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--gat-checkpoint", help="checkpoint from a gat_only fit (hybrid)")

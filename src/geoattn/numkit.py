@@ -5,6 +5,12 @@ Everything here is dense and double precision. The largest problems this
 package produces stay near 3,000 points, where O(n^3) factorizations are
 cheap, so no sparse or iterative machinery is used; power iteration is kept
 for the benchmark's tracer only.
+
+scipy is imported inside the routines that call its LAPACK and BLAS
+wrappers (``cholesky``, ``solve_chol``, ``syrk``), so importing this module
+loads numpy alone. ``mvn_sample``, the simulator's one factorization, uses
+numpy's own LAPACK, so ``geoattn simulate`` never loads scipy; ``fit``,
+``cv`` and ``evaluate`` do.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas as _blas
-from scipy.linalg import lapack as _lapack
 
 from .errors import NonConvergence, NotPositiveDefinite
 
@@ -65,6 +69,19 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _jittered(a: np.ndarray, jitter: float, overwrite_a: bool = False) -> np.ndarray:
+    """Square ``a`` + jitter * I, Fortran-ordered: ``a`` itself if ``overwrite_a``
+    is set and ``a`` is Fortran-ordered, else a copy."""
+    a = _as_square(a)
+    if jitter < 0:
+        raise ValueError("jitter must be >= 0")
+    if not (overwrite_a and a.flags.f_contiguous):
+        a = np.array(a, order="F")
+    if jitter:
+        a[np.diag_indices_from(a)] += jitter
+    return a
+
+
 def cholesky(a: np.ndarray, jitter: float = 0.0, overwrite_a: bool = False) -> np.ndarray:
     """Lower-triangular L with L @ L.T == a + jitter * I.
 
@@ -75,14 +92,10 @@ def cholesky(a: np.ndarray, jitter: float = 0.0, overwrite_a: bool = False) -> n
     ``a`` is already Fortran-ordered: then it is factored in place and the
     returned factor is ``a`` itself.
     """
-    a = _as_square(a)
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
-    if not (overwrite_a and a.flags.f_contiguous):
-        a = np.array(a, order="F")
-    if jitter:
-        a[np.diag_indices_from(a)] += jitter
-    c, info = _lapack.dpotrf(a, lower=1, clean=1, overwrite_a=True)
+    from scipy.linalg import lapack
+
+    a = _jittered(a, jitter, overwrite_a)
+    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=True)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
     if info < 0:  # pragma: no cover - argument errors are caught above
@@ -92,9 +105,11 @@ def cholesky(a: np.ndarray, jitter: float = 0.0, overwrite_a: bool = False) -> n
 
 def solve_chol(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve using a pre-computed lower Cholesky factor."""
+    from scipy.linalg import lapack
+
     b = np.asarray(b, dtype=float)
     vector_rhs = b.ndim == 1
-    x, info = _lapack.dpotrs(factor, b.reshape(b.shape[0], -1), lower=1)
+    x, info = lapack.dpotrs(factor, b.reshape(b.shape[0], -1), lower=1)
     if info != 0:  # pragma: no cover
         raise ValueError(f"dpotrs failed with info={info}")
     return x[:, 0] if vector_rhs else x
@@ -124,12 +139,14 @@ def syrk(a: np.ndarray, alpha: float = 1.0, out: np.ndarray | None = None) -> np
     written into ``out`` itself when ``out`` is C-ordered, so no n x n
     temporary is made.
     """
+    from scipy.linalg import blas
+
     if out is None:
-        c = _blas.dsyrk(alpha, a, lower=0)
+        c = blas.dsyrk(alpha, a, lower=0)
     else:
         # out.T of a C-ordered out is Fortran-ordered, so dsyrk writes its
         # lower triangle, the upper triangle of out, in place
-        c = _blas.dsyrk(alpha, a, beta=1.0, c=out.T, lower=1, overwrite_c=1).T
+        c = blas.dsyrk(alpha, a, beta=1.0, c=out.T, lower=1, overwrite_c=1).T
     return _mirror_upper(c)
 
 
@@ -221,9 +238,17 @@ def mvn_sample(
     """One draw from N(mean, cov + jitter * I) as mean + L @ z.
 
     Deterministic given the rng state: consumes exactly ``len(mean)``
-    standard normals.
+    standard normals. The factor comes from numpy's LAPACK, which reports
+    no pivot; if it fails, :func:`cholesky` refactors to raise
+    :class:`NotPositiveDefinite` with the offending row.
     """
     mean = np.asarray(mean, dtype=float)
-    factor = cholesky(cov, jitter)
+    a = _jittered(cov, jitter)
+    try:
+        # column-major, as cholesky returns it: factor @ z then runs the same
+        # BLAS kernel, so equal factors give bit-equal draws
+        factor = np.asfortranarray(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        factor = cholesky(a)
     z = rng.standard_normal(mean.shape[0])
     return mean + factor @ z

@@ -4,6 +4,10 @@ Generates datasets on the unit square over discrete time points: covariates
 split into nonlinear-spatial / temporal / noise groups, a latent Gaussian
 field with a non-separable space-time exponential covariance, and binomial
 sampling of observed case counts. Everything is seeded and replayable.
+
+This module, and ``geoattn simulate`` with it, runs on numpy alone: the
+latent draw factors its covariance with numpy's LAPACK
+(``numkit.mvn_sample``), and scipy is never imported.
 """
 
 from __future__ import annotations

@@ -45,6 +45,44 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# runs the CLI as ``python -m geoattn.cli`` does, then prints the scipy modules loaded
+_SCIPY_PROBE = """
+import json, runpy, sys
+sys.argv[0] = "geoattn"
+try:
+    runpy.run_module("geoattn.cli", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "help"])
+def test_simulate_and_help_load_no_scipy(command, tmp_path):
+    # the simulator factors with numpy's LAPACK; only fits and evaluate need scipy
+    src = Path(__file__).resolve().parent.parent / "src"
+    if command == "help":
+        argv = ["--help"]
+    else:
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"version": 1, "seed": 3, "n_times": 2,
+                                      "locs_per_time": [10, 10]}))
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    if command == "simulate":
+        assert (tmp_path / "sim" / "dataset.csv").is_file()
+
+
+def test_parser_kinds_are_the_pipeline_kinds():
+    assert cli.MODEL_KINDS == pipeline.MODEL_KINDS
+
+
 def rewrite_row(path, row, edit):
     lines = path.read_text().splitlines()
     lines[row] = edit(lines[row].split(","))
@@ -405,6 +443,19 @@ def test_cv_runs_every_fold_at_the_largest_seed(tmp_path, dataset_csv):
     assert report["m"]["complete"] is True
 
 
+def test_cv_spec_with_a_fit_config_version_and_seed_runs(tmp_path, dataset_csv):
+    # the benchmark writes every cv spec entry as a fit config plus name and kind
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps({"version": 1, "specs": [
+        {"version": 1, "seed": 1, "n_draws": 20, "optimizer": {"max_iter": 0},
+         "name": "m", "kind": "mbg"},
+    ]}))
+    out = tmp_path / "cv"
+    assert cli.main(["cv", "--dataset", str(dataset_csv), "--specs", str(specs), "--k", "2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "cv_report.json").read_text())["m"]["complete"] is True
+
+
 @pytest.mark.parametrize("kind, config_kind", [
     ("mbg", "gat_only"), ("gat_only", "mbg"), ("mbg", "mbg"),
 ])
@@ -442,6 +493,11 @@ BAD_CV_SPECS = {
         {"kind": "mbg", "optimizer": {"bounds": {"log_tau": [0, 1]}}},
         "spec 'm': unknown bound name 'log_tau'",
     ),
+    # a spec entry's version and seed are checked as a fit config's are
+    "version_99": ({"kind": "mbg", "version": 99}, "spec 'm': 'version' must be present and equal to 1"),
+    "version_true": ({"kind": "mbg", "version": True}, "spec 'm': 'version' must be present and equal to 1"),
+    "negative_seed": ({"kind": "mbg", "seed": -5}, "spec 'm'.seed must be >= 0 and < 2**63, got -5"),
+    "seed_2_63": ({"kind": "mbg", "seed": 2**63}, f"spec 'm'.seed must be >= 0 and < 2**63, got {2**63}"),
 }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geoattn import numkit
+from geoattn import numkit, simgen
 from geoattn.errors import NonConvergence, NotPositiveDefinite
 
 
@@ -195,3 +195,28 @@ class TestMvnSample:
         ])
         emp = np.cov(draws.T)
         assert np.abs(emp - cov).max() <= 0.08
+
+    def test_indefinite_reports_pivot_row(self):
+        # numpy's factor names no pivot; the error still does
+        with pytest.raises(NotPositiveDefinite) as exc:
+            numkit.mvn_sample(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                              numkit.RngStream(0, 0))
+        assert exc.value.row == 1
+
+    def test_factor_matches_cholesky_on_a_gneiting_kernel(self):
+        class Columns:
+            """A stream whose draw is the identity, so mvn_sample returns its factor."""
+
+            def standard_normal(self, n):
+                return np.eye(n)
+
+        rng = numkit.RngStream(11, 0)
+        x, y = rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 1.0, 400)
+        t = np.repeat(np.arange(1, 11), 40)
+        cfg = simgen.SimConfig()
+        sigma = simgen.gneiting_cov(*simgen.pair_distances(x, y, t), cfg.phi_s, cfg.phi_t, cfg.gamma)
+        jitter = numkit.DEFAULT_KERNEL_JITTER
+        factor = numkit.mvn_sample(np.zeros(400), sigma, Columns(), jitter=jitter)
+        want = numkit.cholesky(sigma, jitter)
+        assert np.linalg.norm(factor - want) <= 1e-12 * np.linalg.norm(want)
+        np.testing.assert_array_equal(np.triu(factor, 1), 0.0)
