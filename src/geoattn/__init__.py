@@ -3,8 +3,8 @@
 Importing the package loads none of its submodules; ``from geoattn import
 geostat`` loads that module and what it imports. Only the fitting modules
 (``numkit``'s factor routines, ``gatv2``, ``attnfield``, ``geostat`` and
-``pipeline``) load scipy, so ``geoattn simulate`` and ``geoattn --help`` run
-on numpy alone (see ``geoattn.cli``).
+``pipeline``) load scipy, so ``geoattn simulate``, ``geoattn evaluate`` and
+``geoattn --help`` run on numpy alone (see ``geoattn.cli``).
 """
 
 __version__ = "0.1.0"

@@ -55,9 +55,12 @@ class AttentionField:
     degrees: np.ndarray  # (n,) row sums of w_sym
     c: np.ndarray        # scaled Laplacian L / median(degrees)
     lam_max: float
-    degenerate: bool = False
-    # eigh(c); fields from build_field and restrict_field always carry it
-    c_eigh: tuple[np.ndarray, np.ndarray] | None = None
+    c_eigh: tuple[np.ndarray, np.ndarray]  # eigh(c)
+
+    @property
+    def degenerate(self) -> bool:
+        """No positive spectrum to scale by: Q falls back to tau * I."""
+        return self.lam_max <= 0.0
 
 
 def symmetrize(export: AttentionExport, n_nodes: int) -> np.ndarray:
@@ -104,7 +107,6 @@ def _field(w_sym: np.ndarray) -> AttentionField:
         degrees=degrees,
         c=c,
         lam_max=lam_max,
-        degenerate=lam_max <= 0.0,
         c_eigh=c_eigh,
     )
 
@@ -127,14 +129,14 @@ def precision(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
     """
     tau, beta = hyper.tau, hyper.beta
     eye = np.eye(field.n_nodes)
-    if field.lam_max <= 0.0 or field.degenerate:
+    if field.degenerate:
         return tau * eye
     return tau * (eye - (beta / field.lam_max) * field.c)
 
 
 def covariance(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
     """Q(tau, beta)^{-1} from the eigendecomposition of C; I / tau when degenerate."""
-    if field.lam_max <= 0.0 or field.degenerate:
+    if field.degenerate:
         return (1.0 / hyper.tau) * np.eye(field.n_nodes)
     lam, vec = field.c_eigh
     q_eigs = hyper.tau * (1.0 - hyper.beta * lam / field.lam_max)

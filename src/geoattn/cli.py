@@ -26,10 +26,9 @@ since ``cv --seed`` seeds every fold), and a fit's ``kind`` is ``fit
 
 Each command loads only what it runs. This module imports ``evalkit``,
 ``simgen`` and ``jsonconfig`` at the top, and none of them loads scipy, so
-``simulate`` and ``--help`` run on numpy alone. ``fit`` and ``cv`` import
-``pipeline`` to read their configs, and with it ``gatv2``, ``attnfield``
-and ``geostat``, which load scipy; ``evaluate`` imports ``geostat`` to read
-prediction files.
+``simulate``, ``evaluate`` and ``--help`` run on numpy alone. ``fit`` and
+``cv`` import ``pipeline`` to read their configs, and with it ``gatv2``,
+``attnfield`` and ``geostat``, which load scipy.
 """
 
 from __future__ import annotations
@@ -289,16 +288,18 @@ def _load_dataset(path: str) -> simgen.Dataset:
 
 
 def _optimizer_block(result: geostat.OptimizeResult) -> dict:
-    """The optimizer record of fit.json, with one trace entry per evaluation."""
+    """The optimizer record of fit.json, with one entry per restart and one
+    trace entry per evaluation."""
     return {
         "n_evaluations": result.n_evaluations,
         "best_restart": result.best_restart,
+        "restarts": result.restarts,
         "trace": result.trace,
     }
 
 
 def cmd_fit(args) -> int:
-    from . import gatv2, geostat, pipeline
+    from . import gatv2, pipeline
 
     started = time.time()
     raw = _load_json(args.config, "fit config")
@@ -367,7 +368,8 @@ def cmd_fit(args) -> int:
         summary = run.optimize.fit.summary()
         summary["optimizer"] = _optimizer_block(run.optimize)
         out.write_json("fit.json", summary)
-        extra["converged"] = bool(run.optimize.fit.converged)
+        extra["newton_converged"] = bool(run.optimize.fit.converged)
+        extra["search_converged"] = run.optimize.search_converged
     if args.kind == "hybrid":
         field = run.field
         out.write("attention.csv", lambda p: gatv2.write_attention_csv(gat.export, p))
@@ -375,14 +377,12 @@ def cmd_fit(args) -> int:
             out.write("field_structure.csv", lambda p: np.savetxt(p, field.c, delimiter=","))
             out.write("field_degrees.csv", lambda p: np.savetxt(p, field.degrees, delimiter=","))
         extra["lambda_max"] = field.lam_max
-    out.write("predictions.csv", lambda p: geostat.write_prediction_csv(run.prediction, p))
+    out.write("predictions.csv", lambda p: evalkit.write_prediction_csv(run.prediction, p))
     write_manifest(out, f"fit:{args.kind}", raw, seed, inputs, started, extra=extra)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    from . import geostat
-
     started = time.time()
     if args.mode not in ("truth", "empirical"):
         raise ValidationFailure("mode must be 'truth' or 'empirical'")
@@ -415,7 +415,7 @@ def cmd_evaluate(args) -> int:
     csv_rows = [evalkit.METRICS_CSV_HEADER]
     for name, path in pred_specs:
         try:
-            pred = geostat.read_prediction_csv(path)
+            pred = evalkit.read_prediction_csv(path)
         except (OSError, ValueError) as err:
             raise ValidationFailure(f"cannot load predictions {path}: {err}") from err
         try:

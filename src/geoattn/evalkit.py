@@ -1,4 +1,8 @@
-"""Evaluation metrics, spatial clustering, and the cross-validation driver."""
+"""Predictions and their CSV files, evaluation metrics, spatial clustering
+and spatial cross-validation.
+
+This module loads numpy alone, so ``geoattn evaluate`` runs without scipy.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +15,76 @@ import numpy as np
 
 from .errors import LengthMismatch, TooFewPoints, ZeroVariance
 from .numkit import RngStream
-from .simgen import Dataset
+from .simgen import Dataset, check_unique_ids
 
 _STREAM_KMEANS = 301  # stream id reserved for clustering initialization
 
+
+# ---------------------------------------------------------------------------
+# Predictions
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Prediction:
+    """Per-record predictive summaries of prevalence."""
+
+    ids: np.ndarray
+    mean: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    sd_linpred: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def write_prediction_csv(pred: Prediction, path: str | Path) -> None:
+    lines = ["id,mean,lo95,hi95,sd_linpred"]
+    for i in range(len(pred)):
+        lines.append(
+            f"{int(pred.ids[i])},{repr(float(pred.mean[i]))},{repr(float(pred.lo[i]))},"
+            f"{repr(float(pred.hi[i]))},{repr(float(pred.sd_linpred[i]))}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_prediction_csv(path: str | Path) -> Prediction:
+    """Prediction from a CSV written by :func:`write_prediction_csv`.
+
+    Raises ValueError naming the data row (1-based, after the header) that
+    has the wrong number of fields, a value that does not parse, a
+    non-finite value or lo95 > hi95, and both rows when two rows share an id.
+    """
+    rows = Path(path).read_text().strip().splitlines()
+    if not rows or rows[0] != "id,mean,lo95,hi95,sd_linpred":
+        raise ValueError("not a prediction CSV")
+    if len(rows) == 1:
+        raise ValueError("prediction CSV has no rows")
+    ids = np.empty(len(rows) - 1, dtype=int)
+    data = np.empty((len(rows) - 1, 4))
+    for k, row in enumerate(rows[1:], start=1):
+        fields = row.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"prediction CSV row {k} has {len(fields)} fields, expected 5")
+        try:
+            ids[k - 1] = int(fields[0])
+            data[k - 1] = [float(v) for v in fields[1:]]
+        except ValueError as err:
+            raise ValueError(f"prediction CSV row {k}: {err}") from None
+        if not np.all(np.isfinite(data[k - 1])):
+            raise ValueError(f"prediction CSV row {k} has a non-finite value")
+        if data[k - 1, 1] > data[k - 1, 2]:
+            raise ValueError(f"prediction CSV row {k} has lo95 > hi95")
+    check_unique_ids(ids, "prediction CSV")
+    return Prediction(
+        ids=ids, mean=data[:, 0], lo=data[:, 1],
+        hi=data[:, 2], sd_linpred=data[:, 3],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Metrics
+# ---------------------------------------------------------------------------
 
 def _paired(pred, truth):
     pred = np.asarray(pred, dtype=float)

@@ -12,9 +12,9 @@ functions read everything from it. Hybrid prediction conditions on a joint
 attention field whose nodes are the fitted records, then the new ones.
 
 The fit works on the combined zero-mean latent u = D beta + S + A (only the
-blocks a model kind declares). The likelihood touches the latent state only
-through eta = offset + u, so fixed effects and both random fields can be
-marginalized into a single n-dimensional Gaussian prior with covariance
+blocks a :class:`ModelSpec` declares). The likelihood touches the latent
+state only through eta = offset + u, so fixed effects and both random fields
+can be marginalized into a single n-dimensional Gaussian prior with covariance
 Sigma_u = sd^2 D D' + Sigma_S + Q^{-1}. The inner Newton solver follows the
 standard B = I + W^{1/2} Sigma W^{1/2} reformulation, which stays stable
 when Sigma_u is nearly singular, and searches in a = Sigma_u^{-1} u
@@ -22,9 +22,10 @@ when Sigma_u is nearly singular, and searches in a = Sigma_u^{-1} u
 summary factors Sigma_u: a warm start takes u = Sigma_u a, and the posterior
 covariance of u and the posterior sd of beta each come from one triangular
 solve with the factor of B. Only :func:`predict` factors Sigma_u, for the
-conditionals beta | u (mbg) and S | u (hybrid) by which it recovers the
-component posteriors (beta, S, A) exactly from draws of u. It builds them
-on each call; a :class:`FitResult` is frozen and holds no cache.
+one Gaussian conditional of the model's first block given u (beta for mbg,
+S for the hybrid); the second block is u minus the first, so the component
+posteriors come exactly from draws of u. It builds the conditional on each
+call; a :class:`FitResult` is frozen and holds no cache.
 
 The hyperparameter search keeps the fit of its best evaluation, so the
 model it returns is never fitted twice.
@@ -32,9 +33,9 @@ model it returns is never fitted twice.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -48,14 +49,17 @@ from .errors import (
     NotPositiveDefinite,
     UnsupportedSmoothness,
 )
+from .evalkit import Prediction
 from .numkit import DEFAULT_KERNEL_JITTER, RngStream, cholesky, solve_chol, syrk
-from .simgen import Dataset, check_unique_ids, gneiting_cov, logistic, pair_distances
+from .simgen import Dataset, gneiting_cov, logistic, pair_distances
 
-DEFAULT_FIXED_EFFECT_SD = math.sqrt(1000.0)
+FIXED_EFFECT_SD = math.sqrt(1000.0)  # prior sd of each fixed effect in beta
 
 NEWTON_MAX_ITER = 100
 
 _STREAM_PREDICT = 201  # stream id reserved for predictive draws
+
+_log = logging.getLogger("geoattn")
 
 
 # ---------------------------------------------------------------------------
@@ -151,28 +155,25 @@ class CovarianceBuilder:
 
 @dataclass
 class ModelSpec:
-    """Which latent blocks an mbg or hybrid model carries and their prior parameters."""
+    """The latent blocks of a model and their prior parameters: the kernel's
+    field S, plus fixed effects D beta (``design``, with its intercept
+    column; mbg) or the attention field A and the network's logit-scale
+    ``offset`` (hybrid). The blocks decide the model's :attr:`kind`."""
 
-    kind: str
-    kernel: KernelSpec | None = None
-    design: np.ndarray | None = None          # (n, q) incl. intercept column; mbg only
-    offset: np.ndarray | None = None          # logit-scale fixed offset; hybrid only
-    attention: tuple[AttentionField, AttnHyper] | None = None  # hybrid only
-    fixed_effect_sd: float = DEFAULT_FIXED_EFFECT_SD
+    kernel: KernelSpec
+    design: np.ndarray | None = None
+    offset: np.ndarray | None = None
+    attention: tuple[AttentionField, AttnHyper] | None = None
 
     def __post_init__(self):
-        if self.kind == "mbg":
-            if self.design is None or self.kernel is None:
-                raise ValueError("mbg needs a design matrix and a kernel")
-            if self.offset is not None or self.attention is not None:
-                raise ValueError("mbg takes neither offset nor attention")
-        elif self.kind == "hybrid":
-            if self.offset is None or self.attention is None or self.kernel is None:
-                raise ValueError("hybrid needs offset, attention and a kernel")
-            if self.design is not None:
-                raise ValueError("hybrid carries no design matrix")
-        else:
-            raise ValueError(f"unknown model kind {self.kind!r}; geostat fits mbg and hybrid")
+        if (self.design is None) == (self.attention is None):
+            raise ValueError("a model carries exactly one of design (mbg) and attention (hybrid)")
+        if (self.offset is None) != (self.attention is None):
+            raise ValueError("an offset comes with attention, and only with it")
+
+    @property
+    def kind(self) -> str:
+        return "hybrid" if self.attention is not None else "mbg"
 
 
 def build_design(data: Dataset) -> np.ndarray:
@@ -239,20 +240,12 @@ class FitResult:
         x_t = _blas.dtrsm(1.0, self.chol_b, x_t, side=1, lower=1, trans_a=1, overwrite_b=1)
         return syrk(x_t, alpha=-1.0, out=self.sigma_u.copy())
 
-    def beta_given_u(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R, C) of beta | u ~ N(R u, C) for mbg: R = sd2 D' Sigma_u^-1, C = sd2 (I - R D)."""
-        sd2 = self.spec.fixed_effect_sd ** 2
-        d = self.spec.design
-        siu_d = solve_chol(cholesky(self.sigma_u, jitter=1e-10), d)
-        c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
-        return sd2 * siu_d.T, c_beta
-
     @property
     def beta_hat(self) -> np.ndarray | None:
         """Posterior mean of the fixed effects, sd2 D' a_mode (= R u_mode); None for hybrid."""
         if self.spec.design is None:
             return None
-        return self.spec.fixed_effect_sd ** 2 * (self.spec.design.T @ self.a_mode)
+        return FIXED_EFFECT_SD ** 2 * (self.spec.design.T @ self.a_mode)
 
     @property
     def beta_sd(self) -> np.ndarray | None:
@@ -265,7 +258,7 @@ class FitResult:
         d = self.spec.design
         if d is None:
             return None
-        sd2 = self.spec.fixed_effect_sd ** 2
+        sd2 = FIXED_EFFECT_SD ** 2
         x = solve_triangular(self.chol_b, self.sq_w[:, None] * d, lower=True)
         return np.sqrt(np.maximum(sd2 - sd2 ** 2 * np.sum(x * x, axis=0), 0.0))
 
@@ -348,9 +341,9 @@ def laplace_fit(
     if sigma_builder is None:
         sigma_builder = CovarianceBuilder(data.x, data.y, data.t)
     sigma_u = sigma_builder(spec.kernel)  # Sigma_S, then the other blocks in place
-    if spec.kind == "mbg":
-        sigma_u = syrk(spec.design, alpha=spec.fixed_effect_sd ** 2, out=sigma_u)
-    else:
+    if spec.design is not None:
+        sigma_u = syrk(spec.design, alpha=FIXED_EFFECT_SD ** 2, out=sigma_u)
+    if spec.attention is not None:
         sigma_u += attention_cov(*spec.attention)
     # numerical nugget: kernel matrices on near-duplicate points are singular
     sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
@@ -556,6 +549,12 @@ class OptimizeResult:
     trace: list[dict]
     best_restart: int
     n_evaluations: int
+    restarts: list[dict]  # per restart: scipy's converged, status, message, iterations
+
+    @property
+    def search_converged(self) -> bool:
+        """Whether the restart that holds the best evaluation converged."""
+        return self.restarts[self.best_restart]["converged"]
 
 
 def optimize_hyperparameters(
@@ -579,6 +578,10 @@ def optimize_hyperparameters(
     one on ties), kept as it was fitted: its ``spec`` is the best spec and
     it is the fitted model to summarize and predict from. Nelder-Mead's
     best point is always one it has evaluated, so no refit is needed.
+    ``result.restarts`` keeps, for each restart, whether scipy's search
+    converged, its status and message and its iteration count; a restart
+    that stops short, such as at ``max_iter``, logs a warning on the
+    ``geoattn`` logger.
     """
     from scipy.optimize import minimize  # only fits need it; keeps CLI start-up light
 
@@ -589,6 +592,7 @@ def optimize_hyperparameters(
 
     builder = CovarianceBuilder(data.x, data.y, data.t)
     trace: list[dict] = []
+    restarts: list[dict] = []
     # "a" warm-starts the next evaluation; "best" is (logml, fit, restart)
     # of the best evaluation so far
     state: dict = {"a": None, "restart": 0, "best": (-np.inf, None, 0)}
@@ -620,12 +624,19 @@ def optimize_hyperparameters(
             rng = RngStream(seed, 1000 + restart)
             x0 = rng.uniform(lo, hi)
         state["a"], state["restart"] = None, restart
-        minimize(
+        res = minimize(
             objective, x0,
             method="Nelder-Mead",
             bounds=list(zip(lo, hi)),
             options={"maxiter": optimizer.max_iter, "xatol": 2e-3, "fatol": 1e-2},
         )
+        restarts.append({
+            "converged": bool(res.success), "status": int(res.status),
+            "message": str(res.message), "iterations": int(res.nit),
+        })
+        if not res.success:
+            _log.warning("Nelder-Mead restart %d stopped without converging after %d "
+                         "iterations: %s", restart, res.nit, res.message)
     _, fit, best_restart = state["best"]
     if fit is None:
         raise AllRestartsFailed("no restart produced a finite marginal likelihood")
@@ -635,26 +646,13 @@ def optimize_hyperparameters(
         trace=trace,
         best_restart=best_restart,
         n_evaluations=len(trace),
+        restarts=restarts,
     )
 
 
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Prediction:
-    """Per-record predictive summaries of prevalence."""
-
-    ids: np.ndarray
-    mean: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    sd_linpred: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 def _summarize_draws(ids, eta_draws: np.ndarray, level: float) -> Prediction:
     p_draws = logistic(eta_draws)
@@ -701,24 +699,34 @@ def predict(
 ) -> Prediction:
     """Joint-conditioning prediction at new records.
 
-    The spatial field is kriged from its posterior draws at the fitted
-    records. For mbg the fixed effects are drawn from beta | u
-    (``fit.beta_given_u``). For hybrid fits
-    ``new_offsets`` supplies the new records' logit-scale offsets and the
-    attention process is conditioned through the precision of
+    The model's first block f of u (beta for mbg, S for the hybrid) is
+    drawn from its Gaussian conditional given the posterior draws of u,
+    N(r u, Cov(f) - r Cov(u, f)) with r = Cov(f, u) Sigma_u^{-1}; the second
+    block (S = u - D beta, or A = u - S) is the rest of u. The spatial
+    field is then kriged from its draws at the fitted records. For hybrid
+    fits ``new_offsets`` supplies the new records' logit-scale offsets and
+    the attention process is conditioned through the precision of
     ``joint_field``, the graph over the fitted records and then
     ``new_data``'s, each in order (the layout ``pipeline.concat_datasets``
     builds).
     """
-    data = fit.data
+    spec, data = fit.spec, fit.data
     n_obs = len(data)
     n_new = len(new_data)
+    if spec.attention is not None:
+        if new_offsets is None or joint_field is None:
+            raise ValueError("hybrid prediction needs new_offsets and joint_field")
+        if joint_field.n_nodes != n_obs + n_new:
+            raise ValueError(
+                f"joint_field has {joint_field.n_nodes} nodes, expected "
+                f"{n_obs} fitted + {n_new} new records"
+            )
     rng = RngStream(seed, _STREAM_PREDICT)
 
     u_draws = _draw_u(fit, n_draws, rng)
 
     # spatial field: component draws at observed points, then kriging
-    kernel = fit.spec.kernel
+    kernel = spec.kernel
     sigma_s = CovarianceBuilder(data.x, data.y, data.t)(kernel)  # the fit's, to the bit
     k_cross = CovarianceBuilder(new_data.x, new_data.y, new_data.t, data.x, data.y, data.t)(kernel)
     k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(kernel)
@@ -727,30 +735,24 @@ def predict(
     cond_cov = k_new - krig @ k_cross.T
     chol_cond = cholesky(cond_cov, jitter=DEFAULT_KERNEL_JITTER)
 
-    if fit.spec.kind == "mbg":
-        r_beta, c_beta = fit.beta_given_u()
-        q = len(c_beta)
-        chol_cbeta = cholesky(c_beta, jitter=1e-12)
-        beta_draws = r_beta @ u_draws + chol_cbeta @ rng.standard_normal((q, n_draws))
-        s_draws = u_draws - fit.spec.design @ beta_draws
-        eta_new = build_design(new_data) @ beta_draws
+    # Cov(u, f), Cov(f) and the jitter of f's conditional covariance, per block
+    if spec.design is not None:
+        sd2 = FIXED_EFFECT_SD ** 2
+        cov_uf, cov_f, jitter = sd2 * spec.design, sd2 * np.eye(spec.design.shape[1]), 1e-12
     else:
-        if new_offsets is None or joint_field is None:
-            raise ValueError("hybrid prediction needs new_offsets and joint_field")
-        if joint_field.n_nodes != n_obs + n_new:
-            raise ValueError(
-                f"joint_field has {joint_field.n_nodes} nodes, expected "
-                f"{n_obs} fitted + {n_new} new records"
-            )
-        r_s = solve_chol(cholesky(fit.sigma_u, jitter=1e-10), sigma_s).T  # Sigma_S Sigma_u^{-1}
-        c_s = sigma_s - r_s @ sigma_s
-        chol_cs = cholesky(c_s, jitter=1e-10)
-        s_draws = r_s @ u_draws + chol_cs @ rng.standard_normal((n_obs, n_draws))
-        a_draws = u_draws - s_draws
+        cov_uf, cov_f, jitter = sigma_s, sigma_s, 1e-10
+    r = solve_chol(cholesky(fit.sigma_u, jitter=1e-10), cov_uf).T
+    chol_c = cholesky(cov_f - r @ cov_uf, jitter=jitter)
+    f_draws = r @ u_draws + chol_c @ rng.standard_normal((len(cov_f), n_draws))
 
-        q_joint = precision(joint_field, fit.spec.attention[1])
+    if spec.design is not None:
+        s_draws = u_draws - spec.design @ f_draws
+        eta_new = build_design(new_data) @ f_draws
+    else:
+        s_draws = f_draws
+        q_joint = precision(joint_field, spec.attention[1])
         chol_qnn = cholesky(q_joint[n_obs:, n_obs:])
-        cond_mean = -solve_chol(chol_qnn, q_joint[n_obs:, :n_obs] @ a_draws)
+        cond_mean = -solve_chol(chol_qnn, q_joint[n_obs:, :n_obs] @ (u_draws - f_draws))
         noise = solve_triangular(
             chol_qnn.T, rng.standard_normal((n_new, n_draws)), lower=False
         )
@@ -759,47 +761,3 @@ def predict(
     s_new = krig @ s_draws + chol_cond @ rng.standard_normal((n_new, n_draws))
     eta_new = eta_new + s_new
     return _summarize_draws(new_data.ids, eta_new, level)
-
-
-def write_prediction_csv(pred: Prediction, path: str | Path) -> None:
-    lines = ["id,mean,lo95,hi95,sd_linpred"]
-    for i in range(len(pred)):
-        lines.append(
-            f"{int(pred.ids[i])},{repr(float(pred.mean[i]))},{repr(float(pred.lo[i]))},"
-            f"{repr(float(pred.hi[i]))},{repr(float(pred.sd_linpred[i]))}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_prediction_csv(path: str | Path) -> Prediction:
-    """Prediction from a CSV written by :func:`write_prediction_csv`.
-
-    Raises ValueError naming the data row (1-based, after the header) that
-    has the wrong number of fields, a value that does not parse, a
-    non-finite value or lo95 > hi95, and both rows when two rows share an id.
-    """
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0] != "id,mean,lo95,hi95,sd_linpred":
-        raise ValueError("not a prediction CSV")
-    if len(rows) == 1:
-        raise ValueError("prediction CSV has no rows")
-    ids = np.empty(len(rows) - 1, dtype=int)
-    data = np.empty((len(rows) - 1, 4))
-    for k, row in enumerate(rows[1:], start=1):
-        fields = row.split(",")
-        if len(fields) != 5:
-            raise ValueError(f"prediction CSV row {k} has {len(fields)} fields, expected 5")
-        try:
-            ids[k - 1] = int(fields[0])
-            data[k - 1] = [float(v) for v in fields[1:]]
-        except ValueError as err:
-            raise ValueError(f"prediction CSV row {k}: {err}") from None
-        if not np.all(np.isfinite(data[k - 1])):
-            raise ValueError(f"prediction CSV row {k} has a non-finite value")
-        if data[k - 1, 1] > data[k - 1, 2]:
-            raise ValueError(f"prediction CSV row {k} has lo95 > hi95")
-    check_unique_ids(ids, "prediction CSV")
-    return Prediction(
-        ids=ids, mean=data[:, 0], lo=data[:, 1],
-        hi=data[:, 2], sd_linpred=data[:, 3],
-    )

@@ -9,8 +9,8 @@ for the benchmark's tracer only.
 scipy is imported inside the routines that call its LAPACK and BLAS
 wrappers (``cholesky``, ``solve_chol``, ``syrk``), so importing this module
 loads numpy alone. ``mvn_sample``, the simulator's one factorization, uses
-numpy's own LAPACK, so ``geoattn simulate`` never loads scipy; ``fit``,
-``cv`` and ``evaluate`` do.
+numpy's own LAPACK, so ``geoattn simulate`` never loads scipy; ``fit``
+and ``cv`` do.
 """
 
 from __future__ import annotations

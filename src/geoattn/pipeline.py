@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import attnfield, gatv2, geostat
+from . import attnfield, evalkit, gatv2, geostat
 from .simgen import Dataset
 
 
@@ -97,10 +97,10 @@ def train_gat(
     return GatArtifacts(model=model, graph=graph, preds=preds, export=export, loss_trace=trace)
 
 
-def gat_only_prediction(ids: np.ndarray, preds: np.ndarray) -> geostat.Prediction:
+def gat_only_prediction(ids: np.ndarray, preds: np.ndarray) -> evalkit.Prediction:
     """Degenerate-interval prediction for a bare network regressor."""
     p = gatv2.clamp_prevalence(np.asarray(preds, float))
-    return geostat.Prediction(
+    return evalkit.Prediction(
         ids=np.asarray(ids), mean=p, lo=p.copy(), hi=p.copy(),
         sd_linpred=np.zeros(len(p)),
     )
@@ -110,7 +110,7 @@ def gat_only_prediction(ids: np.ndarray, preds: np.ndarray) -> geostat.Predictio
 class PipelineRun:
     """One fit: the predictions and what was fitted on the way to them."""
 
-    prediction: geostat.Prediction
+    prediction: evalkit.Prediction
     optimize: geostat.OptimizeResult | None = None  # mbg and hybrid
     gat: GatArtifacts | None = None                 # gat_only and hybrid
     field: attnfield.AttentionField | None = None   # hybrid: over train + test records
@@ -131,9 +131,7 @@ def fit_and_predict(
     n_tr = len(train)
     gat = fld = offsets = None
     if spec.kind == "mbg":
-        template = geostat.ModelSpec(
-            kind="mbg", kernel=spec.kernel, design=geostat.build_design(train),
-        )
+        template = geostat.ModelSpec(kernel=spec.kernel, design=geostat.build_design(train))
     else:
         joint = train if test is None else concat_datasets(train, test)
         n_joint = len(joint)
@@ -146,7 +144,6 @@ def fit_and_predict(
         train_field = fld if test is None else attnfield.restrict_field(fld, np.arange(n_tr))
         offsets = gatv2.logit_offset(gat.preds)
         template = geostat.ModelSpec(
-            kind="hybrid",
             kernel=spec.kernel,
             offset=offsets[:n_tr],
             attention=(train_field, spec.attention_start),

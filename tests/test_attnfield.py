@@ -118,7 +118,7 @@ class TestPrecision:
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         return AttentionField(
             n_nodes=2, w_sym=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            degrees=np.array([1.0, 1.0]), c=lap, lam_max=2.0,
+            degrees=np.array([1.0, 1.0]), c=lap, lam_max=2.0, c_eigh=np.linalg.eigh(lap),
         )
 
     def test_hand_value(self):
@@ -133,8 +133,9 @@ class TestPrecision:
     def test_degenerate_field_gives_scaled_identity(self):
         field = AttentionField(
             n_nodes=3, w_sym=np.zeros((3, 3)), degrees=np.zeros(3),
-            c=np.zeros((3, 3)), lam_max=0.0, degenerate=True,
+            c=np.zeros((3, 3)), lam_max=0.0, c_eigh=np.linalg.eigh(np.zeros((3, 3))),
         )
+        assert field.degenerate
         q = precision(field, AttnHyper(theta1=np.log(4.0), theta2=0.0))
         np.testing.assert_allclose(q, 4.0 * np.eye(3))
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoattn import attnfield, cli, gatv2, geostat, pipeline, simgen
+from geoattn import attnfield, cli, evalkit, gatv2, geostat, pipeline, simgen
 
 
 @pytest.fixture
@@ -58,12 +58,21 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("command", ["simulate", "help"])
+@pytest.mark.parametrize("command", ["simulate", "help", "evaluate"])
 def test_simulate_and_help_load_no_scipy(command, tmp_path):
-    # the simulator factors with numpy's LAPACK; only fits and evaluate need scipy
+    # the simulator factors with numpy's LAPACK and evaluate reads prediction
+    # CSVs through evalkit; only fits and cv need scipy
     src = Path(__file__).resolve().parent.parent / "src"
     if command == "help":
         argv = ["--help"]
+    elif command == "evaluate":
+        data = simgen.simulate(simgen.SimConfig(n_times=2, locs_per_time=(5, 5), seed=3))
+        simgen.write_dataset_csv(data, tmp_path / "dataset.csv")
+        (tmp_path / "pred.csv").write_text(
+            "id,mean,lo95,hi95,sd_linpred\n0,0.3,0.1,0.5,0.2\n1,0.6,0.4,0.8,0.2\n"
+        )
+        argv = ["evaluate", "--pred", f"m={tmp_path / 'pred.csv'}", "--dataset",
+                str(tmp_path / "dataset.csv"), "--mode", "truth", "--out", str(tmp_path / "eval")]
     else:
         config = tmp_path / "sim.json"
         config.write_text(json.dumps({"version": 1, "seed": 3, "n_times": 2,
@@ -77,6 +86,9 @@ def test_simulate_and_help_load_no_scipy(command, tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     if command == "simulate":
         assert (tmp_path / "sim" / "dataset.csv").is_file()
+    if command == "evaluate":
+        metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert metrics["models"]["m"]["n_records"] == 2
 
 
 def test_parser_kinds_are_the_pipeline_kinds():
@@ -557,6 +569,31 @@ class TestFitArtifacts:
             assert 1 <= entry["newton_iterations"] < 20
         assert fit["converged"] is True
 
+    @pytest.mark.parametrize("max_iter, converged", [(0, False), (200, True)])
+    def test_manifest_records_whether_the_search_converged(
+        self, max_iter, converged, tmp_path, dataset_csv, caplog,
+    ):
+        config = tmp_path / "search.json"
+        config.write_text(json.dumps({
+            "version": 1, "n_draws": 20,
+            "optimizer": {"max_iter": max_iter, "bounds": {"log_sigma2": [-3.0, 1.0]}},
+        }))
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="geoattn"):
+            assert fit_mbg(dataset_csv, config, out) == cli.EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "converged" not in manifest
+        assert manifest["search_converged"] is converged
+        assert manifest["newton_converged"] is True
+        (restart,) = json.loads((out / "fit.json").read_text())["optimizer"]["restarts"]
+        assert set(restart) == {"converged", "status", "message", "iterations"}
+        assert restart["converged"] is converged
+        assert (restart["status"] == 0) is converged
+        stopped = [r.getMessage() for r in caplog.records if r.name == "geoattn"]
+        assert len(stopped) == (0 if converged else 1)
+        if not converged:
+            assert "restart 0 stopped without converging" in stopped[0]
+
     def test_gat_only_writes_loss_trace(self, tmp_path, dataset_csv):
         config = tmp_path / "gat.json"
         config.write_text(json.dumps({"version": 1, "gat": {"epochs": 5, "widths": [4]}}))
@@ -665,13 +702,13 @@ class TestHybridFitMatchesInlineReference:
         preds, export, _ = gatv2.forward(model, graph)
         field = attnfield.build_field(export, len(data))
         template = geostat.ModelSpec(
-            kind="hybrid", kernel=spec.kernel, offset=gatv2.logit_offset(preds),
+            kernel=spec.kernel, offset=gatv2.logit_offset(preds),
             attention=(field, spec.attention_start),
         )
         result = geostat.optimize_hyperparameters(data, template, spec.optimizer, seed=5)
         want = geostat.predict_insample(result.fit, n_draws=spec.n_draws, seed=5, level=spec.level)
 
-        got = geostat.read_prediction_csv(out / "predictions.csv")
+        got = evalkit.read_prediction_csv(out / "predictions.csv")
         np.testing.assert_array_equal(got.ids, want.ids)
         for name in ("mean", "lo", "hi", "sd_linpred"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -685,7 +722,7 @@ class TestHybridFitMatchesInlineReference:
         )
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["lambda_max"] == field.lam_max
-        assert manifest["converged"] == bool(result.fit.converged)
+        assert manifest["newton_converged"] == bool(result.fit.converged)
         for name in ("field_structure.csv", "field_degrees.csv", "attention.csv",
                      "predictions.csv", "fit.json"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()

@@ -175,7 +175,7 @@ class FakeSpec:
 def fake_runner(train, test, spec, seed=0):
     if spec.fail_fold is not None and seed % 100 == spec.fail_fold:
         raise RuntimeError("synthetic failure")
-    from geoattn.geostat import Prediction
+    from geoattn.evalkit import Prediction
 
     mean = np.clip(test.empirical_prevalence + spec.bias, 0, 1)
     return Prediction(
@@ -195,7 +195,7 @@ class ConstSpec:
 
 
 def const_runner(train, test, spec, seed=0):
-    from geoattn.geostat import Prediction
+    from geoattn.evalkit import Prediction
 
     full = lambda value: np.full(len(test), value)
     return Prediction(ids=test.ids, mean=full(spec.mean), lo=full(spec.lo), hi=full(spec.hi),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geoattn import attnfield, geostat, numkit, pipeline, simgen
+from geoattn import attnfield, evalkit, geostat, numkit, pipeline, simgen
 from geoattn.attnfield import AttnHyper, build_field
 from geoattn.errors import AllRestartsFailed, UnsupportedSmoothness
 from geoattn.geostat import (
@@ -80,24 +80,33 @@ class TestKernelMatrix:
 
 
 class TestModelSpecValidation:
+    """A model carries exactly one of design (mbg) and attention (hybrid),
+    and an offset if and only if it carries attention."""
+
     def test_mbg_requires_design(self):
-        with pytest.raises(ValueError):
-            ModelSpec(kind="mbg", kernel=KernelSpec())
+        with pytest.raises(ValueError, match="exactly one of design"):
+            ModelSpec(kernel=KernelSpec())
 
     def test_hybrid_requires_offset_and_attention(self):
-        with pytest.raises(ValueError):
-            ModelSpec(kind="hybrid", kernel=KernelSpec(), offset=np.zeros(3))
+        data = make_data(n_times=2, locs=(5, 6), seed=1)
+        hybrid = hybrid_spec(data)
+        with pytest.raises(ValueError, match="an offset comes with attention"):
+            ModelSpec(kernel=KernelSpec(), design=build_design(data), offset=hybrid.offset)
+        with pytest.raises(ValueError, match="an offset comes with attention"):
+            ModelSpec(kernel=KernelSpec(), attention=hybrid.attention)
 
-    def test_gat_only_is_not_a_geostat_kind(self):
-        with pytest.raises(ValueError, match="geostat fits mbg and hybrid"):
-            ModelSpec(kind="gat_only")
+    def test_design_and_attention_together_refused(self):
+        data = make_data(n_times=2, locs=(5, 6), seed=1)
+        hybrid = hybrid_spec(data)
+        with pytest.raises(ValueError, match="exactly one of design"):
+            ModelSpec(kernel=KernelSpec(), design=build_design(data),
+                      offset=hybrid.offset, attention=hybrid.attention)
 
 
 def hybrid_spec(data, seed=0, theta1=0.0, theta2=0.0, sigma2=1.0):
     field = build_field(random_export(len(data), seed=seed), len(data))
     offset = np.zeros(len(data))
     return ModelSpec(
-        kind="hybrid",
         kernel=KernelSpec(family="gneiting", sigma2=sigma2),
         offset=offset,
         attention=(field, AttnHyper(theta1, theta2)),
@@ -110,14 +119,14 @@ class TestLaplaceFit:
         data = make_data(n_times=2, locs=(50, 50), seed=11)
         assert len(data) == 100
         kernel = KernelSpec(family="gneiting", sigma2=0.8, phi_s=0.3, phi_t=0.4)
-        spec = ModelSpec(kind="mbg", kernel=kernel, design=build_design(data))
+        spec = ModelSpec(kernel=kernel, design=build_design(data))
         rng = np.random.default_rng(2)
         y = rng.standard_normal(len(data))
         obs_sd = 0.7
         fit = laplace_fit(data, spec, gaussian_response=y, gaussian_obs_sd=obs_sd)
 
         sigma_u = (
-            spec.fixed_effect_sd ** 2 * (spec.design @ spec.design.T)
+            geostat.FIXED_EFFECT_SD ** 2 * (spec.design @ spec.design.T)
             + CovarianceBuilder(data.x, data.y, data.t)(kernel)
             + 1e-8 * np.eye(len(data))
         )
@@ -136,7 +145,7 @@ class TestLaplaceFit:
             covariates=np.zeros((50, 0)),
         )
         kernel = KernelSpec(family="matern", sigma2=4.0, rho=0.5, nu=1.5)
-        spec = ModelSpec(kind="mbg", kernel=kernel, design=np.ones((50, 1)))
+        spec = ModelSpec(kernel=kernel, design=np.ones((50, 1)))
         fit = laplace_fit(data, spec)
         assert fit.converged
         assert np.abs(fit.u_mode - eta_star).max() <= 0.05
@@ -145,11 +154,11 @@ class TestLaplaceFit:
         data = make_data(n_times=3, locs=(40, 50), seed=13)
         kernel = KernelSpec(family="gneiting", sigma2=1e-10, phi_s=0.25, phi_t=0.25)
         design = build_design(data)
-        spec = ModelSpec(kind="mbg", kernel=kernel, design=design)
+        spec = ModelSpec(kernel=kernel, design=design)
         fit = laplace_fit(data, spec)
 
         # independent iteratively-reweighted oracle for the same penalized mode
-        prior_prec = 1.0 / spec.fixed_effect_sd ** 2
+        prior_prec = 1.0 / geostat.FIXED_EFFECT_SD ** 2
         beta = np.zeros(design.shape[1])
         z, trials = data.n_pos, data.n_tested
         for _ in range(200):
@@ -167,7 +176,6 @@ class TestLaplaceFit:
     def test_objective_trace_is_nondecreasing(self):
         data = make_data(n_times=3, locs=(20, 30), seed=17)
         spec = ModelSpec(
-            kind="mbg",
             kernel=KernelSpec(family="gneiting", sigma2=0.5),
             design=build_design(data),
         )
@@ -189,7 +197,7 @@ class TestLaplaceFit:
         data = make_data(n_times=8, locs=(125, 125), seed=2)
         assert len(data) == 1000
         spec = ModelSpec(
-            kind="mbg", kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(family="gneiting"), design=build_design(data),
         )
         fit = laplace_fit(data, spec)
         assert fit.converged
@@ -201,7 +209,6 @@ class TestLaplaceFit:
         # rule's own 1e-10 relative tolerance: the rule only fires at the mode
         data = make_data(n_times=4, locs=(50, 60), seed=7)
         spec = ModelSpec(
-            kind="mbg",
             kernel=KernelSpec(family="gneiting", sigma2=0.6),
             design=build_design(data),
         )
@@ -215,7 +222,7 @@ class TestLaplaceFit:
         data = make_data(n_times=2, locs=(5, 6), seed=1)
         data.n_tested[0] = 0
         spec = ModelSpec(
-            kind="mbg", kernel=KernelSpec(), design=build_design(data),
+            kernel=KernelSpec(), design=build_design(data),
         )
         with pytest.raises(ValueError):
             laplace_fit(data, spec)
@@ -225,7 +232,6 @@ class TestOptimize:
     def test_one_parameter_matches_grid_search(self):
         data = make_data(n_times=2, locs=(40, 50), seed=23)
         template = ModelSpec(
-            kind="mbg",
             kernel=KernelSpec(family="gneiting", sigma2=0.3, phi_s=0.25, phi_t=0.25),
             design=build_design(data),
         )
@@ -257,7 +263,6 @@ class TestOptimize:
         data = make_data(n_times=10, locs=(60, 100), seed=29)
         assert len(data) >= 600
         template = ModelSpec(
-            kind="mbg",
             kernel=KernelSpec(
                 family="gneiting", sigma2=1.0, phi_s=0.1, phi_t=0.1, gamma=0.75,
             ),
@@ -275,7 +280,7 @@ class TestOptimize:
     def test_identical_seeds_identical_traces(self):
         data = make_data(n_times=2, locs=(15, 20), seed=31)
         template = ModelSpec(
-            kind="mbg", kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(family="gneiting"), design=build_design(data),
         )
         optimizer = OptimizerConfig(restarts=2, max_iter=25)
         a = optimize_hyperparameters(data, template, optimizer, seed=5)
@@ -289,7 +294,7 @@ class TestOptimize:
         # the fit handed back is the best trace entry's own, not a refit
         data = make_data(n_times=2, locs=(15, 20), seed=31)
         template = ModelSpec(
-            kind="mbg", kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(family="gneiting"), design=build_design(data),
         )
         bounds = {name: geostat.DEFAULT_BOUNDS[name] for name in ("log_sigma2", "log_phi_s")}
         result = optimize_hyperparameters(
@@ -306,7 +311,7 @@ class TestOptimize:
     def test_unknown_bound_name_rejected(self):
         data = make_data(n_times=2, locs=(5, 8), seed=1)
         template = ModelSpec(
-            kind="mbg", kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(family="gneiting"), design=build_design(data),
         )
         with pytest.raises(ValueError):
             optimize_hyperparameters(data, template, OptimizerConfig(bounds={"log_rho": (0, 1)}))
@@ -316,7 +321,7 @@ class TestOptimize:
     def test_all_restarts_failed(self):
         data = make_data(n_times=2, locs=(5, 8), seed=1)
         template = ModelSpec(
-            kind="mbg", kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(family="gneiting"), design=build_design(data),
         )
         data.n_tested[:] = 1
         data.n_pos[:] = 0
@@ -331,7 +336,6 @@ class TestPredict:
     def fitted_mbg(self, seed=37, locs=(25, 35), n_times=3):
         data = make_data(n_times=n_times, locs=locs, seed=seed)
         spec = ModelSpec(
-            kind="mbg",
             kernel=KernelSpec(family="gneiting", sigma2=0.6, phi_s=0.25, phi_t=0.25),
             design=build_design(data),
         )
@@ -377,7 +381,6 @@ class TestPredict:
         rng = np.random.default_rng(5)
         offset = rng.uniform(-2.0, 0.5, n)
         spec = ModelSpec(
-            kind="hybrid",
             kernel=KernelSpec(family="gneiting", sigma2=1e-12),
             offset=offset[: n - 5],
             attention=(
@@ -416,8 +419,8 @@ class TestPredict:
         data, spec, fit = self.fitted_mbg(seed=47, locs=(10, 12), n_times=2)
         pred = predict_insample(fit, n_draws=500, seed=1)
         path = tmp_path / "pred.csv"
-        geostat.write_prediction_csv(pred, path)
-        back = geostat.read_prediction_csv(path)
+        evalkit.write_prediction_csv(pred, path)
+        back = evalkit.read_prediction_csv(path)
         np.testing.assert_array_equal(back.ids, pred.ids)
         np.testing.assert_array_equal(back.mean, pred.mean)
         np.testing.assert_array_equal(back.hi, pred.hi)
@@ -428,7 +431,7 @@ class TestFitResultMatchesInlineAlgebra:
 
     def test_beta_conditional_matches_inline_formulas(self):
         data, spec, fit = TestPredict().fitted_mbg()
-        sd2 = spec.fixed_effect_sd ** 2
+        sd2 = geostat.FIXED_EFFECT_SD ** 2
         d = spec.design
         chol_su = numkit.cholesky(fit.sigma_u, jitter=1e-10)
         # the two-sided posterior covariance, which posterior_cov_u's
@@ -454,12 +457,6 @@ class TestFitResultMatchesInlineAlgebra:
         np.testing.assert_allclose(
             fit.beta_sd, np.sqrt(np.diag(np.linalg.inv(prec))), rtol=1e-10, atol=0,
         )
-        # predict's mbg branch
-        r_beta = sd2 * siu_d.T
-        c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
-        got_r, got_c = fit.beta_given_u()
-        np.testing.assert_array_equal(got_r, r_beta)
-        np.testing.assert_array_equal(got_c, c_beta)
         # Sigma_u - (...) cancels from entries near sd2 to entries near 1, so
         # round-off is relative to the largest entry, not to each one: the
         # two-sided formula is itself asymmetric by about 1e-11 of it
@@ -475,7 +472,7 @@ class TestFitResultMatchesInlineAlgebra:
         # the order sets the Nelder-Mead vector, so every optimized output
         data = make_data(n_times=2, locs=(5, 6), seed=1)
         spec = hybrid_spec(data) if kind == "hybrid" else ModelSpec(
-            kind="mbg", kernel=KernelSpec(family=family), design=build_design(data),
+            kernel=KernelSpec(family=family), design=build_design(data),
         )
         assert geostat.free_param_names(spec.kind, spec.kernel.family) == names
 
@@ -507,7 +504,7 @@ class TestFitResultIsAValue:
         field = build_field(random_export(n, seed=9), n)
         offset = np.random.default_rng(5).uniform(-2.0, 0.5, n)
         spec = ModelSpec(
-            kind="hybrid", kernel=KernelSpec(family="gneiting", sigma2=0.5),
+            kernel=KernelSpec(family="gneiting", sigma2=0.5),
             offset=offset[:n - 5],
             attention=(attnfield.restrict_field(field, np.arange(n - 5)), AttnHyper(0.0, 0.0)),
         )
@@ -563,7 +560,7 @@ def parent_laplace_fit(data, spec, warm_u=None):
     n = len(data)
     sigma_s = CovarianceBuilder(data.x, data.y, data.t)(spec.kernel)
     if spec.kind == "mbg":
-        sigma_u = sigma_s + spec.fixed_effect_sd ** 2 * (spec.design @ spec.design.T)
+        sigma_u = sigma_s + geostat.FIXED_EFFECT_SD ** 2 * (spec.design @ spec.design.T)
     else:
         sigma_u = sigma_s + attnfield.covariance(*spec.attention)
     sigma_u[np.diag_indices(n)] += 1e-8
@@ -658,7 +655,7 @@ class TestMatchesRefitPath:
     def test_mbg(self):
         data = make_data(n_times=3, locs=(30, 40), seed=53)
         template = ModelSpec(
-            kind="mbg", kernel=KernelSpec(family="gneiting", sigma2=0.5),
+            kernel=KernelSpec(family="gneiting", sigma2=0.5),
             design=build_design(data),
         )
         bounds = {name: geostat.DEFAULT_BOUNDS[name] for name in ("log_sigma2", "log_phi_s")}
@@ -675,7 +672,7 @@ class TestMatchesRefitPath:
         field = build_field(random_export(n, seed=4), n)
         offset = np.random.default_rng(6).uniform(-2.0, 0.5, n)
         template = ModelSpec(
-            kind="hybrid", kernel=KernelSpec(family="gneiting", sigma2=0.5),
+            kernel=KernelSpec(family="gneiting", sigma2=0.5),
             offset=offset[:n_fit],
             attention=(attnfield.restrict_field(field, np.arange(n_fit)), AttnHyper(0.0, 0.0)),
         )
@@ -690,6 +687,77 @@ class TestMatchesRefitPath:
         self.check(got, want, *preds)
 
 
+def parent_beta_given_u(fit):
+    """(R, C) of beta | u ~ N(R u, C) for mbg, as the fit once gave them:
+    R = sd2 D' Sigma_u^-1 and C = sd2 I - sd2^2 D' Sigma_u^-1 D."""
+    sd2 = geostat.FIXED_EFFECT_SD ** 2
+    d = fit.spec.design
+    siu_d = numkit.solve_chol(numkit.cholesky(fit.sigma_u, jitter=1e-10), d)
+    return sd2 * siu_d.T, sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
+
+
+def parent_predict(fit, new_data, n_draws, seed, new_offsets=None, joint_field=None):
+    """predict as it was with one conditional per model kind: beta | u from
+    parent_beta_given_u for mbg, and S | u written out for the hybrid."""
+    from scipy.linalg import solve_triangular
+
+    data, spec = fit.data, fit.spec
+    n_obs, n_new = len(data), len(new_data)
+    rng = numkit.RngStream(seed, geostat._STREAM_PREDICT)
+    u_draws = geostat._draw_u(fit, n_draws, rng)
+    sigma_s = CovarianceBuilder(data.x, data.y, data.t)(spec.kernel)
+    k_cross = CovarianceBuilder(
+        new_data.x, new_data.y, new_data.t, data.x, data.y, data.t,
+    )(spec.kernel)
+    k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(spec.kernel)
+    krig = numkit.solve_chol(numkit.cholesky(sigma_s, jitter=1e-8), k_cross.T).T
+    chol_cond = numkit.cholesky(k_new - krig @ k_cross.T, jitter=1e-8)
+    if spec.kind == "mbg":
+        r_beta, c_beta = parent_beta_given_u(fit)
+        chol_cbeta = numkit.cholesky(c_beta, jitter=1e-12)
+        beta_draws = r_beta @ u_draws + chol_cbeta @ rng.standard_normal((len(c_beta), n_draws))
+        s_draws = u_draws - spec.design @ beta_draws
+        eta_new = build_design(new_data) @ beta_draws
+    else:
+        r_s = numkit.solve_chol(numkit.cholesky(fit.sigma_u, jitter=1e-10), sigma_s).T
+        chol_cs = numkit.cholesky(sigma_s - r_s @ sigma_s, jitter=1e-10)
+        s_draws = r_s @ u_draws + chol_cs @ rng.standard_normal((n_obs, n_draws))
+        a_draws = u_draws - s_draws
+        q_joint = attnfield.precision(joint_field, spec.attention[1])
+        chol_qnn = numkit.cholesky(q_joint[n_obs:, n_obs:])
+        cond_mean = -numkit.solve_chol(chol_qnn, q_joint[n_obs:, :n_obs] @ a_draws)
+        noise = solve_triangular(chol_qnn.T, rng.standard_normal((n_new, n_draws)), lower=False)
+        eta_new = new_offsets[:, None] + cond_mean + noise
+    s_new = krig @ s_draws + chol_cond @ rng.standard_normal((n_new, n_draws))
+    return geostat._summarize_draws(new_data.ids, eta_new + s_new, 0.95)
+
+
+class TestPredictMatchesParent:
+    """The one conditional draw of predict against the per-kind conditionals
+    it replaced: the hybrid's S | u is the same arithmetic, and mbg's beta | u
+    now scales Cov(u, beta) = sd2 D before the solve, not after it."""
+
+    @pytest.mark.parametrize("seed", [37, 41])
+    def test_hybrid_is_bit_identical(self, seed):
+        fit, new, extra = TestFitResultIsAValue().fitted_hybrid()
+        got = predict(fit, new, n_draws=500, seed=seed, **extra)
+        want = parent_predict(fit, new, n_draws=500, seed=seed, **extra)
+        for name in ("ids", "mean", "lo", "hi", "sd_linpred"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    @pytest.mark.parametrize("seed", [37, 41])
+    def test_mbg_within_1e_9(self, seed):
+        data, _, fit = TestPredict().fitted_mbg(seed=seed)
+        new = data.subset(np.arange(0, len(data), 3))
+        got = predict(fit, new, n_draws=500, seed=seed)
+        want = parent_predict(fit, new, n_draws=500, seed=seed)
+        np.testing.assert_array_equal(got.ids, want.ids)
+        for name in ("mean", "lo", "hi", "sd_linpred"):
+            np.testing.assert_allclose(
+                getattr(got, name), getattr(want, name), rtol=0, atol=1e-9, err_msg=name,
+            )
+
+
 class TestBetaRecovery:
     def test_beta_hat_within_three_posterior_sd(self):
         # probabilistic contract: averaged over 5 seeds, >= 4/5 of the
@@ -698,7 +766,6 @@ class TestBetaRecovery:
         for seed in range(5):
             data = make_data(n_times=5, locs=(25, 35), seed=100 + seed)
             template = ModelSpec(
-                kind="mbg",
                 kernel=KernelSpec(family="gneiting", sigma2=0.6, phi_s=0.25, phi_t=0.25),
                 design=build_design(data),
             )

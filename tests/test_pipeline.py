@@ -42,7 +42,7 @@ def reference_fit_and_predict(train, test, spec, seed=0):
 
     if spec.kind == "mbg":
         template = geostat.ModelSpec(
-            kind="mbg", kernel=spec.kernel, design=geostat.build_design(train),
+            kernel=spec.kernel, design=geostat.build_design(train),
         )
         result = optimize(template)
         return geostat.predict(result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level)
@@ -60,7 +60,7 @@ def reference_fit_and_predict(train, test, spec, seed=0):
     train_field = attnfield.restrict_field(joint_field, np.arange(n_tr))
     offsets = gatv2.logit_offset(preds)
     template = geostat.ModelSpec(
-        kind="hybrid", kernel=spec.kernel, offset=offsets[:n_tr],
+        kernel=spec.kernel, offset=offsets[:n_tr],
         attention=(train_field, spec.attention_start),
     )
     result = optimize(template)
