@@ -8,7 +8,9 @@ unconstrained scales (log precision, logit dependence).
 
 Every field is built with the full eigendecomposition of C, which the fit
 needs for Q^{-1} anyway; lam_max is its top eigenvalue. This module is the
-only one that knows the spectrum of Q and its degenerate tau * I form.
+only one that knows the spectrum of Q and its degenerate tau * I form, which
+a field with no links at all takes. The eigendecomposition and Q^{-1} come
+from ``numkit``, in the fit's one BLAS pool (see ``numkit``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ZeroMedianDegree
 from .gatv2 import AttentionExport
-from .numkit import syrk
+from .numkit import eigh, syrk
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,23 @@ def scale_by_median_degree(lap: np.ndarray, degrees: np.ndarray) -> np.ndarray:
 
 
 def _field(w_sym: np.ndarray) -> AttentionField:
-    """Degrees -> median-scaled C -> eigh(C) -> lam_max, the top eigenvalue."""
+    """Degrees -> median-scaled C -> eigh(C) -> lam_max, the top eigenvalue.
+
+    A W with no link at all has no Laplacian to scale: its field is
+    degenerate, with C = 0, eigenvectors I and lam_max = 0, so Q = tau * I.
+    """
+    n = len(w_sym)
     lap, degrees = laplacian(w_sym)
+    if not np.any(w_sym):
+        return AttentionField(
+            n_nodes=n, w_sym=w_sym, degrees=degrees, c=lap,
+            lam_max=0.0, c_eigh=(np.zeros(n), np.eye(n)),
+        )
     c = scale_by_median_degree(lap, degrees)
-    c_eigh = np.linalg.eigh(c)
+    c_eigh = eigh(c)
     lam_max = float(c_eigh[0][-1])
     return AttentionField(
-        n_nodes=len(w_sym),
+        n_nodes=n,
         w_sym=w_sym,
         degrees=degrees,
         c=c,

@@ -29,6 +29,12 @@ call; a :class:`FitResult` is frozen and holds no cache.
 
 The hyperparameter search keeps the fit of its best evaluation, so the
 model it returns is never fitted twice.
+
+Every matrix product, factorization and triangular solve here goes through
+``numkit``, so a fit runs all of its dense BLAS and LAPACK calls in one
+OpenBLAS thread pool (see the one-pool rule in ``numkit``'s docstring);
+only vector-vector dots use numpy's ``@``. Fits and draws are
+byte-identical across reruns for a fixed BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -38,8 +44,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import blas as _blas
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .attnfield import AttentionField, AttnHyper, covariance as attention_cov, precision
@@ -50,7 +54,16 @@ from .errors import (
     UnsupportedSmoothness,
 )
 from .evalkit import Prediction
-from .numkit import DEFAULT_KERNEL_JITTER, RngStream, cholesky, solve_chol, syrk
+from .numkit import (
+    DEFAULT_KERNEL_JITTER,
+    RngStream,
+    cholesky,
+    matmul,
+    solve_chol,
+    solve_right_lt,
+    solve_triangular,
+    syrk,
+)
 from .simgen import Dataset, gneiting_cov, logistic, pair_distances
 
 FIXED_EFFECT_SD = math.sqrt(1000.0)  # prior sd of each fixed effect in beta
@@ -237,7 +250,7 @@ class FitResult:
         # ordered and trsm solves it from the right in place:
         # (W^1/2 Sigma_u)' L_B^{-T} = X'
         x_t = (self.sq_w[:, None] * self.sigma_u).T
-        x_t = _blas.dtrsm(1.0, self.chol_b, x_t, side=1, lower=1, trans_a=1, overwrite_b=1)
+        x_t = solve_right_lt(self.chol_b, x_t)
         return syrk(x_t, alpha=-1.0, out=self.sigma_u.copy())
 
     @property
@@ -245,7 +258,7 @@ class FitResult:
         """Posterior mean of the fixed effects, sd2 D' a_mode (= R u_mode); None for hybrid."""
         if self.spec.design is None:
             return None
-        return FIXED_EFFECT_SD ** 2 * (self.spec.design.T @ self.a_mode)
+        return FIXED_EFFECT_SD ** 2 * matmul(self.spec.design.T, self.a_mode)
 
     @property
     def beta_sd(self) -> np.ndarray | None:
@@ -373,7 +386,7 @@ def laplace_fit(
 
     if warm_a is not None and np.any(warm_a):
         a = np.asarray(warm_a, float).copy()
-        u = sigma_u @ a
+        u = matmul(sigma_u, a)
     else:
         u = np.zeros(n)
         a = np.zeros(n)
@@ -392,9 +405,9 @@ def laplace_fit(
         sq_w = np.sqrt(w)
         chol_b = _factor_b(sigma_u, sq_w, b_buf)
         rhs = w * u + g
-        t_vec = sigma_u @ rhs
+        t_vec = matmul(sigma_u, rhs)
         a_new = rhs - sq_w * solve_chol(chol_b, sq_w * t_vec)
-        u_new = sigma_u @ a_new
+        u_new = matmul(sigma_u, a_new)
         decrement = 0.5 * float((g - a) @ (u_new - u))
         tol = 1e-10 * max(1.0, abs(psi))
 
@@ -671,8 +684,9 @@ def _draw_u(fit: FitResult, n_draws: int, rng: RngStream) -> np.ndarray:
     # V_u is a temporary, symmetric as stored: its Fortran-ordered transpose
     # is factored in place, to the same bits as V_u itself
     chol_v = cholesky(fit.posterior_cov_u().T, jitter=1e-10, overwrite_a=True)
-    z = rng.standard_normal((len(fit.u_mode), n_draws))
-    return fit.u_mode[:, None] + chol_v @ z
+    u_draws = matmul(chol_v, rng.standard_normal((len(fit.u_mode), n_draws)))
+    u_draws += fit.u_mode[:, None]
+    return u_draws
 
 
 def predict_insample(
@@ -732,7 +746,7 @@ def predict(
     k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(kernel)
     chol_s_obs = cholesky(sigma_s, jitter=DEFAULT_KERNEL_JITTER)
     krig = solve_chol(chol_s_obs, k_cross.T).T            # (n_new, n_obs)
-    cond_cov = k_new - krig @ k_cross.T
+    cond_cov = k_new - matmul(krig, k_cross.T)
     chol_cond = cholesky(cond_cov, jitter=DEFAULT_KERNEL_JITTER)
 
     # Cov(u, f), Cov(f) and the jitter of f's conditional covariance, per block
@@ -742,22 +756,20 @@ def predict(
     else:
         cov_uf, cov_f, jitter = sigma_s, sigma_s, 1e-10
     r = solve_chol(cholesky(fit.sigma_u, jitter=1e-10), cov_uf).T
-    chol_c = cholesky(cov_f - r @ cov_uf, jitter=jitter)
-    f_draws = r @ u_draws + chol_c @ rng.standard_normal((len(cov_f), n_draws))
+    chol_c = cholesky(cov_f - matmul(r, cov_uf), jitter=jitter)
+    f_draws = matmul(r, u_draws) + matmul(chol_c, rng.standard_normal((len(cov_f), n_draws)))
 
     if spec.design is not None:
-        s_draws = u_draws - spec.design @ f_draws
-        eta_new = build_design(new_data) @ f_draws
+        s_draws = u_draws - matmul(spec.design, f_draws)
+        eta_new = matmul(build_design(new_data), f_draws)
     else:
         s_draws = f_draws
         q_joint = precision(joint_field, spec.attention[1])
         chol_qnn = cholesky(q_joint[n_obs:, n_obs:])
-        cond_mean = -solve_chol(chol_qnn, q_joint[n_obs:, :n_obs] @ (u_draws - f_draws))
-        noise = solve_triangular(
-            chol_qnn.T, rng.standard_normal((n_new, n_draws)), lower=False
-        )
+        cond_mean = -solve_chol(chol_qnn, matmul(q_joint[n_obs:, :n_obs], u_draws - f_draws))
+        noise = solve_triangular(chol_qnn.T, rng.standard_normal((n_new, n_draws)))
         eta_new = np.asarray(new_offsets, float)[:, None] + cond_mean + noise
 
-    s_new = krig @ s_draws + chol_cond @ rng.standard_normal((n_new, n_draws))
+    s_new = matmul(krig, s_draws) + matmul(chol_cond, rng.standard_normal((n_new, n_draws)))
     eta_new = eta_new + s_new
     return _summarize_draws(new_data.ids, eta_new, level)

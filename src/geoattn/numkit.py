@@ -1,16 +1,37 @@
-"""Deterministic numerical kernel: seeded RNG streams, dense symmetric
-linear algebra, and sampling primitives.
+"""Deterministic numerical kernel: seeded RNG streams, dense linear algebra,
+and sampling primitives.
 
 Everything here is dense and double precision. The largest problems this
 package produces stay near 3,000 points, where O(n^3) factorizations are
 cheap, so no sparse or iterative machinery is used; power iteration is kept
 for the benchmark's tracer only.
 
+One BLAS pool per fit. This module is the only way the fitting modules
+(``geostat``, ``attnfield``) reach dense BLAS and LAPACK: every product,
+factorization, triangular solve and eigendecomposition with a fitted-size
+operand goes through :func:`matmul`, :func:`cholesky`, :func:`solve_chol`,
+:func:`solve_triangular`, :func:`solve_right_lt`, :func:`syrk` or
+:func:`eigh`, which all call scipy's wrappers. numpy and scipy wheels each
+bundle their own OpenBLAS, and each copy keeps its own worker threads,
+which spin for a while after a call. A Newton loop that alternated numpy's
+``Sigma_u @ x`` with scipy's ``dpotrf`` had the two pools fight over two
+cores: on a 2-core box ``dpotrf`` at n = 1,000 took 9.8 ms alone and
+19.6 ms right after a numpy product. So a fit or ``cv`` process makes all
+of its n-sized dense products in scipy's pool. What stays on numpy's pool
+switches pools once per stage, not once per Newton step: the GATv2 network
+(``gatv2``), vector-vector dots, which OpenBLAS runs on one thread at these
+sizes, and the simulator (``mvn_sample``).
+
+Reruns are byte-identical for a fixed BLAS build and thread count. The
+two OpenBLAS builds do not give equal bits for every shape, and a thread
+count changes how some kernels split their sums: 20 epochs of GATv2
+training give different parameters under ``OPENBLAS_NUM_THREADS=1`` than
+under the default.
+
 scipy is imported inside the routines that call its LAPACK and BLAS
-wrappers (``cholesky``, ``solve_chol``, ``syrk``), so importing this module
-loads numpy alone. ``mvn_sample``, the simulator's one factorization, uses
-numpy's own LAPACK, so ``geoattn simulate`` never loads scipy; ``fit``
-and ``cv`` do.
+wrappers, so importing this module loads numpy alone. ``mvn_sample``, the
+simulator's one factorization, uses numpy's own LAPACK, so ``geoattn
+simulate`` never loads scipy; ``fit`` and ``cv`` do.
 """
 
 from __future__ import annotations
@@ -113,6 +134,55 @@ def solve_chol(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:  # pragma: no cover
         raise ValueError(f"dpotrs failed with info={info}")
     return x[:, 0] if vector_rhs else x
+
+
+def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:
+    """a^{-1} b for triangular ``a`` by LAPACK dtrtrs (scipy.linalg.solve_triangular)."""
+    from scipy import linalg
+
+    return linalg.solve_triangular(a, b, lower=lower)
+
+
+def solve_right_lt(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b L^{-T} for the lower-triangular ``factor`` L, by dtrsm from the right.
+
+    The solve overwrites ``b`` when it is Fortran-ordered; otherwise it works
+    on a copy.
+    """
+    from scipy.linalg import blas
+
+    return blas.dtrsm(1.0, factor, b, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b by scipy's BLAS: dgemv for a 1-D ``b``, dgemm for a 2-D one.
+
+    Each operand goes to BLAS as it is laid out: a C-ordered one as its
+    Fortran-ordered transpose with the transpose flag flipped, so neither a
+    C- nor a Fortran-ordered operand is copied (a non-contiguous one is).
+    A matrix product is formed as (b' a')' in column-major order, as numpy's
+    row-major call is, so it comes back C-ordered, like numpy's.
+    """
+    from scipy.linalg import blas
+
+    if b.ndim == 1:
+        if a.flags.f_contiguous:
+            return blas.dgemv(1.0, a, b)
+        return blas.dgemv(1.0, a.T, b, trans=1)
+    x, trans_x = (b.T, 0) if b.flags.c_contiguous else (b, 1)
+    y, trans_y = (a.T, 0) if a.flags.c_contiguous else (a, 1)
+    return blas.dgemm(1.0, x, y, trans_a=trans_x, trans_b=trans_y).T
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and the eigenvectors of symmetric ``a``.
+
+    LAPACK dsyevd on the lower triangle, the routine ``np.linalg.eigh``
+    calls; the eigenvectors come back Fortran-ordered.
+    """
+    from scipy import linalg
+
+    return linalg.eigh(a, driver="evd")
 
 
 _MIRROR_BLOCK = 256

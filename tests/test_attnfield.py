@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoattn import attnfield, numkit
+from geoattn import attnfield, geostat, numkit, simgen
 from geoattn.attnfield import AttentionField, AttnHyper, build_field, precision
 from geoattn.errors import ZeroMedianDegree
 from conftest import random_export
@@ -200,6 +200,23 @@ class TestBuildField:
         assert sub.degrees.shape == (12,)
         # degrees and lam_max come from the subgraph, not sliced from the parent
         assert not np.allclose(sub.degrees, field.degrees[:12])
+
+    def test_unlinked_restriction_is_degenerate(self):
+        # nodes 0 and 2 are linked only through node 1
+        export, n = export_from_edges([(0, 1, 0.4), (1, 0, 0.6), (1, 2, 0.2), (2, 1, 0.8)], 3)
+        field = build_field(export, n)
+        assert not field.degenerate
+        sub = attnfield.restrict_field(field, np.array([0, 2]))
+        assert sub.degenerate
+        hyper = AttnHyper.from_tau_beta(3.0, 0.5)
+        np.testing.assert_allclose(precision(sub, hyper), 3.0 * np.eye(2), rtol=1e-15)
+        np.testing.assert_allclose(attnfield.covariance(sub, hyper), np.eye(2) / 3.0, rtol=1e-15)
+        data = simgen.simulate(simgen.SimConfig(n_times=1, locs_per_time=(3, 3), seed=2))
+        spec = geostat.ModelSpec(
+            kernel=geostat.KernelSpec(), offset=np.zeros(2), attention=(sub, hyper),
+        )
+        fit = geostat.laplace_fit(data.subset(np.array([0, 2])), spec)
+        assert fit.converged and np.isfinite(fit.logml)
 
     def test_near_tied_spectrum(self):
         # the two rings' top eigenvalues differ by 1e-4 relative, which

@@ -698,9 +698,12 @@ def parent_beta_given_u(fit):
 
 def parent_predict(fit, new_data, n_draws, seed, new_offsets=None, joint_field=None):
     """predict as it was with one conditional per model kind: beta | u from
-    parent_beta_given_u for mbg, and S | u written out for the hybrid."""
+    parent_beta_given_u for mbg, and S | u written out for the hybrid. Its
+    products go through numkit.matmul, as predict's do, so both run the
+    same BLAS build."""
     from scipy.linalg import solve_triangular
 
+    mm = numkit.matmul
     data, spec = fit.data, fit.spec
     n_obs, n_new = len(data), len(new_data)
     rng = numkit.RngStream(seed, geostat._STREAM_PREDICT)
@@ -711,24 +714,24 @@ def parent_predict(fit, new_data, n_draws, seed, new_offsets=None, joint_field=N
     )(spec.kernel)
     k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(spec.kernel)
     krig = numkit.solve_chol(numkit.cholesky(sigma_s, jitter=1e-8), k_cross.T).T
-    chol_cond = numkit.cholesky(k_new - krig @ k_cross.T, jitter=1e-8)
+    chol_cond = numkit.cholesky(k_new - mm(krig, k_cross.T), jitter=1e-8)
     if spec.kind == "mbg":
         r_beta, c_beta = parent_beta_given_u(fit)
         chol_cbeta = numkit.cholesky(c_beta, jitter=1e-12)
-        beta_draws = r_beta @ u_draws + chol_cbeta @ rng.standard_normal((len(c_beta), n_draws))
-        s_draws = u_draws - spec.design @ beta_draws
-        eta_new = build_design(new_data) @ beta_draws
+        beta_draws = mm(r_beta, u_draws) + mm(chol_cbeta, rng.standard_normal((len(c_beta), n_draws)))
+        s_draws = u_draws - mm(spec.design, beta_draws)
+        eta_new = mm(build_design(new_data), beta_draws)
     else:
         r_s = numkit.solve_chol(numkit.cholesky(fit.sigma_u, jitter=1e-10), sigma_s).T
-        chol_cs = numkit.cholesky(sigma_s - r_s @ sigma_s, jitter=1e-10)
-        s_draws = r_s @ u_draws + chol_cs @ rng.standard_normal((n_obs, n_draws))
+        chol_cs = numkit.cholesky(sigma_s - mm(r_s, sigma_s), jitter=1e-10)
+        s_draws = mm(r_s, u_draws) + mm(chol_cs, rng.standard_normal((n_obs, n_draws)))
         a_draws = u_draws - s_draws
         q_joint = attnfield.precision(joint_field, spec.attention[1])
         chol_qnn = numkit.cholesky(q_joint[n_obs:, n_obs:])
-        cond_mean = -numkit.solve_chol(chol_qnn, q_joint[n_obs:, :n_obs] @ a_draws)
+        cond_mean = -numkit.solve_chol(chol_qnn, mm(q_joint[n_obs:, :n_obs], a_draws))
         noise = solve_triangular(chol_qnn.T, rng.standard_normal((n_new, n_draws)), lower=False)
         eta_new = new_offsets[:, None] + cond_mean + noise
-    s_new = krig @ s_draws + chol_cond @ rng.standard_normal((n_new, n_draws))
+    s_new = mm(krig, s_draws) + mm(chol_cond, rng.standard_normal((n_new, n_draws)))
     return geostat._summarize_draws(new_data.ids, eta_new + s_new, 0.95)
 
 

@@ -1,5 +1,9 @@
 """Numerical kernel: factorizations, power iteration, sampling, RNG streams."""
 
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,6 +72,88 @@ class TestSyrk:
         assert got is out or np.shares_memory(got, out)
         np.testing.assert_array_equal(got, got.T)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+
+
+class TestMatmul:
+    """numkit.matmul, scipy's dgemv and dgemm, against numpy's @."""
+
+    def operands(self):
+        rng = np.random.default_rng(17)
+        q = rng.standard_normal((70, 70))
+        b = rng.standard_normal((50, 9))
+        return {
+            "c_ordered": (q[:50, :50].copy(), b),
+            "fortran_ordered": (np.asfortranarray(q[:50, :50]), np.asfortranarray(b)),
+            # a block of a larger C-ordered matrix, as predict takes of Q
+            "non_contiguous": (q[20:, :50], b),
+            "vector_rhs": (q[:50, :50].copy(), b[:, 0].copy()),
+            "transposed_vector_rhs": (q[:50, :9].T, b[:, 0].copy()),
+        }
+
+    @pytest.mark.parametrize("layout", [
+        "c_ordered", "fortran_ordered", "non_contiguous", "vector_rhs", "transposed_vector_rhs",
+    ])
+    def test_matches_numpy(self, layout):
+        a, b = self.operands()[layout]
+        want = a @ b
+        got = numkit.matmul(a, b)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    def test_matrix_product_is_c_ordered(self):
+        a, b = self.operands()["fortran_ordered"]
+        assert numkit.matmul(a, b).flags.c_contiguous
+
+    def test_copies_no_contiguous_operand(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((1000, 1000))
+        b = rng.standard_normal((1000, 200))
+        numkit.matmul(a[:2, :2], b[:2, :2])  # loads scipy's BLAS outside the count
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = numkit.matmul(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 ** 20
+
+
+class TestEigh:
+    def test_matches_numpy_eigh(self):
+        a = np.random.default_rng(4).standard_normal((40, 40))
+        s = a + a.T
+        lam, vec = numkit.eigh(s)
+        want_lam, want_vec = np.linalg.eigh(s)
+        np.testing.assert_allclose(lam, want_lam, rtol=1e-12, atol=1e-12)
+        # eigenvectors agree up to sign
+        np.testing.assert_allclose(np.abs(vec.T @ want_vec), np.eye(40), atol=1e-10)
+
+
+ONE_POOL_MODULES = ("geostat.py", "attnfield.py", "pipeline.py")
+
+
+@pytest.mark.parametrize("module", ONE_POOL_MODULES)
+def test_fitting_modules_reach_blas_only_through_numkit(module):
+    """The fitting modules import no scipy.linalg and name no numpy BLAS or
+    LAPACK entry point, so a fit's dense products stay in one BLAS pool."""
+    source = Path(numkit.__file__).with_name(module)
+    found = []
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("scipy.linalg")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.linalg"):
+                found.append(node.module)
+            elif node.module == "scipy":
+                found += [f"scipy.{a.name}" for a in node.names if a.name == "linalg"]
+            elif node.module == "numpy":
+                found += [f"numpy.{a.name}" for a in node.names
+                          if a.name in ("linalg", "dot", "matmul")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy") and node.attr in ("linalg", "dot", "matmul")):
+            found.append(f"{node.value.id}.{node.attr}")
+    assert not found, f"{module} reaches BLAS or LAPACK past numkit: {found}"
 
 
 class TestSolveSpd:
