@@ -368,8 +368,7 @@ def cmd_fit(args) -> int:
         summary = run.optimize.fit.summary()
         summary["optimizer"] = _optimizer_block(run.optimize)
         out.write_json("fit.json", summary)
-        extra["newton_converged"] = bool(run.optimize.fit.converged)
-        extra["search_converged"] = run.optimize.search_converged
+        extra.update(run.optimize.convergence())
     if args.kind == "hybrid":
         field = run.field
         out.write("attention.csv", lambda p: gatv2.write_attention_csv(gat.export, p))
@@ -481,12 +480,8 @@ def cmd_cv(args) -> int:
     reports = evalkit.spatial_cv(data, specs, folds, seed=seed)
 
     for fold_id in range(args.k):
-        payload = {}
-        for rep in reports:
-            if fold_id in rep.per_fold:
-                payload[rep.name] = rep.per_fold[fold_id].to_dict()
-            elif fold_id in rep.errors:
-                payload[rep.name] = {"error": rep.errors[fold_id]}
+        entries = {rep.name: rep.fold_entry(fold_id) for rep in reports}
+        payload = {name: entry for name, entry in entries.items() if entry is not None}
         out.write_json(f"fold_{fold_id}_report.json", payload)
 
     rows = evalkit.rank_reports(reports)

@@ -282,6 +282,17 @@ class CvSpecReport:
     complete: bool
     errors: dict[int, str] = field(default_factory=dict)
     pooled_records: int = 0
+    convergence: dict[int, dict[str, bool]] = field(default_factory=dict)  # fold -> flags
+
+    def fold_entry(self, fold_id: int) -> dict | None:
+        """The fold's report entry: its metrics and, for a fold whose fit
+        searched parameters, the convergence flags; its error when it
+        failed; None when this spec has no such fold."""
+        if fold_id in self.per_fold:
+            return {**self.per_fold[fold_id].to_dict(), **self.convergence.get(fold_id, {})}
+        if fold_id in self.errors:
+            return {"error": self.errors[fold_id]}
+        return None
 
 
 def spatial_cv(
@@ -297,30 +308,33 @@ def spatial_cv(
     Scores use the held-out records' empirical prevalence (truth columns are
     never consulted here); ``coverage95`` is that of the predictions'
     ``lo``/``hi`` intervals, zero-width ones included. ``runner(train, test,
-    spec, seed)`` must return a prediction object with ``ids``, ``mean``,
-    ``lo`` and ``hi`` aligned to the test records; the default runner is the
-    full pipeline. A failed fold marks that spec's report incomplete instead
-    of aborting the run.
+    spec, seed)`` must return a run like :class:`pipeline.PipelineRun`: its
+    ``prediction`` has ``ids``, ``mean``, ``lo`` and ``hi`` aligned to the
+    test records, and its ``optimize`` is the parameter search's result, or
+    None for a fit that searched nothing. The default runner is the full
+    pipeline. A failed fold marks that spec's report incomplete instead of
+    aborting the run.
 
-    The default runner trains each fold's network once per distinct network
-    setting (its ``gat`` and ``graph`` configs) and shares it with every
-    other gat_only or hybrid spec that has the same setting: those rebuild
-    the graph and run the trained network forward. The fold seed
-    ``seed + fold_id`` replaces the ``gat`` seed, as in training, so it also
-    identifies the fold's training records within the call.
+    The default runner runs each fold's network once per distinct network
+    setting (its ``gat`` and ``graph`` configs): it builds the fold's graph,
+    trains the network and runs it forward. Every other gat_only or hybrid
+    spec with the same setting reuses that pass, its model, predictions and
+    attention export, and builds no graph. The fold seed ``seed + fold_id``
+    replaces the ``gat`` seed, as in training, so it also identifies the
+    fold's training and held-out records within the call.
     """
     if runner is None:
         from .pipeline import fit_and_predict  # avoids an import cycle
 
-        trained = {}  # (gat config with the fold seed, graph config) -> GatModel
+        passes = {}  # (gat config with the fold seed, graph config) -> GatArtifacts
 
         def runner(train, test, spec, seed):
-            # mbg ignores the model and trains no network, so it stores nothing
+            # mbg ignores the pass and runs no network, so it stores nothing
             key = (replace(spec.gat, seed=seed), spec.graph)
-            run = fit_and_predict(train, test, spec, seed=seed, model=trained.get(key))
+            run = fit_and_predict(train, test, spec, seed=seed, gat=passes.get(key))
             if run.gat is not None:
-                trained[key] = run.gat.model
-            return run.prediction
+                passes[key] = run.gat
+            return run
 
     if len(folds.cluster) != len(data):
         raise ValueError("fold assignment must cover every record")
@@ -329,15 +343,20 @@ def spatial_cv(
     for spec in specs:
         per_fold: dict[int, MetricReport] = {}
         errors: dict[int, str] = {}
+        convergence: dict[int, dict[str, bool]] = {}
         scored = []  # score_predictions' (mean, truth, t, lo, hi) of each scored fold
         for fold_id in range(folds.n_clusters):
             test_mask = folds.cluster == fold_id
             test = data.subset(test_mask)
             try:
-                pred = runner(data.subset(~test_mask), test, spec, seed=seed + fold_id)
+                run = runner(data.subset(~test_mask), test, spec, seed=seed + fold_id)
             except Exception as err:  # noqa: BLE001 - per-fold failures are recorded
                 errors[fold_id] = f"{type(err).__name__}: {err}"
                 continue
+            pred = run.prediction
+            if run.optimize is not None:
+                convergence[fold_id] = run.optimize.convergence()
+            del run  # a fit holds dense n x n arrays: free them before the next fold
             scored.append((pred.mean, test.empirical_prevalence, test.t, pred.lo, pred.hi))
             per_fold[fold_id] = score_predictions(*scored[-1])
         pooled = None
@@ -353,6 +372,7 @@ def spatial_cv(
             complete=not errors,
             errors=errors,
             pooled_records=n_pooled,
+            convergence=convergence,
         ))
     return reports
 

@@ -19,14 +19,27 @@ The per-edge arrays of a layer are u = LeakyReLU(z), written over the score
 pre-activation z, and the attention alpha, kept both per edge and per head
 (the data of the block-diagonal matrix). Backward recovers the LeakyReLU
 slope factor from the sign of u, so it is not stored. Scratch for gathers
-and softmax terms, and the index arrays of the block-diagonal matrix, are
-shared by all layers. Forward writes the per-layer arrays into a set of
-edge buffers and backward reads them from the cache, writing only the
-scratch. :func:`train` allocates one set and rewrites it every epoch; a
-:func:`forward` call without one gets its own, so the arrays it returns
-belong to the caller. Per-destination reductions work over a canonical edge
-ordering so results are bit-reproducible and independent of the caller's
-edge-list order.
+and softmax terms is shared by all layers. Forward writes the per-layer
+arrays into a set of edge buffers and backward reads them from the cache,
+writing only the scratch. :func:`train` allocates one set and rewrites it
+every epoch; a :func:`forward` call without one gets its own, so the arrays
+it returns belong to the caller. Per-destination reductions work over a
+canonical edge ordering so results are bit-reproducible and independent of
+the caller's edge-list order.
+
+Each layer runs on a set of edges: :func:`forward` gives every layer all of
+the graph's, while :func:`train` gives each layer only the edges whose
+destination a later step reads, the L-hop computation graph of the
+train-role nodes (as in GraphSAGE). The last layer keeps its edges into
+train-role nodes; each earlier layer keeps its edges into the sources of
+the next layer's kept edges. A kept destination keeps all its in-edges, in
+the graph's order, and node arrays keep all n rows. So every per-destination
+sum, softmax and node-level gemm sees the same nonzero operands in the same
+order as on the whole graph: the dropped edges only ever fed nodes whose
+values the loss never reads, and whose gradients are exactly zero. Losses,
+weights, and the predictions and attention of the final full-graph forward
+are bit-identical to training on every edge. When every node is train-role,
+every edge is kept, and training runs on the graph's own arrays.
 """
 
 from __future__ import annotations
@@ -100,25 +113,19 @@ class GraphSpec:
             raise ValueError("every node needs a self-loop")
 
         self.dst_starts = np.searchsorted(self.dst, np.arange(self.n_nodes))
-        n_e = len(self.src)
-        ones = np.ones(n_e)
-        arange = np.arange(n_e)
-        self._sum_dst = sp.csr_matrix((ones, (self.dst, arange)), shape=(self.n_nodes, n_e))
-        self._sum_src = sp.csr_matrix((ones, (self.src, arange)), shape=(self.n_nodes, n_e))
+        self._sum_dst = _sum_matrix(self.dst, self.n_nodes)
+        self._sum_src = _sum_matrix(self.src, self.n_nodes)
 
     @property
     def n_edges(self) -> int:
         return len(self.src)
 
-    def scatter_dst(self, per_edge: np.ndarray) -> np.ndarray:
-        """Sum per-edge values into their destination node."""
-        flat = per_edge.reshape(len(per_edge), -1)
-        return (self._sum_dst @ flat).reshape((self.n_nodes,) + per_edge.shape[1:])
 
-    def scatter_src(self, per_edge: np.ndarray) -> np.ndarray:
-        """Sum per-edge values into their source node."""
-        flat = per_edge.reshape(len(per_edge), -1)
-        return (self._sum_src @ flat).reshape((self.n_nodes,) + per_edge.shape[1:])
+def _sum_matrix(node: np.ndarray, n: int) -> sp.csr_matrix:
+    """(n, E) ones at (node[e], e): its product sums per-edge rows into nodes,
+    each node's edges in edge order."""
+    n_e = len(node)
+    return sp.csr_matrix((np.ones(n_e), (node, np.arange(n_e))), shape=(n, n_e))
 
 
 def graph_features(records: Dataset) -> np.ndarray:
@@ -319,43 +326,113 @@ class AttentionExport:
 
 
 @dataclass
-class _EdgeBuffers:
-    """The edge-sized arrays of one layer. ``u``, ``alpha`` and ``alpha_t``
-    carry values from the layer's forward pass to its backward pass. The
-    block-diagonal index arrays and the scratch arrays are shared by all
-    layers; the scratch holds nothing between layer calls."""
+class _LayerEdges:
+    """The edges one layer runs on, in the graph's (dst, src) order: all of
+    the graph's, or all those into a subset of the nodes. Node arrays keep
+    all n rows; a node with no edge here aggregates nothing."""
 
+    n_nodes: int
+    src: np.ndarray         # (E,)
+    dst: np.ndarray         # (E,)
+    seg_starts: np.ndarray  # (S,) first edge into each destination that has edges
+    seg: np.ndarray         # (E,) each edge's destination as an index into seg_starts
+    sum_dst: sp.csr_matrix  # (n, E) ones at (dst, edge)
+    sum_src: sp.csr_matrix  # (n, E) ones at (src, edge)
+    bd_indices: np.ndarray  # (K*E,) column k n + src of head k's edges
+    bd_indptr: np.ndarray   # (K*n + 1,) row k n + i starts at k E + (first edge into i)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.src)
+
+    def scatter_dst(self, per_edge: np.ndarray) -> np.ndarray:
+        """Sum per-edge values into their destination node."""
+        flat = per_edge.reshape(len(per_edge), -1)
+        return (self.sum_dst @ flat).reshape((self.n_nodes,) + per_edge.shape[1:])
+
+    def scatter_src(self, per_edge: np.ndarray) -> np.ndarray:
+        """Sum per-edge values into their source node."""
+        flat = per_edge.reshape(len(per_edge), -1)
+        return (self.sum_src @ flat).reshape((self.n_nodes,) + per_edge.shape[1:])
+
+
+def _layer_edges(graph: GraphSpec, heads: int, keep: np.ndarray | None = None) -> _LayerEdges:
+    """The graph's edges where ``keep`` is True; with ``keep`` None, all of
+    them, as the graph's own arrays rather than copies."""
+    n = graph.n_nodes
+    if keep is None:
+        src, dst, starts = graph.src, graph.dst, graph.dst_starts
+        seg_starts, seg = starts, dst
+        sum_dst, sum_src = graph._sum_dst, graph._sum_src
+    else:
+        src, dst = graph.src[keep], graph.dst[keep]
+        starts = np.searchsorted(dst, np.arange(n))
+        _, seg_starts, seg = np.unique(dst, return_index=True, return_inverse=True)
+        sum_dst, sum_src = _sum_matrix(dst, n), _sum_matrix(src, n)
+    n_e = len(src)
+    # scipy's own index dtype, so that building the matrix never copies them
+    idx = np.int32 if heads * max(n_e, n) < np.iinfo(np.int32).max else np.int64
+    head = np.arange(heads)[:, None]
+    return _LayerEdges(
+        n_nodes=n, src=src, dst=dst, seg_starts=seg_starts, seg=seg,
+        sum_dst=sum_dst, sum_src=sum_src,
+        bd_indices=(src + n * head).astype(idx).ravel(),
+        bd_indptr=np.append(starts + n_e * head, heads * n_e).astype(idx),
+    )
+
+
+def _training_edges(graph: GraphSpec, n_layers: int, heads: int) -> list[_LayerEdges]:
+    """Per layer, the edges whose destination a later step of the train-node
+    loss reads: the last layer's into the train-role nodes, each earlier
+    layer's into the sources of the next layer's."""
+    edges, need = [], graph.train_mask
+    for _ in range(n_layers):
+        keep = need[graph.dst]
+        if keep.all():
+            # self-loops make each layer's set contain the next one's, so
+            # the earlier layers keep every edge too: one full set for all
+            return [_layer_edges(graph, heads)] * (n_layers - len(edges)) + edges
+        edges.insert(0, _layer_edges(graph, heads, keep))
+        need = np.zeros(graph.n_nodes, dtype=bool)
+        need[graph.src[keep]] = True
+    return edges
+
+
+@dataclass
+class _EdgeBuffers:
+    """The edge-sized arrays of one layer, for the edges it runs on. ``u``,
+    ``alpha`` and ``alpha_t`` carry values from the layer's forward pass to
+    its backward pass. The scratch arrays are shared by all layers and hold
+    nothing between layer calls."""
+
+    edges: _LayerEdges
     u: np.ndarray        # (E, K*d) z, then LeakyReLU(z) in place
     alpha: np.ndarray    # (E, K) attention
     alpha_t: np.ndarray  # (K, E) attention per head: the data of the block-diagonal matrix
-    bd_indices: np.ndarray  # (K*E,) column k n + src of head k's edges
-    bd_indptr: np.ndarray   # (K*n + 1,) row k n + i starts at k E + dst_starts[i]
     scratch_kd: np.ndarray   # (E, K*d)
     scratch_kd2: np.ndarray  # (E, K*d)
     scratch_k: np.ndarray    # (E, K)
     scratch_k2: np.ndarray   # (E, K)
 
 
-def _edge_buffers(graph: GraphSpec, layers: list[LayerParams]) -> list[_EdgeBuffers]:
-    """Uninitialised edge buffers for every layer of a network."""
-    n, n_e, k = graph.n_nodes, graph.n_edges, layers[0].a.shape[0]
-    widths = [lay.a.size for lay in layers]  # K*d per layer
-    wide, wide2 = np.empty(n_e * max(widths)), np.empty(n_e * max(widths))
-    narrow, narrow2 = np.empty((n_e, k)), np.empty((n_e, k))
-    # scipy's own index dtype, so that building the matrix never copies them
-    idx = np.int32 if k * max(n_e, n) < np.iinfo(np.int32).max else np.int64
-    heads = np.arange(k)[:, None]
-    bd_indices = (graph.src + n * heads).astype(idx).ravel()
-    bd_indptr = np.append(graph.dst_starts + n_e * heads, k * n_e).astype(idx)
+def _edge_buffers(edges: list[_LayerEdges], layers: list[LayerParams]) -> list[_EdgeBuffers]:
+    """Uninitialised edge buffers for every layer of a network, layer i
+    running on ``edges[i]``."""
+    k = layers[0].a.shape[0]
+    shapes = [(e.n_edges, lay.a.size) for e, lay in zip(edges, layers)]  # (E, K*d) per layer
+    wide_size = max(n_e * kd for n_e, kd in shapes)
+    narrow_size = k * max(n_e for n_e, _ in shapes)
+    wide, wide2 = np.empty(wide_size), np.empty(wide_size)
+    narrow, narrow2 = np.empty(narrow_size), np.empty(narrow_size)
     return [
         _EdgeBuffers(
-            u=np.empty((n_e, kd)), alpha=np.empty((n_e, k)), alpha_t=np.empty((k, n_e)),
-            bd_indices=bd_indices, bd_indptr=bd_indptr,
+            edges=e, u=np.empty((n_e, kd)), alpha=np.empty((n_e, k)), alpha_t=np.empty((k, n_e)),
             scratch_kd=wide[:n_e * kd].reshape(n_e, kd),
             scratch_kd2=wide2[:n_e * kd].reshape(n_e, kd),
-            scratch_k=narrow, scratch_k2=narrow2,
+            scratch_k=narrow[:n_e * k].reshape(n_e, k),
+            scratch_k2=narrow2[:n_e * k].reshape(n_e, k),
         )
-        for kd in widths
+        for e, (n_e, kd) in zip(edges, shapes)
     ]
 
 
@@ -372,28 +449,29 @@ class _LayerCache:
     h_in: np.ndarray      # (n, d_in) layer input: graph features or the previous layer's output
     hv: np.ndarray        # (n, K*d) value projection h Vᵀ; backward gathers it onto edges
     agg: np.ndarray       # (n, K, d) pre-activation head outputs
-    attn: sp.csr_matrix   # (K*n, K*n) block-diagonal attention; its data is edges.alpha_t
-    edges: _EdgeBuffers   # this pass's per-edge u, alpha and alpha_t; owned by
+    attn: sp.csr_matrix   # (K*n, K*n) block-diagonal attention; its data is buf.alpha_t
+    buf: _EdgeBuffers     # this pass's per-edge u, alpha and alpha_t; owned by
                           # train() for all its epochs, else by the forward() call
 
     @property
     def alpha(self) -> np.ndarray:
-        return self.edges.alpha
+        return self.buf.alpha
 
 
 @dataclass
 class ForwardCache:
     layers: list[_LayerCache]
+    edges: list[_LayerEdges]  # the edges each layer ran on
     h_final: np.ndarray
     preds: np.ndarray
     alphas: list[np.ndarray]  # per-layer (E, K), for invariant checks
 
 
-def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
+def _layer_forward(edges: _LayerEdges, lay: LayerParams, h: np.ndarray,
                    slope: float, is_final: bool, buf: _EdgeBuffers):
     k, d, two_din = lay.w.shape
     din = two_din // 2
-    n, dst, src = graph.n_nodes, graph.dst, graph.src
+    n, dst, src = edges.n_nodes, edges.dst, edges.src
     w_flat = lay.w.reshape(k * d, two_din)
     v_flat = lay.v.reshape(k * d, din)
 
@@ -406,13 +484,13 @@ def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
     u = np.maximum(z, np.multiply(z, slope, out=buf.scratch_kd), out=z)
     scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a, out=buf.scratch_k)
 
-    smax = np.maximum.reduceat(scores, graph.dst_starts, axis=0)
-    ex = np.take(smax, dst, axis=0, out=buf.scratch_k2, mode="clip")
+    smax = np.maximum.reduceat(scores, edges.seg_starts, axis=0)
+    ex = np.take(smax, edges.seg, axis=0, out=buf.scratch_k2, mode="clip")
     np.exp(np.subtract(scores, ex, out=ex), out=ex)
-    alpha = np.take(graph.scatter_dst(ex), dst, axis=0, out=buf.alpha, mode="clip")
+    alpha = np.take(edges.scatter_dst(ex), dst, axis=0, out=buf.alpha, mode="clip")
     np.divide(ex, alpha, out=alpha)
     buf.alpha_t[...] = alpha.T
-    attn = sp.csr_matrix((buf.alpha_t.reshape(-1), buf.bd_indices, buf.bd_indptr),
+    attn = sp.csr_matrix((buf.alpha_t.reshape(-1), edges.bd_indices, edges.bd_indptr),
                          shape=(k * n, k * n))
 
     # head k aggregates A_k @ (h V_kᵀ), A_k holding alpha[:, k] at (dst, src):
@@ -425,7 +503,7 @@ def _layer_forward(graph: GraphSpec, lay: LayerParams, h: np.ndarray,
         out = _elu(agg.mean(axis=1))
     else:
         out = _elu(agg).reshape(n, k * d)
-    return out, _LayerCache(h_in=h, hv=hv, agg=agg, attn=attn, edges=buf)
+    return out, _LayerCache(h_in=h, hv=hv, agg=agg, attn=attn, buf=buf)
 
 
 def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | None = None,
@@ -434,18 +512,20 @@ def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | No
 
     Raises :class:`NonFiniteActivation` if any output is non-finite.
     ``_buffers`` and ``_export`` are for :func:`train`, which rewrites the
-    same edge buffers every epoch and has no use for the export: with
-    ``_export`` False the export is None and no edge-sized array is made
-    for it. Without ``_buffers`` each call gets its own.
+    same edge buffers every epoch, on each layer's training edges, and has
+    no use for the export: with ``_export`` False the export is None and no
+    edge-sized array is made for it. Without ``_buffers`` each call gets its
+    own, and every layer runs on all of the graph's edges.
     """
     if _buffers is None:
-        _buffers = _edge_buffers(graph, model.layers)
+        edges = _layer_edges(graph, model.config.heads)
+        _buffers = _edge_buffers([edges] * len(model.layers), model.layers)
     slope = model.config.leaky_slope
     h = graph.features
     caches, alphas = [], []
     n_layers = len(model.layers)
     for li, (lay, buf) in enumerate(zip(model.layers, _buffers)):
-        h, cache = _layer_forward(graph, lay, h, slope, li == n_layers - 1, buf)
+        h, cache = _layer_forward(buf.edges, lay, h, slope, li == n_layers - 1, buf)
         caches.append(cache)
         alphas.append(cache.alpha)
     preds = h @ model.w_out + model.b_out
@@ -458,7 +538,8 @@ def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | No
             dst=graph.dst.copy(),
             alpha_mean=caches[-1].alpha.mean(axis=1),
         )
-    return preds, export, ForwardCache(layers=caches, h_final=h, preds=preds, alphas=alphas)
+    return preds, export, ForwardCache(layers=caches, edges=[b.edges for b in _buffers],
+                                       h_final=h, preds=preds, alphas=alphas)
 
 
 def mse_loss(preds: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
@@ -466,15 +547,15 @@ def mse_loss(preds: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
     return float(r @ r / r.size)
 
 
-def _layer_backward(graph: GraphSpec, lay: LayerParams, cache: _LayerCache,
+def _layer_backward(edges: _LayerEdges, lay: LayerParams, cache: _LayerCache,
                     d_out: np.ndarray, slope: float, is_final: bool,
                     need_input_grad: bool = True):
     k, d, two_din = lay.w.shape
     din = two_din // 2
-    n, dst, src = graph.n_nodes, graph.dst, graph.src
+    n, dst, src = edges.n_nodes, edges.dst, edges.src
     w_flat = lay.w.reshape(k * d, two_din)
     v_flat = lay.v.reshape(k * d, din)
-    buf = cache.edges
+    buf = cache.buf
 
     if is_final:
         d_pre = (d_out * _elu_grad(cache.agg.mean(axis=1))) / k
@@ -499,7 +580,7 @@ def _layer_backward(graph: GraphSpec, lay: LayerParams, cache: _LayerCache,
 
     # softmax backward per (destination, head)
     alpha = buf.alpha
-    s_node = graph.scatter_dst(np.multiply(alpha, d_alpha, out=buf.scratch_k2))
+    s_node = edges.scatter_dst(np.multiply(alpha, d_alpha, out=buf.scratch_k2))
     d_score = np.take(s_node, dst, axis=0, out=buf.scratch_k2, mode="clip")
     np.subtract(d_alpha, d_score, out=d_score)
     d_score *= alpha
@@ -513,8 +594,8 @@ def _layer_backward(graph: GraphSpec, lay: LayerParams, cache: _LayerCache,
     # LeakyReLU's slope factor, max(u > 0, slope): 1 where u > 0, slope elsewhere
     leaky = np.greater(buf.u, 0.0, out=buf.scratch_kd2)
     d_z *= np.maximum(leaky, slope, out=leaky)
-    z_dst = graph.scatter_dst(d_z)                           # (n, K*d)
-    z_src = graph.scatter_src(d_z)                           # (n, K*d)
+    z_dst = edges.scatter_dst(d_z)                           # (n, K*d)
+    z_src = edges.scatter_src(d_z)                           # (n, K*d)
 
     d_w = np.empty((k * d, two_din))
     d_w[:, :din] = z_dst.T @ h
@@ -552,7 +633,7 @@ def gradient(
     n_layers = len(model.layers)
     for li in range(n_layers - 1, -1, -1):
         grads[li], d_h = _layer_backward(
-            graph, model.layers[li], cache.layers[li], d_h, slope,
+            cache.edges[li], model.layers[li], cache.layers[li], d_h, slope,
             is_final=li == n_layers - 1,
             need_input_grad=li > 0,
         )
@@ -570,6 +651,17 @@ def train(
     ignored. Returns the trained model and the per-epoch loss trace.
     Deterministic given ``config.seed``. Every epoch rewrites one set of
     edge buffers, allocated here, and builds no attention export.
+
+    Each layer trains only on the edges whose destination a later step
+    reads (see the module docstring): the last layer on its edges into
+    train-role nodes, each earlier layer on its edges into the sources of
+    the next layer's. The loss, the gradients and so the trained weights are
+    those of training on every edge, bit for bit. With every node
+    train-role every edge is kept, on the graph's own arrays. Raises
+    :class:`NonFiniteActivation`, with the epoch, when an output the loss
+    reads is non-finite; outputs at the other nodes are not computed here,
+    so a network whose predict-role outputs overflow trains, and the
+    full-graph :func:`forward` that predicts there raises instead.
     """
     targets = np.asarray(targets, dtype=float)
     if len(targets) != graph.n_nodes:
@@ -577,7 +669,8 @@ def train(
     if not graph.train_mask.any():
         raise ValueError("no train-role nodes")
     model = init_model(graph.features.shape[1], config)
-    buffers = _edge_buffers(graph, model.layers)
+    edges = _training_edges(graph, len(config.widths), config.heads)
+    buffers = _edge_buffers(edges, model.layers)
     trace = np.empty(config.epochs)
     lr = config.learning_rate
     for epoch in range(config.epochs):

@@ -569,6 +569,12 @@ class OptimizeResult:
         """Whether the restart that holds the best evaluation converged."""
         return self.restarts[self.best_restart]["converged"]
 
+    def convergence(self) -> dict[str, bool]:
+        """Whether the best fit's Newton iteration and the search converged,
+        as fit manifests and CV fold reports record them."""
+        return {"newton_converged": bool(self.fit.converged),
+                "search_converged": self.search_converged}
+
 
 def optimize_hyperparameters(
     data: Dataset,

@@ -2,11 +2,11 @@
 
 One :class:`PipelineModelSpec` describes everything needed to fit one model
 kind. :func:`fit_and_predict` is the only place a spec becomes a fit: it
-trains the GATv2 network (or runs a given trained one), turns its
-predictions into a logit offset and its attention into a GMRF prior, fits
-the latent Gaussian model, and predicts at held-out records or, with none,
-at the training records. Cross-validation calls it once per fold; the
-command-line ``fit`` goes through :func:`run_insample`.
+trains the GATv2 network (or runs a given trained one, or takes a given
+network pass), turns its predictions into a logit offset and its attention
+into a GMRF prior, fits the latent Gaussian model, and predicts at held-out
+records or, with none, at the training records. Cross-validation calls it
+once per fold; the command-line ``fit`` goes through :func:`run_insample`.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
 
 @dataclass
 class GatArtifacts:
+    """One network pass over the joint records: what fits read of it."""
+
     model: gatv2.GatModel
-    graph: gatv2.GraphSpec
     preds: np.ndarray
     export: gatv2.AttentionExport
     loss_trace: np.ndarray | None  # None when a trained model was given
@@ -94,7 +95,7 @@ def train_gat(
         config = replace(spec.gat, seed=seed)
         model, trace = gatv2.train(graph, joint.empirical_prevalence, config)
     preds, export, _ = gatv2.forward(model, graph)
-    return GatArtifacts(model=model, graph=graph, preds=preds, export=export, loss_trace=trace)
+    return GatArtifacts(model=model, preds=preds, export=export, loss_trace=trace)
 
 
 def gat_only_prediction(ids: np.ndarray, preds: np.ndarray) -> evalkit.Prediction:
@@ -122,20 +123,25 @@ def fit_and_predict(
     spec: PipelineModelSpec,
     seed: int = 0,
     model: gatv2.GatModel | None = None,
+    gat: GatArtifacts | None = None,
 ) -> PipelineRun:
     """Fit on ``train`` and predict prevalence at ``test`` records.
 
     With ``test`` None the predictions are at the ``train`` records. A given
-    trained ``model`` stands in for training the network (mbg has none).
+    trained ``model`` stands in for training the network, and a given
+    network pass ``gat`` over these same train and test records stands in
+    for building the graph and running the network (mbg uses neither).
     """
     n_tr = len(train)
-    gat = fld = offsets = None
+    fld = offsets = None
     if spec.kind == "mbg":
+        gat = None
         template = geostat.ModelSpec(kernel=spec.kernel, design=geostat.build_design(train))
     else:
         joint = train if test is None else concat_datasets(train, test)
         n_joint = len(joint)
-        gat = train_gat(joint, np.arange(n_joint) < n_tr, spec, seed, model)
+        if gat is None:
+            gat = train_gat(joint, np.arange(n_joint) < n_tr, spec, seed, model)
         if spec.kind == "gat_only":
             new = slice(None) if test is None else slice(n_tr, None)
             pred = gat_only_prediction(joint.ids[new], gat.preds[new])

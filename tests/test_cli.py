@@ -455,6 +455,30 @@ def test_cv_runs_every_fold_at_the_largest_seed(tmp_path, dataset_csv):
     assert report["m"]["complete"] is True
 
 
+def test_cv_fold_reports_record_whether_each_search_converged(tmp_path, dataset_csv):
+    # max_iter 0 stops every search before it converges; gat_only searches nothing
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps({"version": 1, "specs": [
+        {"name": "m", "kind": "mbg", "n_draws": 20,
+         "optimizer": {"max_iter": 0, "bounds": {"log_sigma2": [-3.0, 1.0]}}},
+        {"name": "h", "kind": "hybrid", "n_draws": 20, "gat": {"epochs": 3, "widths": [4]},
+         "optimizer": {"max_iter": 0, "bounds": {"theta2": [-15.0, 15.0]}}},
+        {"name": "g", "kind": "gat_only", "gat": {"epochs": 3, "widths": [4]}},
+    ]}))
+    out = tmp_path / "cv"
+    assert cli.main(["cv", "--dataset", str(dataset_csv), "--specs", str(specs), "--k", "2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    for fold_id in range(2):
+        report = json.loads((out / f"fold_{fold_id}_report.json").read_text())
+        for name in ("m", "h"):
+            assert report[name]["search_converged"] is False
+            assert report[name]["newton_converged"] is True
+        assert not {"search_converged", "newton_converged"} & set(report["g"])
+        assert "rbs" in report["g"]
+    pooled = json.loads((out / "cv_report.json").read_text())
+    assert not {"search_converged", "newton_converged"} & set(pooled["m"]["metrics"])
+
+
 def test_cv_spec_with_a_fit_config_version_and_seed_runs(tmp_path, dataset_csv):
     # the benchmark writes every cv spec entry as a fit config plus name and kind
     specs = tmp_path / "specs.json"

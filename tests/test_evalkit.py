@@ -2,6 +2,7 @@
 
 import csv
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,9 +179,9 @@ def fake_runner(train, test, spec, seed=0):
     from geoattn.evalkit import Prediction
 
     mean = np.clip(test.empirical_prevalence + spec.bias, 0, 1)
-    return Prediction(
+    return SimpleNamespace(optimize=None, prediction=Prediction(
         ids=test.ids, mean=mean, lo=mean, hi=mean, sd_linpred=np.zeros(len(test)),
-    )
+    ))
 
 
 class ConstSpec:
@@ -198,8 +199,10 @@ def const_runner(train, test, spec, seed=0):
     from geoattn.evalkit import Prediction
 
     full = lambda value: np.full(len(test), value)
-    return Prediction(ids=test.ids, mean=full(spec.mean), lo=full(spec.lo), hi=full(spec.hi),
-                      sd_linpred=full(0.0))
+    return SimpleNamespace(optimize=None, prediction=Prediction(
+        ids=test.ids, mean=full(spec.mean), lo=full(spec.lo), hi=full(spec.hi),
+        sd_linpred=full(0.0),
+    ))
 
 
 class TestSpatialCv:

@@ -213,27 +213,27 @@ def random_graph(n, seed):
     return graph, rng.uniform(0, 1, n)
 
 
-def per_edge_layer_forward(graph, lay, h, slope, is_final, buf):
+def per_edge_layer_forward(edges, lay, h, slope, is_final, buf):
     """Reference layer: gather features onto edges, then project per edge.
     It allocates every array itself and ignores the edge buffers ``buf``."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     w = lay.w.reshape(k * d, two_din)
-    h_dst, h_src = h[graph.dst], h[graph.src]
+    h_dst, h_src = h[edges.dst], h[edges.src]
     z = h_dst @ w[:, :din].T + h_src @ w[:, din:].T
     u = np.maximum(z, slope * z)
     scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a)
-    ex = np.exp(scores - np.maximum.reduceat(scores, graph.dst_starts)[graph.dst])
-    alpha = ex / graph.scatter_dst(ex)[graph.dst]
+    ex = np.exp(scores - np.maximum.reduceat(scores, edges.seg_starts)[edges.seg])
+    alpha = ex / edges.scatter_dst(ex)[edges.dst]
     msg = h_src @ lay.v.reshape(k * d, din).T
     weighted = (msg.reshape(-1, k, d) * alpha[:, :, None]).reshape(-1, k * d)
-    agg = graph.scatter_dst(weighted).reshape(-1, k, d)
+    agg = edges.scatter_dst(weighted).reshape(-1, k, d)
     out = gatv2._elu(agg.mean(axis=1)) if is_final else gatv2._elu(agg).reshape(len(h), -1)
     return out, SimpleNamespace(h_dst=h_dst, h_src=h_src, z=z, u=u, msg=msg,
                                 alpha=alpha, agg=agg)
 
 
-def per_edge_layer_backward(graph, lay, c, d_out, slope, is_final, need_input_grad=True):
+def per_edge_layer_backward(edges, lay, c, d_out, slope, is_final, need_input_grad=True):
     """Reference backward: every weight and input gradient is a GEMM over edges."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
@@ -243,10 +243,10 @@ def per_edge_layer_backward(graph, lay, c, d_out, slope, is_final, need_input_gr
         d_agg = np.repeat(d_pre[:, None, :], k, axis=1)
     else:
         d_agg = d_out.reshape(-1, k, d) * gatv2._elu_grad(c.agg)
-    d_weighted = d_agg[graph.dst]
+    d_weighted = d_agg[edges.dst]
     d_alpha = np.einsum("ekd,ekd->ek", d_weighted, c.msg.reshape(-1, k, d))
     d_msg = (d_weighted * c.alpha[:, :, None]).reshape(-1, k * d)
-    d_score = c.alpha * (d_alpha - graph.scatter_dst(c.alpha * d_alpha)[graph.dst])
+    d_score = c.alpha * (d_alpha - edges.scatter_dst(c.alpha * d_alpha)[edges.dst])
     d_u = (d_score[:, :, None] * lay.a[None]).reshape(-1, k * d)
     d_z = np.where(c.z > 0, d_u, slope * d_u)
     grads = LayerParams(
@@ -256,51 +256,51 @@ def per_edge_layer_backward(graph, lay, c, d_out, slope, is_final, need_input_gr
     )
     d_h = None
     if need_input_grad:
-        d_h = (graph.scatter_src(d_msg @ v) + graph.scatter_dst(d_z @ w[:, :din])
-               + graph.scatter_src(d_z @ w[:, din:]))
+        d_h = (edges.scatter_src(d_msg @ v) + edges.scatter_dst(d_z @ w[:, :din])
+               + edges.scatter_src(d_z @ w[:, din:]))
     return grads, d_h
 
 
-def scatter_layer_forward(graph, lay, h, slope, is_final, buf):
+def scatter_layer_forward(edges, lay, h, slope, is_final, buf):
     """The layer as it was before the sparse aggregation: messages formed per
     edge, weighted and scattered to destinations. Same arithmetic, so the
     results must match bit for bit. Ignores the edge buffers ``buf``."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     w_flat, v_flat = lay.w.reshape(k * d, two_din), lay.v.reshape(k * d, din)
-    z = (h @ w_flat[:, :din].T)[graph.dst]
-    z += (h @ w_flat[:, din:].T)[graph.src]
+    z = (h @ w_flat[:, :din].T)[edges.dst]
+    z += (h @ w_flat[:, din:].T)[edges.src]
     pos = z > 0
     u = z * (pos * (1.0 - slope) + slope)
     scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a)
-    ex = np.exp(scores - np.maximum.reduceat(scores, graph.dst_starts, axis=0)[graph.dst])
-    alpha = ex / graph.scatter_dst(ex)[graph.dst]
-    msg = (h @ v_flat.T)[graph.src]
+    ex = np.exp(scores - np.maximum.reduceat(scores, edges.seg_starts, axis=0)[edges.seg])
+    alpha = ex / edges.scatter_dst(ex)[edges.dst]
+    msg = (h @ v_flat.T)[edges.src]
     weighted = msg.reshape(-1, k, d) * alpha[:, :, None]
-    agg = graph.scatter_dst(weighted.reshape(-1, k * d)).reshape(len(h), k, d)
+    agg = edges.scatter_dst(weighted.reshape(-1, k * d)).reshape(len(h), k, d)
     out = gatv2._elu(agg.mean(axis=1)) if is_final else gatv2._elu(agg).reshape(len(h), -1)
     return out, SimpleNamespace(h_in=h, u=u, pos=pos, msg=msg, alpha=alpha, agg=agg)
 
 
-def scatter_layer_backward(graph, lay, c, d_out, slope, is_final, need_input_grad=True):
+def scatter_layer_backward(edges, lay, c, d_out, slope, is_final, need_input_grad=True):
     """Backward of :func:`scatter_layer_forward`, with per-edge ``d_msg``."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
-    n = graph.n_nodes
+    n = edges.n_nodes
     w_flat, v_flat = lay.w.reshape(k * d, two_din), lay.v.reshape(k * d, din)
     if is_final:
         d_pre = (d_out * gatv2._elu_grad(c.agg.mean(axis=1))) / k
         d_agg = np.ascontiguousarray(np.broadcast_to(d_pre[:, None, :], (n, k, d)))
     else:
         d_agg = d_out.reshape(n, k, d) * gatv2._elu_grad(c.agg)
-    d_weighted3 = d_agg.reshape(n, k * d)[graph.dst].reshape(-1, k, d)
+    d_weighted3 = d_agg.reshape(n, k * d)[edges.dst].reshape(-1, k, d)
     d_alpha = np.einsum("ekd,ekd->ek", d_weighted3, c.msg.reshape(-1, k, d))
     d_msg = (d_weighted3 * c.alpha[:, :, None]).reshape(-1, k * d)
-    s_msg = graph.scatter_src(d_msg)
-    d_score = c.alpha * (d_alpha - graph.scatter_dst(c.alpha * d_alpha)[graph.dst])
+    s_msg = edges.scatter_src(d_msg)
+    d_score = c.alpha * (d_alpha - edges.scatter_dst(c.alpha * d_alpha)[edges.dst])
     d_u = (d_score[:, :, None] * lay.a[None]).reshape(-1, k * d)
     d_z = d_u * (c.pos * (1.0 - slope) + slope)
-    z_dst, z_src = graph.scatter_dst(d_z), graph.scatter_src(d_z)
+    z_dst, z_src = edges.scatter_dst(d_z), edges.scatter_src(d_z)
     d_w = np.empty((k * d, two_din))
     d_w[:, :din] = z_dst.T @ c.h_in
     d_w[:, din:] = z_src.T @ c.h_in
@@ -369,13 +369,125 @@ class TestEdgeBuffers:
         graph, _ = random_graph(30, seed=41)
         model = init_model(3, GatConfig(widths=(4, 4), heads=3))
         wide = {}
-        for buf in gatv2._edge_buffers(graph, model.layers):
+        edges = gatv2._layer_edges(graph, heads=3)
+        for buf in gatv2._edge_buffers([edges, edges], model.layers):
             for f in fields(buf):
                 arr = getattr(buf, f.name)
+                if f.name == "edges":
+                    continue
                 base = arr if arr.base is None else arr.base
                 if base.size >= graph.n_edges * 3 * 4:
                     wide[id(base)] = base.nbytes
         assert sum(wide.values()) == (2 + 2) * graph.n_edges * 3 * 4 * 8
+
+
+def split_graph(n_layers):
+    """A kNN graph whose east side is predict-role: deep inside it lie nodes
+    more than ``n_layers`` hops from every train-role node."""
+    data = simgen.simulate(simgen.SimConfig(n_times=2, locs_per_time=(60, 60), seed=3))
+    graph = build_graph(data, GraphConfig(k_neighbors=3), train_mask=data.x < 0.45)
+    return graph, data.empirical_prevalence
+
+
+def receptive_edges(graph, n_layers):
+    """Brute force: layer l's edges into nodes from which a walk of
+    n_layers - 1 - l edges reaches a train-role node."""
+    n = graph.n_nodes
+    step = np.zeros((n, n), dtype=int)
+    step[graph.dst, graph.src] = 1  # step[i, j]: edge j -> i
+    reach = np.eye(n, dtype=int)[graph.train_mask]  # walks of 0 edges from train nodes
+    kept = []
+    for _ in range(n_layers):
+        into = reach.any(axis=0)
+        kept.append({(s, d) for s, d in zip(graph.src.tolist(), graph.dst.tolist()) if into[d]})
+        reach = np.minimum(reach @ step, 1)
+    return kept[::-1]
+
+
+def full_graph_epoch_loop(graph, targets, config):
+    """Training with a fresh full-graph forward and gradient every epoch."""
+    model = init_model(graph.features.shape[1], config)
+    trace = np.empty(config.epochs)
+    lr = config.learning_rate
+    for epoch in range(config.epochs):
+        preds, _, _ = forward(model, graph)
+        trace[epoch] = mse_loss(preds, targets, graph.train_mask)
+        g = gradient(model, graph, targets)
+        for lay, glay in zip(model.layers, g.layers):
+            lay.w -= lr * glay.w
+            lay.a -= lr * glay.a
+            lay.v -= lr * glay.v
+        model.w_out -= lr * g.w_out
+        model.b_out -= lr * g.b_out
+    return model, trace
+
+
+class TestTrainingEdges:
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_each_layer_keeps_the_receptive_field(self, n_layers):
+        graph, _ = split_graph(n_layers)
+        edges = gatv2._training_edges(graph, n_layers, heads=2)
+        want = receptive_edges(graph, n_layers)
+        assert len(edges) == n_layers
+        for got, kept in zip(edges, want, strict=True):
+            assert set(zip(got.src.tolist(), got.dst.tolist())) == kept
+            assert got.n_edges == len(kept) < graph.n_edges
+            # the graph's (dst, src) order, and segments over the kept destinations
+            order = np.lexsort((got.src, got.dst))
+            np.testing.assert_array_equal(order, np.arange(got.n_edges))
+            np.testing.assert_array_equal(got.dst[got.seg_starts], np.unique(got.dst))
+            np.testing.assert_array_equal(got.dst[got.seg_starts[got.seg]], got.dst)
+
+    @pytest.mark.parametrize("widths, slope", [
+        ((4,), 0.2), ((4, 3), 0.2), ((3, 3, 2), 0.2), ((4, 3), 0.9),
+    ], ids=["1_layer", "2_layers", "3_layers", "slope_0.9"])
+    def test_train_equals_the_full_graph_epoch_loop(self, widths, slope):
+        graph, targets = split_graph(len(widths))
+        first = gatv2._training_edges(graph, len(widths), heads=2)[0]
+        # nodes outside every layer's receptive field: no edge into them is trained
+        assert len(np.unique(first.dst)) < graph.n_nodes
+        config = GatConfig(widths=widths, heads=2, leaky_slope=slope, epochs=5, seed=6)
+        want, want_trace = full_graph_epoch_loop(graph, targets, config)
+        got, trace = train(graph, targets, config)
+        np.testing.assert_array_equal(trace, want_trace)
+        np.testing.assert_array_equal(got.flatten(), want.flatten())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_the_loss_never_reads_fails_only_the_full_forward(self):
+        # a predict-role ring with huge features, linked to no train-role node
+        n = 6
+        ring = np.arange(n)
+        src = np.concatenate([ring, ring, np.roll(ring, 1)])
+        dst = np.concatenate([ring, np.roll(ring, 1), ring])
+        features = np.random.default_rng(2).standard_normal((2 * n, 2))
+        features[n:] = 1e308
+        graph = GraphSpec(n_nodes=2 * n, features=features, src=np.concatenate([src, src + n]),
+                          dst=np.concatenate([dst, dst + n]), train_mask=np.arange(2 * n) < n)
+        config = GatConfig(widths=(3,), heads=2, epochs=3, weight_init_scale=8.0, seed=1)
+        with pytest.raises(NonFiniteActivation):
+            forward(init_model(2, config), graph)
+        model, trace = train(graph, np.full(2 * n, 0.5), config)
+        assert np.all(np.isfinite(trace)) and np.all(np.isfinite(model.flatten()))
+        with pytest.raises(NonFiniteActivation):
+            forward(model, graph)
+
+    def test_all_train_graph_trains_on_its_own_arrays(self, monkeypatch):
+        # with nothing to drop, training copies no edge array of the graph
+        graph = ring_graph(12, d0=3, seed=4)
+        seen = []
+        edge_buffers = gatv2._edge_buffers
+
+        def recording_edge_buffers(edges, layers):
+            seen.append(edges)
+            return edge_buffers(edges, layers)
+
+        monkeypatch.setattr(gatv2, "_edge_buffers", recording_edge_buffers)
+        train(graph, np.full(12, 0.5), GatConfig(widths=(3, 2), heads=2, epochs=2))
+        (edges,) = seen
+        assert len(edges) == 2 and edges[0] is edges[1]
+        assert edges[0].src is graph.src and edges[0].dst is graph.dst
+        assert edges[0].seg_starts is graph.dst_starts and edges[0].seg is graph.dst
+        assert edges[0].sum_dst is graph._sum_dst and edges[0].sum_src is graph._sum_src
 
 
 class TestTrain:

@@ -45,7 +45,8 @@ def reference_fit_and_predict(train, test, spec, seed=0):
             kernel=spec.kernel, design=geostat.build_design(train),
         )
         result = optimize(template)
-        return geostat.predict(result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level)
+        pred = geostat.predict(result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level)
+        return pipeline.PipelineRun(prediction=pred, optimize=result)
 
     joint = pipeline.concat_datasets(train, test)
     mask = np.zeros(n_tr + n_te, dtype=bool)
@@ -54,7 +55,7 @@ def reference_fit_and_predict(train, test, spec, seed=0):
     model, _ = gatv2.train(graph, joint.empirical_prevalence, replace(spec.gat, seed=seed))
     preds, export, _ = gatv2.forward(model, graph)
     if spec.kind == "gat_only":
-        return pipeline.gat_only_prediction(test.ids, preds[n_tr:])
+        return pipeline.PipelineRun(prediction=pipeline.gat_only_prediction(test.ids, preds[n_tr:]))
 
     joint_field = attnfield.build_field(export, n_tr + n_te)
     train_field = attnfield.restrict_field(joint_field, np.arange(n_tr))
@@ -64,10 +65,11 @@ def reference_fit_and_predict(train, test, spec, seed=0):
         attention=(train_field, spec.attention_start),
     )
     result = optimize(template)
-    return geostat.predict(
+    pred = geostat.predict(
         result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level,
         new_offsets=offsets[n_tr:], joint_field=joint_field,
     )
+    return pipeline.PipelineRun(prediction=pred, optimize=result)
 
 
 def assert_same_prediction(got, want):
@@ -88,7 +90,8 @@ class TestHeldOutFitsMatchInlineReference:
         train, test = data.subset(~test_mask), data.subset(test_mask)
         for spec in specs():
             got = pipeline.fit_and_predict(train, test, spec, seed=4)
-            assert_same_prediction(got.prediction, reference_fit_and_predict(train, test, spec, seed=4))
+            want = reference_fit_and_predict(train, test, spec, seed=4)
+            assert_same_prediction(got.prediction, want.prediction)
 
     def test_cv_command_matches_reference_runner(self, tmp_path):
         data, folds = self.make()
@@ -121,7 +124,11 @@ class TestHeldOutFitsMatchInlineReference:
             written = json.loads((out / f"fold_{fold_id}_report.json").read_text())
             assert set(written) == {"mbg", "hybrid", "gat_only"}
             for rep in reports:
-                assert written[rep.name] == rep.per_fold[fold_id].to_dict()
+                assert written[rep.name] == rep.fold_entry(fold_id)
+            # the fits that search parameters say whether the search converged
+            assert {"newton_converged", "search_converged"} <= set(written["hybrid"])
+            assert {"newton_converged", "search_converged"} <= set(written["mbg"])
+            assert "search_converged" not in written["gat_only"]
 
     @pytest.mark.parametrize("edit, trainings", [
         ({}, 3),
@@ -146,6 +153,47 @@ class TestHeldOutFitsMatchInlineReference:
         assert len(calls) == trainings
         # each fold trains with its own seed
         assert sorted(set(calls)) == [2, 3, 4]
+
+
+def test_cv_shares_each_fold_network_pass(monkeypatch):
+    """The hybrid spec reads the gat_only spec's pass: one graph per fold,
+    and the same predictions as a runner that rebuilds the graph."""
+    data = simgen.simulate(simgen.SimConfig(n_times=3, locs_per_time=(17, 17), seed=21))
+    folds = evalkit.kmeans_spatial(np.column_stack([data.x, data.y]), 3, seed=2)
+    _, hybrid, gat_only = specs()
+    builds = []
+    build_graph = gatv2.build_graph
+
+    def counting_build_graph(*args, **kwargs):
+        builds.append(1)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(gatv2, "build_graph", counting_build_graph)
+    runs = []
+    fit_and_predict = pipeline.fit_and_predict
+
+    def recording_fit_and_predict(*args, **kwargs):
+        runs.append(fit_and_predict(*args, **kwargs))
+        return runs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "fit_and_predict", recording_fit_and_predict)
+        shared = evalkit.spatial_cv(data, [gat_only, hybrid], folds, seed=2)
+    assert len(builds) == 3
+    shared_runs = runs[3:]
+    runs.clear()
+
+    def rebuilding_runner(train, test, spec, seed):
+        runs.append(fit_and_predict(train, test, spec, seed=seed))
+        return runs[-1]
+
+    rebuilt = evalkit.spatial_cv(data, [gat_only, hybrid], folds, runner=rebuilding_runner, seed=2)
+    assert len(builds) == 3 + 6
+    for got, want in zip(shared_runs, runs[3:], strict=True):
+        assert_same_prediction(got.prediction, want.prediction)
+    for got, want in zip(shared, rebuilt, strict=True):
+        for fold_id in range(3):
+            assert got.fold_entry(fold_id) == want.fold_entry(fold_id)
 
 
 @pytest.mark.parametrize("kind, bounds, message", [
