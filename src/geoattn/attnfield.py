@@ -1,16 +1,18 @@
 """Attention-derived Gaussian Markov random field structure.
 
 Turns exported per-edge attention coefficients into a symmetric weighted
-adjacency, its unnormalized graph Laplacian scaled by the median node
-degree, and the resulting two-parameter precision matrix
-Q(tau, beta) = tau * (I - beta / lam_max * C). The hyperparameters live on
-unconstrained scales (log precision, logit dependence).
+adjacency W, its unnormalized graph Laplacian C = D - W, and the resulting
+two-parameter precision matrix Q(tau, beta) = tau * (I - beta / lam_max * C).
+The hyperparameters live on unconstrained scales (log precision, logit
+dependence). Q depends on C only through C / lam_max, so C carries no scale
+factor of its own.
 
 Every field is built with the full eigendecomposition of C, which the fit
 needs for Q^{-1} anyway; lam_max is its top eigenvalue. This module is the
 only one that knows the spectrum of Q and its degenerate tau * I form, which
-a field with no links at all takes. The eigendecomposition and Q^{-1} come
-from ``numkit``, in the fit's one BLAS pool (see ``numkit``).
+a field with no links at all takes: its C is 0, so lam_max is 0. The
+eigendecomposition and Q^{-1} come from ``numkit``, in the fit's one BLAS
+pool (see ``numkit``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMedianDegree
 from .gatv2 import AttentionExport
 from .numkit import eigh, syrk
 
@@ -50,12 +51,12 @@ class AttnHyper:
 
 @dataclass
 class AttentionField:
-    """Symmetrized attention weights and the scaled Laplacian structure."""
+    """Symmetrized attention weights and their Laplacian structure."""
 
     n_nodes: int
     w_sym: np.ndarray    # (n, n) symmetric, zero diagonal
     degrees: np.ndarray  # (n,) row sums of w_sym
-    c: np.ndarray        # scaled Laplacian L / median(degrees)
+    c: np.ndarray        # Laplacian D - W, with D = diag(degrees)
     lam_max: float
     c_eigh: tuple[np.ndarray, np.ndarray]  # eigh(c)
 
@@ -68,8 +69,8 @@ class AttentionField:
 def symmetrize(export: AttentionExport, n_nodes: int) -> np.ndarray:
     """Average attention in the two directions; absent edges count as 0.
 
-    Self-attention entries are dropped: they would cancel out of the
-    Laplacian anyway but would distort the median-degree scaling.
+    Self-attention entries are dropped: they cancel out of the Laplacian,
+    and dropping them keeps ``degrees`` the sums of links to other nodes.
     """
     alpha = np.asarray(export.alpha_mean, dtype=float)
     if np.any(alpha < 0) or np.any(alpha > 1 + 1e-12):
@@ -89,32 +90,18 @@ def laplacian(w_sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lap, degrees
 
 
-def scale_by_median_degree(lap: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """L / median(degrees); even-count median averages the two central values."""
-    med = float(np.median(degrees))
-    if med <= 0.0:
-        raise ZeroMedianDegree("median node degree is zero; attention export is degenerate")
-    return lap / med
-
-
 def _field(w_sym: np.ndarray) -> AttentionField:
-    """Degrees -> median-scaled C -> eigh(C) -> lam_max, the top eigenvalue.
+    """Degrees -> C = D - W -> eigh(C) -> lam_max, the top eigenvalue.
 
-    A W with no link at all has no Laplacian to scale: its field is
-    degenerate, with C = 0, eigenvectors I and lam_max = 0, so Q = tau * I.
+    A W with no link at all gives C = 0, whose eigenvalues ``eigh``
+    returns as exact zeros: lam_max is 0, the field is degenerate and
+    Q = tau * I.
     """
-    n = len(w_sym)
-    lap, degrees = laplacian(w_sym)
-    if not np.any(w_sym):
-        return AttentionField(
-            n_nodes=n, w_sym=w_sym, degrees=degrees, c=lap,
-            lam_max=0.0, c_eigh=(np.zeros(n), np.eye(n)),
-        )
-    c = scale_by_median_degree(lap, degrees)
+    c, degrees = laplacian(w_sym)
     c_eigh = eigh(c)
     lam_max = float(c_eigh[0][-1])
     return AttentionField(
-        n_nodes=n,
+        n_nodes=len(w_sym),
         w_sym=w_sym,
         degrees=degrees,
         c=c,
@@ -129,7 +116,7 @@ def build_field(export: AttentionExport, n_nodes: int) -> AttentionField:
 
 
 def restrict_field(field: AttentionField, keep: np.ndarray) -> AttentionField:
-    """Field induced on a node subset (degrees, scaling and lam_max recomputed)."""
+    """Field induced on a node subset (degrees, C and lam_max recomputed)."""
     return _field(field.w_sym[np.ix_(keep, keep)])
 
 

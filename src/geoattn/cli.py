@@ -527,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--gat-checkpoint", help="checkpoint from a gat_only fit (hybrid)")
     p.add_argument("--export-field", action="store_true",
-                   help="also write the attention-field structure matrix and degrees")
+                   help="also write the attention field's Laplacian C = D - W "
+                        "(field_structure.csv) and its degrees (field_degrees.csv)")
     p.add_argument("--manifest-only", action="store_true")
     p.set_defaults(func=cmd_fit)
 

@@ -38,14 +38,6 @@ class NonFiniteActivation(GeoattnError):
         super().__init__(message)
 
 
-class ZeroMedianDegree(GeoattnError):
-    """Median node degree of an attention field is zero (degenerate export)."""
-
-
-class UnsupportedSmoothness(GeoattnError):
-    """Requested smoothness has no implemented closed form."""
-
-
 class NewtonDivergence(GeoattnError):
     """Inner Newton optimization diverged (non-finite or oscillating)."""
 

@@ -47,12 +47,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .attnfield import AttentionField, AttnHyper, covariance as attention_cov, precision
-from .errors import (
-    AllRestartsFailed,
-    NewtonDivergence,
-    NotPositiveDefinite,
-    UnsupportedSmoothness,
-)
+from .errors import AllRestartsFailed, NewtonDivergence, NotPositiveDefinite
 from .evalkit import Prediction
 from .numkit import (
     DEFAULT_KERNEL_JITTER,
@@ -81,62 +76,21 @@ _log = logging.getLogger("geoattn")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Covariance family with its parameters.
-
-    ``matern`` is a purely spatial kernel (variance sigma2, range rho,
-    half-integer smoothness nu). ``gneiting`` is the space-time exponential
-    family with ranges (phi_s, phi_t) and interaction gamma; gamma = 0 is
-    the separable product.
+    """The one space-time covariance: variance sigma2 times the Gneiting
+    exponential correlation with ranges (phi_s, phi_t) and interaction
+    gamma (``simgen.gneiting_cov``); gamma = 0 is the separable product.
     """
 
-    family: str = "gneiting"
     sigma2: float = 1.0
-    rho: float = 0.25
-    nu: float = 1.5
     phi_s: float = 0.25
     phi_t: float = 0.25
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.family not in ("matern", "gneiting"):
-            raise ValueError(f"unknown kernel family {self.family!r}")
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
-        if self.family == "matern" and self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.family == "matern" and self.nu not in _MATERN_SCALE:
-            raise ValueError(f"matern nu must be one of 0.5, 1.5, 2.5, got {self.nu}")
-        if self.family == "gneiting" and (self.phi_s <= 0 or self.phi_t <= 0 or self.gamma < 0):
+        if self.phi_s <= 0 or self.phi_t <= 0 or self.gamma < 0:
             raise ValueError("need phi_s, phi_t > 0 and gamma >= 0")
-
-
-_MATERN_SCALE = {0.5: 1.0, 1.5: math.sqrt(3.0), 2.5: math.sqrt(5.0)}
-
-
-def matern_cov(d, sigma2: float, rho: float, nu: float):
-    """Matern covariance with half-integer smoothness.
-
-    Uses the range convention with scaled argument s = sqrt(2 nu) d / rho,
-    so nu = 0.5 is sigma2 * exp(-d / rho) and nu = 1.5 evaluates to
-    sigma2 * (1 + sqrt(3) d / rho) * exp(-sqrt(3) d / rho). Only
-    nu in {0.5, 1.5, 2.5} is supported.
-    """
-    if sigma2 <= 0 or rho <= 0:
-        raise ValueError("sigma2 and rho must be positive")
-    if nu not in _MATERN_SCALE:
-        raise UnsupportedSmoothness(f"no closed form for nu={nu}; use 0.5, 1.5 or 2.5")
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distances must be non-negative")
-    s = _MATERN_SCALE[nu] * d / rho
-    if nu == 0.5:
-        poly = 1.0
-    elif nu == 1.5:
-        poly = 1.0 + s
-    else:
-        poly = 1.0 + s + s * s / 3.0
-    out = sigma2 * poly * np.exp(-s)
-    return out if out.ndim else float(out)
 
 
 class CovarianceBuilder:
@@ -155,8 +109,6 @@ class CovarianceBuilder:
         )
 
     def __call__(self, kernel: KernelSpec) -> np.ndarray:
-        if kernel.family == "matern":
-            return matern_cov(self.d_s, kernel.sigma2, kernel.rho, kernel.nu)
         out = gneiting_cov(self.d_s, self.d_t, kernel.phi_s, kernel.phi_t, kernel.gamma)
         out *= kernel.sigma2
         return out
@@ -282,12 +234,8 @@ class FitResult:
             "log_marginal_likelihood": self.logml,
             "converged": bool(self.converged),
             "newton_iterations": self.newton_iterations,
-            "kernel": {"family": k.family, "sigma2": k.sigma2},
+            "kernel": {"sigma2": k.sigma2, "phi_s": k.phi_s, "phi_t": k.phi_t, "gamma": k.gamma},
         }
-        if k.family == "matern":
-            out["kernel"].update({"rho": k.rho, "nu": k.nu})
-        else:
-            out["kernel"].update({"phi_s": k.phi_s, "phi_t": k.phi_t, "gamma": k.gamma})
         if spec.attention is not None:
             h = spec.attention[1]
             out["attention"] = {
@@ -461,7 +409,6 @@ def laplace_fit(
 
 DEFAULT_BOUNDS = {
     "log_sigma2": (math.log(1e-4), math.log(25.0)),
-    "log_rho": (math.log(0.01), math.log(10.0)),
     "log_phi_s": (math.log(0.01), math.log(10.0)),
     "log_phi_t": (math.log(0.01), math.log(10.0)),
     "theta1": (-6.0, 10.0),
@@ -472,26 +419,24 @@ _PENALTY = 1e12
 
 
 # Free parameter -> (block of the spec it sets, field of that block, the
-# kernel families or model kinds that free it). A "log_" parameter is the
-# log of its field. Row order is the order of the Nelder-Mead vector.
+# model kinds that free it). A "log_" parameter is the log of its field.
+# Row order is the order of the Nelder-Mead vector.
 _FREE_PARAMS = {
-    "log_sigma2": ("kernel", "sigma2", ("matern", "gneiting")),
-    "log_rho": ("kernel", "rho", ("matern",)),
-    "log_phi_s": ("kernel", "phi_s", ("gneiting",)),
-    "log_phi_t": ("kernel", "phi_t", ("gneiting",)),
+    "log_sigma2": ("kernel", "sigma2", ("mbg", "hybrid")),
+    "log_phi_s": ("kernel", "phi_s", ("mbg", "hybrid")),
+    "log_phi_t": ("kernel", "phi_t", ("mbg", "hybrid")),
     "theta1": ("attention", "theta1", ("hybrid",)),
     "theta2": ("attention", "theta2", ("hybrid",)),
 }
 
 
-def free_param_names(kind: str, family: str) -> list[str]:
-    """The free parameters of a ``kind`` model with a ``family`` kernel, in Nelder-Mead order."""
-    tags = {kind, family}
-    return [name for name, (_, _, by) in _FREE_PARAMS.items() if tags.intersection(by)]
+def free_param_names(kind: str) -> list[str]:
+    """The free parameters of a ``kind`` model, in Nelder-Mead order."""
+    return [name for name, (_, _, kinds) in _FREE_PARAMS.items() if kind in kinds]
 
 
-def searched_params(bounds: dict | None, kind: str, family: str) -> list[str]:
-    """The parameters Nelder-Mead searches for a ``kind`` model with a ``family`` kernel.
+def searched_params(bounds: dict | None, kind: str) -> list[str]:
+    """The parameters Nelder-Mead searches for a ``kind`` model.
 
     These are the keys of ``bounds``, or every free parameter when it is
     None. ValueError unless each bound names a parameter of
@@ -499,19 +444,18 @@ def searched_params(bounds: dict | None, kind: str, family: str) -> list[str]:
     hybrid, ``bounds`` is not empty and names free parameters only. A
     gat_only model searches nothing, so its bounds are never used.
     """
-    free = free_param_names(kind, family)
+    free = free_param_names(kind)
     if bounds is None:
         return free
-    model = f"{kind} with a {family} kernel"
     fitted = kind != "gat_only"
     if fitted and not bounds:
-        raise ValueError(f"bounds is empty: name one or more of {', '.join(free)} for {model}")
+        raise ValueError(f"bounds is empty: name one or more of {', '.join(free)} for {kind}")
     for name, (lo, hi) in bounds.items():
         if name not in DEFAULT_BOUNDS:
             raise ValueError(f"unknown bound name {name!r}")
         if fitted and name not in free:
             raise ValueError(
-                f"bounds names {name!r}, which is not a free parameter of {model} "
+                f"bounds names {name!r}, which is not a free parameter of {kind} "
                 f"({', '.join(free)})"
             )
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -604,7 +548,7 @@ def optimize_hyperparameters(
     """
     from scipy.optimize import minimize  # only fits need it; keeps CLI start-up light
 
-    names = searched_params(optimizer.bounds, spec_template.kind, spec_template.kernel.family)
+    names = searched_params(optimizer.bounds, spec_template.kind)
     box = optimizer.bounds or DEFAULT_BOUNDS
     lo = np.array([box[n][0] for n in names])
     hi = np.array([box[n][1] for n in names])

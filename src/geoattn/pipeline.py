@@ -45,7 +45,7 @@ class PipelineModelSpec:
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie in (0, 1)")
         # bad bounds are refused before anything is fitted
-        geostat.searched_params(self.optimizer.bounds, self.kind, self.kernel.family)
+        geostat.searched_params(self.optimizer.bounds, self.kind)
 
 
 def concat_datasets(a: Dataset, b: Dataset) -> Dataset:

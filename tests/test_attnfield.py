@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from geoattn import attnfield, geostat, numkit, simgen
 from geoattn.attnfield import AttentionField, AttnHyper, build_field, precision
-from geoattn.errors import ZeroMedianDegree
 from conftest import random_export
 from geoattn.gatv2 import AttentionExport
 
@@ -63,27 +62,6 @@ class TestLaplacian:
         w[1, 2] = w[2, 1] = 2.0
         _, deg = attnfield.laplacian(w)
         np.testing.assert_array_equal(deg, [1, 3, 2])
-
-
-class TestMedianScaling:
-    def test_odd_count(self):
-        lap = np.diag([1.0, 2.0, 3.0])
-        c = attnfield.scale_by_median_degree(lap, np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(c, lap / 2.0)
-
-    def test_even_count_averages_central_pair(self):
-        lap = np.eye(2)
-        c = attnfield.scale_by_median_degree(lap, np.array([1.0, 3.0]))
-        np.testing.assert_allclose(c, lap / 2.0)
-
-    def test_constant_degrees(self):
-        lap = np.eye(4)
-        c = attnfield.scale_by_median_degree(lap, np.full(4, 5.0))
-        np.testing.assert_allclose(c, lap / 5.0)
-
-    def test_zero_median_raises(self):
-        with pytest.raises(ZeroMedianDegree):
-            attnfield.scale_by_median_degree(np.zeros((2, 2)), np.zeros(2))
 
 
 class TestHyper:
@@ -175,11 +153,7 @@ class TestBuildField:
         export = random_export(20, seed=5)
         field = build_field(export, 20)
         assert field.n_nodes == 20
-        np.testing.assert_allclose(
-            field.c * np.median(field.degrees),
-            np.diag(field.degrees) - field.w_sym,
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(field.c, np.diag(field.degrees) - field.w_sym, atol=1e-12)
         # lam_max is the top eigenvalue of C, on the built field and on a
         # restriction, and agrees with the power iteration it replaced
         keep = np.random.default_rng(5).permutation(20)[:12]
@@ -217,6 +191,42 @@ class TestBuildField:
         )
         fit = geostat.laplace_fit(data.subset(np.array([0, 2])), spec)
         assert fit.converged and np.isfinite(fit.logml)
+
+    def test_mostly_isolated_restriction_is_not_degenerate(self):
+        # a path 0-1-...-9 kept at {0, 1, 3, 5, 7, 9}: one linked pair and
+        # four isolated nodes, so the median degree is 0
+        edges = [(i, i + 1, 0.5) for i in range(9)] + [(i + 1, i, 0.5) for i in range(9)]
+        export, n = export_from_edges(edges, 10)
+        keep = np.array([0, 1, 3, 5, 7, 9])
+        sub = attnfield.restrict_field(build_field(export, n), keep)
+        np.testing.assert_array_equal(sub.degrees, [0.5, 0.5, 0, 0, 0, 0])
+        assert not sub.degenerate
+        assert sub.lam_max == pytest.approx(np.linalg.eigvalsh(sub.c)[-1], rel=1e-12, abs=1e-12)
+        data = simgen.simulate(simgen.SimConfig(n_times=1, locs_per_time=(10, 10), seed=2))
+        spec = geostat.ModelSpec(
+            kernel=geostat.KernelSpec(), offset=np.zeros(len(keep)),
+            attention=(sub, AttnHyper.from_tau_beta(2.0, 0.9)),
+        )
+        fit = geostat.laplace_fit(data.subset(keep), spec)
+        assert fit.converged and np.isfinite(fit.logml)
+
+    def test_same_prior_as_the_median_scaled_laplacian(self):
+        # Q and Q^{-1} see C only through C / lam_max, so the field built
+        # on L = D - W gives the prior of the field built on L / median(D)
+        full = build_field(random_export(20, seed=5), 20)
+        keep = np.random.default_rng(5).permutation(20)[:12]
+        for fld in (full, attnfield.restrict_field(full, keep)):
+            scaled = (np.diag(fld.degrees) - fld.w_sym) / np.median(fld.degrees)
+            c_eigh = numkit.eigh(scaled)
+            old = AttentionField(
+                n_nodes=fld.n_nodes, w_sym=fld.w_sym, degrees=fld.degrees, c=scaled,
+                lam_max=float(c_eigh[0][-1]), c_eigh=c_eigh,
+            )
+            for beta in (0.1, 0.5, 0.9):
+                hyper = AttnHyper.from_tau_beta(1.7, beta)
+                for build in (precision, attnfield.covariance):
+                    new_m, old_m = build(fld, hyper), build(old, hyper)
+                    assert np.linalg.norm(new_m - old_m) <= 1e-12 * np.linalg.norm(old_m)
 
     def test_near_tied_spectrum(self):
         # the two rings' top eigenvalues differ by 1e-4 relative, which

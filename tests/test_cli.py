@@ -308,17 +308,23 @@ BAD_MODEL_CONFIGS = {
     "empty_bound": (
         {"optimizer": {"bounds": {"log_sigma2": [1.0, 1.0]}}}, "lo < hi",
     ),
+    # the kernel is the one space-time family, with no Matern family, range or smoothness
+    "matern_family": (
+        {"kernel": {"family": "matern"}}, "unknown key(s) in fit config.kernel: family",
+    ),
+    "matern_range": ({"kernel": {"rho": 0.5}}, "unknown key(s) in fit config.kernel: rho"),
     "matern_nu_without_closed_form": (
-        {"kernel": {"family": "matern", "nu": 1.0}}, "matern nu must be one of",
+        {"kernel": {"nu": 1.0}}, "unknown key(s) in fit config.kernel: nu",
     ),
     "empty_bounds": ({"optimizer": {"bounds": {}}}, "bounds is empty"),
     "bound_on_a_hybrid_parameter": (
         {"optimizer": {"bounds": {"theta2": [-1, 1]}}},
-        "bounds names 'theta2', which is not a free parameter of mbg with a gneiting kernel",
+        "bounds names 'theta2', which is not a free parameter of mbg "
+        "(log_sigma2, log_phi_s, log_phi_t)",
     ),
     "bound_on_another_family_parameter": (
         {"optimizer": {"bounds": {"log_sigma2": [-2, 1], "log_rho": [-2, 1]}}},
-        "bounds names 'log_rho'",
+        "unknown bound name 'log_rho'",
     ),
     "zero_epochs": ({"gat": {"epochs": 0}}, "epochs must be >= 1"),
     "negative_epochs": ({"gat": {"epochs": -3}}, "epochs must be >= 1"),

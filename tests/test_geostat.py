@@ -5,7 +5,7 @@ import pytest
 
 from geoattn import attnfield, evalkit, geostat, numkit, pipeline, simgen
 from geoattn.attnfield import AttnHyper, build_field
-from geoattn.errors import AllRestartsFailed, UnsupportedSmoothness
+from geoattn.errors import AllRestartsFailed
 from geoattn.geostat import (
     CovarianceBuilder,
     KernelSpec,
@@ -13,7 +13,6 @@ from geoattn.geostat import (
     OptimizerConfig,
     build_design,
     laplace_fit,
-    matern_cov,
     optimize_hyperparameters,
     predict,
     predict_insample,
@@ -27,30 +26,6 @@ def make_data(n_times=4, locs=(20, 30), seed=0, **kw):
     )
 
 
-class TestMatern:
-    def test_zero_lag_is_variance(self):
-        assert matern_cov(0.0, 2.5, 0.3, 1.5) == pytest.approx(2.5)
-
-    def test_nu_half_is_exponential(self):
-        d = np.linspace(0, 2, 7)
-        np.testing.assert_allclose(
-            matern_cov(d, 1.7, 0.4, 0.5), 1.7 * np.exp(-d / 0.4), rtol=1e-14,
-        )
-
-    def test_nu_three_halves_hand_value(self):
-        val = matern_cov(0.3, 1.0, 0.3, 1.5)
-        assert val == pytest.approx((1 + np.sqrt(3)) * np.exp(-np.sqrt(3)))
-        assert val == pytest.approx(0.4834, abs=1e-4)
-
-    def test_unsupported_smoothness(self):
-        with pytest.raises(UnsupportedSmoothness):
-            matern_cov(0.1, 1.0, 0.3, 1.0)
-
-    def test_continuity_at_zero(self):
-        for nu in (0.5, 1.5, 2.5):
-            assert matern_cov(1e-14, 3.0, 0.5, nu) == pytest.approx(3.0, rel=1e-9)
-
-
 class TestKernelMatrix:
     def test_spd_across_optimizer_bounds(self):
         data = make_data(n_times=3, locs=(15, 25), seed=5)
@@ -59,16 +34,12 @@ class TestKernelMatrix:
             sigma2 = float(np.exp(rng.uniform(*geostat.DEFAULT_BOUNDS["log_sigma2"])))
             phi_s = float(np.exp(rng.uniform(*geostat.DEFAULT_BOUNDS["log_phi_s"])))
             phi_t = float(np.exp(rng.uniform(*geostat.DEFAULT_BOUNDS["log_phi_t"])))
-            rho = float(np.exp(rng.uniform(*geostat.DEFAULT_BOUNDS["log_rho"])))
-            for kernel in (
-                KernelSpec(family="gneiting", sigma2=sigma2, phi_s=phi_s, phi_t=phi_t),
-                KernelSpec(family="matern", sigma2=sigma2, rho=rho, nu=1.5),
-            ):
-                numkit.cholesky(CovarianceBuilder(data.x, data.y, data.t)(kernel), jitter=1e-8)
+            kernel = KernelSpec(sigma2=sigma2, phi_s=phi_s, phi_t=phi_t)
+            numkit.cholesky(CovarianceBuilder(data.x, data.y, data.t)(kernel), jitter=1e-8)
 
     def test_builder_matches_direct_evaluation(self):
         data = make_data(n_times=2, locs=(8, 12), seed=3)
-        kernel = KernelSpec(family="gneiting", sigma2=1.7, phi_s=0.3, phi_t=0.5, gamma=0.4)
+        kernel = KernelSpec(sigma2=1.7, phi_s=0.3, phi_t=0.5, gamma=0.4)
         builder = CovarianceBuilder(data.x, data.y, data.t)
         d_s = np.sqrt(
             (data.x[:, None] - data.x[None, :]) ** 2
@@ -107,7 +78,7 @@ def hybrid_spec(data, seed=0, theta1=0.0, theta2=0.0, sigma2=1.0):
     field = build_field(random_export(len(data), seed=seed), len(data))
     offset = np.zeros(len(data))
     return ModelSpec(
-        kernel=KernelSpec(family="gneiting", sigma2=sigma2),
+        kernel=KernelSpec(sigma2=sigma2),
         offset=offset,
         attention=(field, AttnHyper(theta1, theta2)),
     )
@@ -118,7 +89,7 @@ class TestLaplaceFit:
         # closed-form GLS/kriging on the same prior, via an independent solve
         data = make_data(n_times=2, locs=(50, 50), seed=11)
         assert len(data) == 100
-        kernel = KernelSpec(family="gneiting", sigma2=0.8, phi_s=0.3, phi_t=0.4)
+        kernel = KernelSpec(sigma2=0.8, phi_s=0.3, phi_t=0.4)
         spec = ModelSpec(kernel=kernel, design=build_design(data))
         rng = np.random.default_rng(2)
         y = rng.standard_normal(len(data))
@@ -144,7 +115,8 @@ class TestLaplaceFit:
             n_tested=np.full(50, n_i), n_pos=np.round(n_i * p_star).astype(int),
             covariates=np.zeros((50, 0)),
         )
-        kernel = KernelSpec(family="matern", sigma2=4.0, rho=0.5, nu=1.5)
+        # every record shares t, so this kernel is the spatial exponential
+        kernel = KernelSpec(sigma2=4.0, phi_s=0.5)
         spec = ModelSpec(kernel=kernel, design=np.ones((50, 1)))
         fit = laplace_fit(data, spec)
         assert fit.converged
@@ -152,7 +124,7 @@ class TestLaplaceFit:
 
     def test_zero_variance_kernel_matches_ridge_logistic_oracle(self):
         data = make_data(n_times=3, locs=(40, 50), seed=13)
-        kernel = KernelSpec(family="gneiting", sigma2=1e-10, phi_s=0.25, phi_t=0.25)
+        kernel = KernelSpec(sigma2=1e-10, phi_s=0.25, phi_t=0.25)
         design = build_design(data)
         spec = ModelSpec(kernel=kernel, design=design)
         fit = laplace_fit(data, spec)
@@ -176,7 +148,7 @@ class TestLaplaceFit:
     def test_objective_trace_is_nondecreasing(self):
         data = make_data(n_times=3, locs=(20, 30), seed=17)
         spec = ModelSpec(
-            kernel=KernelSpec(family="gneiting", sigma2=0.5),
+            kernel=KernelSpec(sigma2=0.5),
             design=build_design(data),
         )
         fit = laplace_fit(data, spec)
@@ -197,7 +169,7 @@ class TestLaplaceFit:
         data = make_data(n_times=8, locs=(125, 125), seed=2)
         assert len(data) == 1000
         spec = ModelSpec(
-            kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(), design=build_design(data),
         )
         fit = laplace_fit(data, spec)
         assert fit.converged
@@ -209,7 +181,7 @@ class TestLaplaceFit:
         # rule's own 1e-10 relative tolerance: the rule only fires at the mode
         data = make_data(n_times=4, locs=(50, 60), seed=7)
         spec = ModelSpec(
-            kernel=KernelSpec(family="gneiting", sigma2=0.6),
+            kernel=KernelSpec(sigma2=0.6),
             design=build_design(data),
         )
         fit = laplace_fit(data, spec)
@@ -232,7 +204,7 @@ class TestOptimize:
     def test_one_parameter_matches_grid_search(self):
         data = make_data(n_times=2, locs=(40, 50), seed=23)
         template = ModelSpec(
-            kernel=KernelSpec(family="gneiting", sigma2=0.3, phi_s=0.25, phi_t=0.25),
+            kernel=KernelSpec(sigma2=0.3, phi_s=0.25, phi_t=0.25),
             design=build_design(data),
         )
         lo, hi = np.log(1e-3), np.log(9.0)
@@ -263,9 +235,7 @@ class TestOptimize:
         data = make_data(n_times=10, locs=(60, 100), seed=29)
         assert len(data) >= 600
         template = ModelSpec(
-            kernel=KernelSpec(
-                family="gneiting", sigma2=1.0, phi_s=0.1, phi_t=0.1, gamma=0.75,
-            ),
+            kernel=KernelSpec(sigma2=1.0, phi_s=0.1, phi_t=0.1, gamma=0.75),
             design=build_design(data),
         )
         result = optimize_hyperparameters(data, template, OptimizerConfig(max_iter=120), seed=1)
@@ -280,7 +250,7 @@ class TestOptimize:
     def test_identical_seeds_identical_traces(self):
         data = make_data(n_times=2, locs=(15, 20), seed=31)
         template = ModelSpec(
-            kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(), design=build_design(data),
         )
         optimizer = OptimizerConfig(restarts=2, max_iter=25)
         a = optimize_hyperparameters(data, template, optimizer, seed=5)
@@ -294,7 +264,7 @@ class TestOptimize:
         # the fit handed back is the best trace entry's own, not a refit
         data = make_data(n_times=2, locs=(15, 20), seed=31)
         template = ModelSpec(
-            kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(), design=build_design(data),
         )
         bounds = {name: geostat.DEFAULT_BOUNDS[name] for name in ("log_sigma2", "log_phi_s")}
         result = optimize_hyperparameters(
@@ -311,9 +281,9 @@ class TestOptimize:
     def test_unknown_bound_name_rejected(self):
         data = make_data(n_times=2, locs=(5, 8), seed=1)
         template = ModelSpec(
-            kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(), design=build_design(data),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown bound name 'log_rho'"):
             optimize_hyperparameters(data, template, OptimizerConfig(bounds={"log_rho": (0, 1)}))
         with pytest.raises(ValueError, match="bounds is empty"):
             optimize_hyperparameters(data, template, OptimizerConfig(bounds={}))
@@ -321,7 +291,7 @@ class TestOptimize:
     def test_all_restarts_failed(self):
         data = make_data(n_times=2, locs=(5, 8), seed=1)
         template = ModelSpec(
-            kernel=KernelSpec(family="gneiting"), design=build_design(data),
+            kernel=KernelSpec(), design=build_design(data),
         )
         data.n_tested[:] = 1
         data.n_pos[:] = 0
@@ -336,7 +306,7 @@ class TestPredict:
     def fitted_mbg(self, seed=37, locs=(25, 35), n_times=3):
         data = make_data(n_times=n_times, locs=locs, seed=seed)
         spec = ModelSpec(
-            kernel=KernelSpec(family="gneiting", sigma2=0.6, phi_s=0.25, phi_t=0.25),
+            kernel=KernelSpec(sigma2=0.6, phi_s=0.25, phi_t=0.25),
             design=build_design(data),
         )
         fit = laplace_fit(data, spec)
@@ -381,7 +351,7 @@ class TestPredict:
         rng = np.random.default_rng(5)
         offset = rng.uniform(-2.0, 0.5, n)
         spec = ModelSpec(
-            kernel=KernelSpec(family="gneiting", sigma2=1e-12),
+            kernel=KernelSpec(sigma2=1e-12),
             offset=offset[: n - 5],
             attention=(
                 attnfield.restrict_field(field, np.arange(n - 5)),
@@ -463,25 +433,24 @@ class TestFitResultMatchesInlineAlgebra:
         post_cov = fit.posterior_cov_u()
         np.testing.assert_allclose(post_cov, post_cov_u, rtol=0, atol=1e-10 * np.abs(post_cov).max())
 
-    @pytest.mark.parametrize("kind, family, names", [
-        ("mbg", "gneiting", ["log_sigma2", "log_phi_s", "log_phi_t"]),
-        ("mbg", "matern", ["log_sigma2", "log_rho"]),
-        ("hybrid", "gneiting", ["log_sigma2", "log_phi_s", "log_phi_t", "theta1", "theta2"]),
-    ], ids=["mbg-gneiting", "mbg-matern", "hybrid-gneiting"])
-    def test_nelder_mead_parameter_order(self, kind, family, names):
+    @pytest.mark.parametrize("kind, names", [
+        ("mbg", ["log_sigma2", "log_phi_s", "log_phi_t"]),
+        ("hybrid", ["log_sigma2", "log_phi_s", "log_phi_t", "theta1", "theta2"]),
+    ], ids=["mbg-gneiting", "hybrid-gneiting"])
+    def test_nelder_mead_parameter_order(self, kind, names):
         # the order sets the Nelder-Mead vector, so every optimized output
         data = make_data(n_times=2, locs=(5, 6), seed=1)
         spec = hybrid_spec(data) if kind == "hybrid" else ModelSpec(
-            kernel=KernelSpec(family=family), design=build_design(data),
+            kernel=KernelSpec(), design=build_design(data),
         )
-        assert geostat.free_param_names(spec.kind, spec.kernel.family) == names
+        assert geostat.free_param_names(spec.kind) == names
 
     def test_params_round_trip_through_the_spec(self):
         from dataclasses import replace
 
         data = make_data(n_times=2, locs=(5, 6), seed=1)
         spec = hybrid_spec(data, theta1=1.5, theta2=-2.0, sigma2=0.7)
-        names = geostat.free_param_names(spec.kind, spec.kernel.family)
+        names = geostat.free_param_names(spec.kind)
         values = np.array([np.log(0.7), np.log(0.3), np.log(0.6), 0.5, 4.0])
         out = geostat._spec_from_params(spec, names, values)
         k = out.kernel
@@ -504,7 +473,7 @@ class TestFitResultIsAValue:
         field = build_field(random_export(n, seed=9), n)
         offset = np.random.default_rng(5).uniform(-2.0, 0.5, n)
         spec = ModelSpec(
-            kernel=KernelSpec(family="gneiting", sigma2=0.5),
+            kernel=KernelSpec(sigma2=0.5),
             offset=offset[:n - 5],
             attention=(attnfield.restrict_field(field, np.arange(n - 5)), AttnHyper(0.0, 0.0)),
         )
@@ -655,7 +624,7 @@ class TestMatchesRefitPath:
     def test_mbg(self):
         data = make_data(n_times=3, locs=(30, 40), seed=53)
         template = ModelSpec(
-            kernel=KernelSpec(family="gneiting", sigma2=0.5),
+            kernel=KernelSpec(sigma2=0.5),
             design=build_design(data),
         )
         bounds = {name: geostat.DEFAULT_BOUNDS[name] for name in ("log_sigma2", "log_phi_s")}
@@ -672,7 +641,7 @@ class TestMatchesRefitPath:
         field = build_field(random_export(n, seed=4), n)
         offset = np.random.default_rng(6).uniform(-2.0, 0.5, n)
         template = ModelSpec(
-            kernel=KernelSpec(family="gneiting", sigma2=0.5),
+            kernel=KernelSpec(sigma2=0.5),
             offset=offset[:n_fit],
             attention=(attnfield.restrict_field(field, np.arange(n_fit)), AttnHyper(0.0, 0.0)),
         )
@@ -769,7 +738,7 @@ class TestBetaRecovery:
         for seed in range(5):
             data = make_data(n_times=5, locs=(25, 35), seed=100 + seed)
             template = ModelSpec(
-                kernel=KernelSpec(family="gneiting", sigma2=0.6, phi_s=0.25, phi_t=0.25),
+                kernel=KernelSpec(sigma2=0.6, phi_s=0.25, phi_t=0.25),
                 design=build_design(data),
             )
             result = optimize_hyperparameters(
