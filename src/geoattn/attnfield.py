@@ -5,7 +5,8 @@ adjacency W, its unnormalized graph Laplacian C = D - W, and the resulting
 two-parameter precision matrix Q(tau, beta) = tau * (I - beta / lam_max * C).
 The hyperparameters live on unconstrained scales (log precision, logit
 dependence). Q depends on C only through C / lam_max, so C carries no scale
-factor of its own.
+factor of its own. A hybrid model has one field, over its fitted records and
+then those it predicts at: the fit's prior is the leading block of Q^{-1}.
 
 Every field is built with the full eigendecomposition of C, which the fit
 needs for Q^{-1} anyway; lam_max is its top eigenvalue. This module is the
@@ -116,7 +117,11 @@ def build_field(export: AttentionExport, n_nodes: int) -> AttentionField:
 
 
 def restrict_field(field: AttentionField, keep: np.ndarray) -> AttentionField:
-    """Field induced on a node subset (degrees, C and lam_max recomputed)."""
+    """Field induced on a node subset (degrees, C and lam_max recomputed).
+
+    No command reaches this. It stays only because the benchmark's tracer
+    (``perfbench/spans.py``) looks it up by name; it goes with ROADMAP item 5.
+    """
     return _field(field.w_sym[np.ix_(keep, keep)])
 
 
@@ -133,10 +138,13 @@ def precision(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
     return tau * (eye - (beta / field.lam_max) * field.c)
 
 
-def covariance(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
-    """Q(tau, beta)^{-1} from the eigendecomposition of C; I / tau when degenerate."""
+def covariance(field: AttentionField, hyper: AttnHyper, n: int | None = None) -> np.ndarray:
+    """Leading n x n block of Q(tau, beta)^{-1} (all of it when n is None),
+    the field's marginal over its first n nodes, V[:n] diag(1/q) V[:n]' from
+    the eigendecomposition of C; I / tau when the field is degenerate."""
+    n = field.n_nodes if n is None else n
     if field.degenerate:
-        return (1.0 / hyper.tau) * np.eye(field.n_nodes)
+        return (1.0 / hyper.tau) * np.eye(n)
     lam, vec = field.c_eigh
     q_eigs = hyper.tau * (1.0 - hyper.beta * lam / field.lam_max)
-    return syrk(vec * np.sqrt(1.0 / q_eigs))
+    return syrk(vec[:n] * np.sqrt(1.0 / q_eigs))

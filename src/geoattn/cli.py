@@ -211,6 +211,8 @@ def scatter_svg(panels: list[tuple[str, np.ndarray, np.ndarray, float | None]]) 
 
     Each panel is (title, predicted, truth, pearson_r or None).
     """
+    from html import escape  # only evaluate draws; keeps CLI start-up light
+
     pw, ph, margin = 300, 300, 45
     width = len(panels) * (pw + margin) + margin
     height = ph + 2 * margin + 20
@@ -239,7 +241,7 @@ def scatter_svg(panels: list[tuple[str, np.ndarray, np.ndarray, float | None]]) 
                 f'<circle cx="{sx(ct):.2f}" cy="{sy(cp):.2f}" r="1.6" '
                 'fill="steelblue" fill-opacity="0.45"/>'
             )
-        label = title if r is None else f"{title} (r={r:.5f})"
+        label = escape(title if r is None else f"{title} (r={r:.5f})")
         parts.append(f'<text x="{x0 + pw / 2:.1f}" y="{y0 - 12}" text-anchor="middle">{label}</text>')
         parts.append(f'<text x="{x0 + pw / 2:.1f}" y="{y0 + ph + 32}" text-anchor="middle">truth</text>')
         parts.append(

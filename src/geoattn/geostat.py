@@ -8,8 +8,8 @@ posterior prediction with Monte Carlo intervals.
 A :class:`FitResult` is the one fitted-model object: it holds the
 :class:`ModelSpec` and ``Dataset`` that :func:`laplace_fit` fitted and the
 operators at the mode, and the fixed-effect summaries and both predict
-functions read everything from it. Hybrid prediction conditions on a joint
-attention field whose nodes are the fitted records, then the new ones.
+functions read everything from it. A hybrid fits and predicts from one
+attention field over the fitted records and then the new ones.
 
 The fit works on the combined zero-mean latent u = D beta + S + A (only the
 blocks a :class:`ModelSpec` declares). The likelihood touches the latent
@@ -123,7 +123,8 @@ class ModelSpec:
     """The latent blocks of a model and their prior parameters: the kernel's
     field S, plus fixed effects D beta (``design``, with its intercept
     column; mbg) or the attention field A and the network's logit-scale
-    ``offset`` (hybrid). The blocks decide the model's :attr:`kind`."""
+    ``offset`` (hybrid), one offset per field node: the fitted records,
+    then those to predict at. The blocks decide the model's :attr:`kind`."""
 
     kernel: KernelSpec
     design: np.ndarray | None = None
@@ -135,6 +136,8 @@ class ModelSpec:
             raise ValueError("a model carries exactly one of design (mbg) and attention (hybrid)")
         if (self.offset is None) != (self.attention is None):
             raise ValueError("an offset comes with attention, and only with it")
+        if self.attention is not None and len(self.offset) != self.attention[0].n_nodes:
+            raise ValueError("the offset needs one entry per attention field node")
 
     @property
     def kind(self) -> str:
@@ -273,7 +276,8 @@ def laplace_fit(
     """The fitted model of ``spec`` on ``data`` at fixed hyperparameters.
 
     The observation model is z_i ~ Binomial(n_i, logistic(offset_i + u_i))
-    with u ~ N(0, Sigma_u). Passing ``gaussian_response`` (with
+    with u ~ N(0, Sigma_u); a hybrid's A block is the field's marginal over
+    the n fitted records, its first nodes. Passing ``gaussian_response`` (with
     ``gaussian_obs_sd``) swaps in y_i ~ N(offset_i + u_i, sd^2), which is a
     test hook: the mode then has the closed GLS/kriging form. The returned
     :class:`FitResult` holds ``spec``, ``data`` and the operators at the
@@ -305,10 +309,10 @@ def laplace_fit(
     if spec.design is not None:
         sigma_u = syrk(spec.design, alpha=FIXED_EFFECT_SD ** 2, out=sigma_u)
     if spec.attention is not None:
-        sigma_u += attention_cov(*spec.attention)
+        sigma_u += attention_cov(*spec.attention, n)
     # numerical nugget: kernel matrices on near-duplicate points are singular
     sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
-    offset = np.zeros(n) if spec.offset is None else np.asarray(spec.offset, float)
+    offset = np.zeros(n) if spec.offset is None else np.asarray(spec.offset[:n], float)
 
     if gaussian_response is not None:
         if gaussian_obs_sd is None or gaussian_obs_sd <= 0:
@@ -658,8 +662,6 @@ def predict(
     n_draws: int = 2000,
     seed: int = 0,
     level: float = 0.95,
-    new_offsets: np.ndarray | None = None,
-    joint_field: AttentionField | None = None,
 ) -> Prediction:
     """Joint-conditioning prediction at new records.
 
@@ -667,24 +669,19 @@ def predict(
     drawn from its Gaussian conditional given the posterior draws of u,
     N(r u, Cov(f) - r Cov(u, f)) with r = Cov(f, u) Sigma_u^{-1}; the second
     block (S = u - D beta, or A = u - S) is the rest of u. The spatial
-    field is then kriged from its draws at the fitted records. For hybrid
-    fits ``new_offsets`` supplies the new records' logit-scale offsets and
-    the attention process is conditioned through the precision of
-    ``joint_field``, the graph over the fitted records and then
-    ``new_data``'s, each in order (the layout ``pipeline.concat_datasets``
-    builds).
+    field is then kriged from its draws at the fitted records. For a
+    hybrid, A at ``new_data`` (the spec's last field nodes and offsets) is
+    drawn given A at the fitted records from the GMRF conditional of the
+    field the fit's prior came from (Rue & Held, 2005, §2.2).
     """
     spec, data = fit.spec, fit.data
     n_obs = len(data)
     n_new = len(new_data)
-    if spec.attention is not None:
-        if new_offsets is None or joint_field is None:
-            raise ValueError("hybrid prediction needs new_offsets and joint_field")
-        if joint_field.n_nodes != n_obs + n_new:
-            raise ValueError(
-                f"joint_field has {joint_field.n_nodes} nodes, expected "
-                f"{n_obs} fitted + {n_new} new records"
-            )
+    if spec.attention is not None and spec.attention[0].n_nodes != n_obs + n_new:
+        raise ValueError(
+            f"the attention field has {spec.attention[0].n_nodes} nodes, expected "
+            f"{n_obs} fitted + {n_new} new records"
+        )
     rng = RngStream(seed, _STREAM_PREDICT)
 
     u_draws = _draw_u(fit, n_draws, rng)
@@ -714,11 +711,11 @@ def predict(
         eta_new = matmul(build_design(new_data), f_draws)
     else:
         s_draws = f_draws
-        q_joint = precision(joint_field, spec.attention[1])
+        q_joint = precision(*spec.attention)
         chol_qnn = cholesky(q_joint[n_obs:, n_obs:])
         cond_mean = -solve_chol(chol_qnn, matmul(q_joint[n_obs:, :n_obs], u_draws - f_draws))
         noise = solve_triangular(chol_qnn.T, rng.standard_normal((n_new, n_draws)))
-        eta_new = np.asarray(new_offsets, float)[:, None] + cond_mean + noise
+        eta_new = np.asarray(spec.offset[n_obs:], float)[:, None] + cond_mean + noise
 
     s_new = matmul(krig, s_draws) + matmul(chol_cond, rng.standard_normal((n_new, n_draws)))
     eta_new = eta_new + s_new

@@ -5,8 +5,9 @@ kind. :func:`fit_and_predict` is the only place a spec becomes a fit: it
 trains the GATv2 network (or runs a given trained one, or takes a given
 network pass), turns its predictions into a logit offset and its attention
 into a GMRF prior, fits the latent Gaussian model, and predicts at held-out
-records or, with none, at the training records. Cross-validation calls it
-once per fold; the command-line ``fit`` goes through :func:`run_insample`.
+records or, with none, at the training records; a hybrid fits and predicts
+from one attention field over both. Cross-validation calls it once per
+fold; the command-line ``fit`` goes through :func:`run_insample`.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def fit_and_predict(
     for building the graph and running the network (mbg uses neither).
     """
     n_tr = len(train)
-    fld = offsets = None
+    fld = None
     if spec.kind == "mbg":
         gat = None
         template = geostat.ModelSpec(kernel=spec.kernel, design=geostat.build_design(train))
@@ -147,25 +148,15 @@ def fit_and_predict(
             pred = gat_only_prediction(joint.ids[new], gat.preds[new])
             return PipelineRun(prediction=pred, gat=gat)
         fld = attnfield.build_field(gat.export, n_joint)
-        train_field = fld if test is None else attnfield.restrict_field(fld, np.arange(n_tr))
-        offsets = gatv2.logit_offset(gat.preds)
         template = geostat.ModelSpec(
             kernel=spec.kernel,
-            offset=offsets[:n_tr],
-            attention=(train_field, spec.attention_start),
+            offset=gatv2.logit_offset(gat.preds),
+            attention=(fld, spec.attention_start),
         )
     result = geostat.optimize_hyperparameters(train, template, spec.optimizer, seed=seed)
-    if test is None:
-        pred = geostat.predict_insample(
-            result.fit, n_draws=spec.n_draws, seed=seed, level=spec.level,
-        )
-    else:
-        pred = geostat.predict(
-            result.fit, test,
-            n_draws=spec.n_draws, seed=seed, level=spec.level,
-            new_offsets=None if offsets is None else offsets[n_tr:],
-            joint_field=fld,
-        )
+    draws = dict(n_draws=spec.n_draws, seed=seed, level=spec.level)
+    pred = (geostat.predict_insample(result.fit, **draws) if test is None
+            else geostat.predict(result.fit, test, **draws))
     return PipelineRun(prediction=pred, optimize=result, gat=gat, field=fld)
 
 

@@ -136,6 +136,31 @@ class TestPrecision:
             assert min_eig >= tau * (1 - beta) - 1e-9
 
 
+class TestCovarianceBlock:
+    """covariance(field, hyper, n) is the field's marginal over its first n
+    nodes, the leading block of Q^{-1}, from the field's one eigh."""
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_leading_block_of_the_inverse_precision(self, beta):
+        field = build_field(random_export(23, seed=12), 23)
+        hyper = AttnHyper.from_tau_beta(1.7, beta)
+        full = np.linalg.inv(precision(field, hyper))
+        for n in (1, field.n_nodes // 2, field.n_nodes):
+            got = attnfield.covariance(field, hyper, n)
+            want = full[:n, :n]
+            assert got.shape == (n, n)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_degenerate_field_gives_scaled_identity(self):
+        # self-attention only: W is empty, so C = 0 and lam_max = 0
+        export, n = export_from_edges([(i, i, 1.0) for i in range(4)], 4)
+        field = build_field(export, n)
+        assert field.degenerate
+        hyper = AttnHyper.from_tau_beta(4.0, 0.5)
+        for m in (1, 2, 4):
+            np.testing.assert_array_equal(attnfield.covariance(field, hyper, m), np.eye(m) / 4.0)
+
+
 def two_rings(n=10, scale=1 + 1e-4):
     """Two disjoint n-node rings, attention 0.5 per edge, the second scaled."""
     src, dst, alpha = [], [], []

@@ -91,6 +91,20 @@ def test_simulate_and_help_load_no_scipy(command, tmp_path):
         assert metrics["models"]["m"]["n_records"] == 2
 
 
+def test_scatter_svg_escapes_prediction_names(tmp_path, dataset_csv):
+    import xml.etree.ElementTree as ET
+
+    pred = tmp_path / "pred.csv"
+    pred.write_text("id,mean,lo95,hi95,sd_linpred\n0,0.3,0.1,0.5,0.2\n1,0.6,0.4,0.8,0.2\n")
+    assert cli.main([
+        "evaluate", "--pred", f"a<b & c={pred}", "--dataset", str(dataset_csv),
+        "--mode", "truth", "--out", str(tmp_path / "eval"),
+    ]) == cli.EXIT_OK
+    root = ET.parse(tmp_path / "eval" / "scatter.svg").getroot()
+    titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert any(text.startswith("a<b & c (r=") for text in titles)
+
+
 def test_parser_kinds_are_the_pipeline_kinds():
     assert cli.MODEL_KINDS == pipeline.MODEL_KINDS
 

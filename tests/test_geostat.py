@@ -74,6 +74,14 @@ class TestModelSpecValidation:
                       offset=hybrid.offset, attention=hybrid.attention)
 
 
+    def test_offset_needs_one_entry_per_field_node(self):
+        data = make_data(n_times=2, locs=(5, 6), seed=1)
+        hybrid = hybrid_spec(data)
+        for offset in (hybrid.offset[:-1], np.zeros(len(data) + 1)):
+            with pytest.raises(ValueError, match="one entry per attention field node"):
+                ModelSpec(kernel=KernelSpec(), offset=offset, attention=hybrid.attention)
+
+
 def hybrid_spec(data, seed=0, theta1=0.0, theta2=0.0, sigma2=1.0):
     field = build_field(random_export(len(data), seed=seed), len(data))
     offset = np.zeros(len(data))
@@ -352,32 +360,24 @@ class TestPredict:
         offset = rng.uniform(-2.0, 0.5, n)
         spec = ModelSpec(
             kernel=KernelSpec(sigma2=1e-12),
-            offset=offset[: n - 5],
-            attention=(
-                attnfield.restrict_field(field, np.arange(n - 5)),
-                AttnHyper(theta1=18.0, theta2=0.0),
-            ),
+            offset=offset,
+            attention=(field, AttnHyper(theta1=18.0, theta2=0.0)),
         )
         train = data.subset(np.arange(n - 5))
         test = data.subset(np.arange(n - 5, n))
         fit = laplace_fit(train, spec)
-        pred = predict(
-            fit, test, n_draws=4000, seed=11,
-            new_offsets=offset[n - 5:],
-            joint_field=field,
-        )
+        pred = predict(fit, test, n_draws=4000, seed=11)
         expected = simgen.logistic(offset[n - 5:])
         assert np.abs(pred.mean - expected).max() <= 2e-3
 
     def test_joint_field_must_hold_fitted_then_new_records(self):
         data = make_data(n_times=2, locs=(10, 12), seed=43)
         n = len(data)
-        spec = hybrid_spec(data.subset(np.arange(n - 5)), seed=9)
+        # the field and offsets cover the fitted records and 4 new ones
+        spec = hybrid_spec(data.subset(np.arange(n - 1)), seed=9)
         fit = laplace_fit(data.subset(np.arange(n - 5)), spec)
-        short = build_field(random_export(n - 1, seed=9), n - 1)
-        with pytest.raises(ValueError, match=f"joint_field has {n - 1} nodes, expected {n - 5} fitted"):
-            predict(fit, data.subset(np.arange(n - 5, n)), n_draws=10,
-                    new_offsets=np.zeros(5), joint_field=short)
+        with pytest.raises(ValueError, match=f"field has {n - 1} nodes, expected {n - 5} fitted"):
+            predict(fit, data.subset(np.arange(n - 5, n)), n_draws=10)
 
     def test_gat_only_prediction_degenerate_intervals(self):
         pred = pipeline.gat_only_prediction(np.arange(3), np.array([0.2, -0.1, 1.2]))
@@ -473,13 +473,10 @@ class TestFitResultIsAValue:
         field = build_field(random_export(n, seed=9), n)
         offset = np.random.default_rng(5).uniform(-2.0, 0.5, n)
         spec = ModelSpec(
-            kernel=KernelSpec(sigma2=0.5),
-            offset=offset[:n - 5],
-            attention=(attnfield.restrict_field(field, np.arange(n - 5)), AttnHyper(0.0, 0.0)),
+            kernel=KernelSpec(sigma2=0.5), offset=offset, attention=(field, AttnHyper(0.0, 0.0)),
         )
         fit = laplace_fit(data.subset(np.arange(n - 5)), spec)
-        new = {"new_offsets": offset[n - 5:], "joint_field": field}
-        return fit, data.subset(np.arange(n - 5, n)), new
+        return fit, data.subset(np.arange(n - 5, n))
 
     def test_frozen_with_only_init_fields(self):
         import dataclasses
@@ -507,13 +504,13 @@ class TestFitResultIsAValue:
     def test_predicting_leaves_the_fit_untouched(self, kind):
         if kind == "mbg":
             data, _, fit = TestPredict().fitted_mbg(seed=41, locs=(15, 20))
-            new, extra = data.subset(np.arange(0, len(data), 4)), {}
+            new = data.subset(np.arange(0, len(data), 4))
         else:
-            fit, new, extra = self.fitted_hybrid()
+            fit, new = self.fitted_hybrid()
         names = ("sigma_u", "chol_b", "sq_w", "a_mode")
         before = {name: getattr(fit, name).copy() for name in names}
         first = predict_insample(fit, n_draws=200, seed=3)
-        predict(fit, new, n_draws=200, seed=3, **extra)
+        predict(fit, new, n_draws=200, seed=3)
         fit.summary()
         second = predict_insample(fit, n_draws=200, seed=3)
         for name in names:
@@ -531,9 +528,9 @@ def parent_laplace_fit(data, spec, warm_u=None):
     if spec.kind == "mbg":
         sigma_u = sigma_s + geostat.FIXED_EFFECT_SD ** 2 * (spec.design @ spec.design.T)
     else:
-        sigma_u = sigma_s + attnfield.covariance(*spec.attention)
+        sigma_u = sigma_s + attnfield.covariance(*spec.attention, n)
     sigma_u[np.diag_indices(n)] += 1e-8
-    offset = np.zeros(n) if spec.offset is None else spec.offset
+    offset = np.zeros(n) if spec.offset is None else spec.offset[:n]
     z, trials = data.n_pos.astype(float), data.n_tested.astype(float)
 
     def psi_of(u, a):
@@ -641,9 +638,7 @@ class TestMatchesRefitPath:
         field = build_field(random_export(n, seed=4), n)
         offset = np.random.default_rng(6).uniform(-2.0, 0.5, n)
         template = ModelSpec(
-            kernel=KernelSpec(sigma2=0.5),
-            offset=offset[:n_fit],
-            attention=(attnfield.restrict_field(field, np.arange(n_fit)), AttnHyper(0.0, 0.0)),
+            kernel=KernelSpec(sigma2=0.5), offset=offset, attention=(field, AttnHyper(0.0, 0.0)),
         )
         fitted, new = data.subset(np.arange(n_fit)), data.subset(np.arange(n_fit, n))
         bounds = {name: geostat.DEFAULT_BOUNDS[name] for name in ("log_sigma2", "theta2")}
@@ -651,8 +646,7 @@ class TestMatchesRefitPath:
             fitted, template, OptimizerConfig(max_iter=6, bounds=bounds),
         ).fit
         want = parent_optimize(fitted, template, bounds, max_iter=6)
-        preds = [predict(fit, new, n_draws=300, seed=2, new_offsets=offset[n_fit:],
-                         joint_field=field) for fit in (got, want)]
+        preds = [predict(fit, new, n_draws=300, seed=2) for fit in (got, want)]
         self.check(got, want, *preds)
 
 
@@ -665,7 +659,7 @@ def parent_beta_given_u(fit):
     return sd2 * siu_d.T, sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
 
 
-def parent_predict(fit, new_data, n_draws, seed, new_offsets=None, joint_field=None):
+def parent_predict(fit, new_data, n_draws, seed):
     """predict as it was with one conditional per model kind: beta | u from
     parent_beta_given_u for mbg, and S | u written out for the hybrid. Its
     products go through numkit.matmul, as predict's do, so both run the
@@ -675,6 +669,8 @@ def parent_predict(fit, new_data, n_draws, seed, new_offsets=None, joint_field=N
     mm = numkit.matmul
     data, spec = fit.data, fit.spec
     n_obs, n_new = len(data), len(new_data)
+    if spec.kind == "hybrid":
+        joint_field, new_offsets = spec.attention[0], spec.offset[n_obs:]
     rng = numkit.RngStream(seed, geostat._STREAM_PREDICT)
     u_draws = geostat._draw_u(fit, n_draws, rng)
     sigma_s = CovarianceBuilder(data.x, data.y, data.t)(spec.kernel)
@@ -711,9 +707,9 @@ class TestPredictMatchesParent:
 
     @pytest.mark.parametrize("seed", [37, 41])
     def test_hybrid_is_bit_identical(self, seed):
-        fit, new, extra = TestFitResultIsAValue().fitted_hybrid()
-        got = predict(fit, new, n_draws=500, seed=seed, **extra)
-        want = parent_predict(fit, new, n_draws=500, seed=seed, **extra)
+        fit, new = TestFitResultIsAValue().fitted_hybrid()
+        got = predict(fit, new, n_draws=500, seed=seed)
+        want = parent_predict(fit, new, n_draws=500, seed=seed)
         for name in ("ids", "mean", "lo", "hi", "sd_linpred"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoattn import attnfield, cli, evalkit, gatv2, geostat, pipeline, simgen
+from geoattn import attnfield, cli, evalkit, gatv2, geostat, numkit, pipeline, simgen
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -58,17 +58,12 @@ def reference_fit_and_predict(train, test, spec, seed=0):
         return pipeline.PipelineRun(prediction=pipeline.gat_only_prediction(test.ids, preds[n_tr:]))
 
     joint_field = attnfield.build_field(export, n_tr + n_te)
-    train_field = attnfield.restrict_field(joint_field, np.arange(n_tr))
-    offsets = gatv2.logit_offset(preds)
     template = geostat.ModelSpec(
-        kernel=spec.kernel, offset=offsets[:n_tr],
-        attention=(train_field, spec.attention_start),
+        kernel=spec.kernel, offset=gatv2.logit_offset(preds),
+        attention=(joint_field, spec.attention_start),
     )
     result = optimize(template)
-    pred = geostat.predict(
-        result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level,
-        new_offsets=offsets[n_tr:], joint_field=joint_field,
-    )
+    pred = geostat.predict(result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level)
     return pipeline.PipelineRun(prediction=pred, optimize=result)
 
 
@@ -92,6 +87,29 @@ class TestHeldOutFitsMatchInlineReference:
             got = pipeline.fit_and_predict(train, test, spec, seed=4)
             want = reference_fit_and_predict(train, test, spec, seed=4)
             assert_same_prediction(got.prediction, want.prediction)
+
+    def test_held_out_hybrid_fits_the_joint_fields_marginal(self, monkeypatch):
+        # one attention prior: the fit's A block is the leading block of the
+        # joint field's Q^-1, from the one eigh that builds the joint field
+        data, folds = self.make()
+        test_mask = folds.cluster == 0
+        train, test = data.subset(~test_mask), data.subset(test_mask)
+        calls, eigh = [], attnfield.eigh
+
+        def counted(a):
+            calls.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(attnfield, "eigh", counted)
+        run = pipeline.fit_and_predict(train, test, specs()[1], seed=4)
+        n_tr = len(train)
+        assert run.field.n_nodes == len(data)
+        fit = run.optimize.fit
+        sigma_a = fit.sigma_u - geostat.CovarianceBuilder(train.x, train.y, train.t)(fit.spec.kernel)
+        sigma_a[np.diag_indices(n_tr)] -= numkit.DEFAULT_KERNEL_JITTER
+        want = np.linalg.inv(attnfield.precision(run.field, fit.spec.attention[1]))[:n_tr, :n_tr]
+        assert np.linalg.norm(sigma_a - want) <= 1e-10 * np.linalg.norm(want)
+        assert calls == [len(data)]
 
     def test_cv_command_matches_reference_runner(self, tmp_path):
         data, folds = self.make()
