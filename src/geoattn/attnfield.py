@@ -129,7 +129,9 @@ def precision(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
     """Q = tau * (I - beta / lam_max * C); tau * I when the field is degenerate.
 
     Positive definite for every beta in (0, 1): the spectrum of Q is
-    tau * (1 - beta * lam_i / lam_max) >= tau * (1 - beta) > 0.
+    tau * (1 - beta * lam_i / lam_max) >= tau * (1 - beta) > 0. No command
+    calls this: it is the reference Q the tests check :func:`covariance`
+    against, and the benchmark's tracer (``perfbench/spans.py``) names it.
     """
     tau, beta = hyper.tau, hyper.beta
     eye = np.eye(field.n_nodes)
@@ -143,6 +145,8 @@ def covariance(field: AttentionField, hyper: AttnHyper, n: int | None = None) ->
     the field's marginal over its first n nodes, V[:n] diag(1/q) V[:n]' from
     the eigendecomposition of C; I / tau when the field is degenerate."""
     n = field.n_nodes if n is None else n
+    if n > field.n_nodes:
+        raise ValueError(f"attention field has {field.n_nodes} nodes, fewer than the {n} records")
     if field.degenerate:
         return (1.0 / hyper.tau) * np.eye(n)
     lam, vec = field.c_eigh

@@ -22,10 +22,9 @@ when Sigma_u is nearly singular, and searches in a = Sigma_u^{-1} u
 summary factors Sigma_u: a warm start takes u = Sigma_u a, and the posterior
 covariance of u and the posterior sd of beta each come from one triangular
 solve with the factor of B. Only :func:`predict` factors Sigma_u, for the
-one Gaussian conditional of the model's first block given u (beta for mbg,
-S for the hybrid); the second block is u minus the first, so the component
-posteriors come exactly from draws of u. It builds the conditional on each
-call; a :class:`FitResult` is frozen and holds no cache.
+one Gaussian conditional of u at the new records given u at the fitted
+ones, under the model's prior over both record sets. It builds the
+conditional on each call; a :class:`FitResult` is frozen and holds no cache.
 
 The hyperparameter search keeps the fit of its best evaluation, so the
 model it returns is never fitted twice.
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .attnfield import AttentionField, AttnHyper, covariance as attention_cov, precision
+from .attnfield import AttentionField, AttnHyper, covariance as attention_cov
 from .errors import AllRestartsFailed, NewtonDivergence, NotPositiveDefinite
 from .evalkit import Prediction
 from .numkit import (
@@ -250,6 +249,17 @@ class FitResult:
         return out
 
 
+def _add_second_block(sigma: np.ndarray, spec: ModelSpec, new_data: Dataset | None = None):
+    """Add the model's second prior block to the kernel matrix ``sigma`` over the
+    fitted records (then ``new_data``'s), in place: sd^2 D D' for mbg, with D
+    stacked likewise, or the field's marginal over its first len(sigma) nodes."""
+    if spec.design is not None:
+        d = spec.design if new_data is None else np.vstack([spec.design, build_design(new_data)])
+        return syrk(d, alpha=FIXED_EFFECT_SD ** 2, out=sigma)
+    sigma += attention_cov(*spec.attention, len(sigma))
+    return sigma
+
+
 def _factor_b(sigma_u: np.ndarray, sq_w: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """Cholesky factor of B = I + W^1/2 Sigma_u W^1/2, built and factored in ``buf``.
 
@@ -305,11 +315,7 @@ def laplace_fit(
     n = len(data)
     if sigma_builder is None:
         sigma_builder = CovarianceBuilder(data.x, data.y, data.t)
-    sigma_u = sigma_builder(spec.kernel)  # Sigma_S, then the other blocks in place
-    if spec.design is not None:
-        sigma_u = syrk(spec.design, alpha=FIXED_EFFECT_SD ** 2, out=sigma_u)
-    if spec.attention is not None:
-        sigma_u += attention_cov(*spec.attention, n)
+    sigma_u = _add_second_block(sigma_builder(spec.kernel), spec)
     # numerical nugget: kernel matrices on near-duplicate points are singular
     sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
     offset = np.zeros(n) if spec.offset is None else np.asarray(spec.offset[:n], float)
@@ -663,17 +669,14 @@ def predict(
     seed: int = 0,
     level: float = 0.95,
 ) -> Prediction:
-    """Joint-conditioning prediction at new records.
-
-    The model's first block f of u (beta for mbg, S for the hybrid) is
-    drawn from its Gaussian conditional given the posterior draws of u,
-    N(r u, Cov(f) - r Cov(u, f)) with r = Cov(f, u) Sigma_u^{-1}; the second
-    block (S = u - D beta, or A = u - S) is the rest of u. The spatial
-    field is then kriged from its draws at the fitted records. For a
-    hybrid, A at ``new_data`` (the spec's last field nodes and offsets) is
-    drawn given A at the fitted records from the GMRF conditional of the
-    field the fit's prior came from (Rue & Held, 2005, §2.2).
-    """
+    """Predictive summaries at ``new_data``: u there is drawn, given each
+    posterior draw of u, from N(r u, Sigma_nn - r Sigma_on), r = Sigma_no
+    Sigma_u^{-1} (Rasmussen & Williams, 2006, §2.2, eq. A.6). Sigma is the prior
+    over the fitted records then ``new_data`` (a hybrid's last field nodes and
+    offsets): the kernel plus :func:`_add_second_block`. The blocks are
+    independent a priori, so this is the law of drawing each block given u and
+    extending it alone (beta, then S kriged; or S kriged, then A from the
+    field's GMRF conditional, Rue & Held, 2005, §2.2)."""
     spec, data = fit.spec, fit.data
     n_obs = len(data)
     n_new = len(new_data)
@@ -686,37 +689,12 @@ def predict(
 
     u_draws = _draw_u(fit, n_draws, rng)
 
-    # spatial field: component draws at observed points, then kriging
-    kernel = spec.kernel
-    sigma_s = CovarianceBuilder(data.x, data.y, data.t)(kernel)  # the fit's, to the bit
-    k_cross = CovarianceBuilder(new_data.x, new_data.y, new_data.t, data.x, data.y, data.t)(kernel)
-    k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(kernel)
-    chol_s_obs = cholesky(sigma_s, jitter=DEFAULT_KERNEL_JITTER)
-    krig = solve_chol(chol_s_obs, k_cross.T).T            # (n_new, n_obs)
-    cond_cov = k_new - matmul(krig, k_cross.T)
-    chol_cond = cholesky(cond_cov, jitter=DEFAULT_KERNEL_JITTER)
-
-    # Cov(u, f), Cov(f) and the jitter of f's conditional covariance, per block
-    if spec.design is not None:
-        sd2 = FIXED_EFFECT_SD ** 2
-        cov_uf, cov_f, jitter = sd2 * spec.design, sd2 * np.eye(spec.design.shape[1]), 1e-12
-    else:
-        cov_uf, cov_f, jitter = sigma_s, sigma_s, 1e-10
-    r = solve_chol(cholesky(fit.sigma_u, jitter=1e-10), cov_uf).T
-    chol_c = cholesky(cov_f - matmul(r, cov_uf), jitter=jitter)
-    f_draws = matmul(r, u_draws) + matmul(chol_c, rng.standard_normal((len(cov_f), n_draws)))
-
-    if spec.design is not None:
-        s_draws = u_draws - matmul(spec.design, f_draws)
-        eta_new = matmul(build_design(new_data), f_draws)
-    else:
-        s_draws = f_draws
-        q_joint = precision(*spec.attention)
-        chol_qnn = cholesky(q_joint[n_obs:, n_obs:])
-        cond_mean = -solve_chol(chol_qnn, matmul(q_joint[n_obs:, :n_obs], u_draws - f_draws))
-        noise = solve_triangular(chol_qnn.T, rng.standard_normal((n_new, n_draws)))
-        eta_new = np.asarray(spec.offset[n_obs:], float)[:, None] + cond_mean + noise
-
-    s_new = matmul(krig, s_draws) + matmul(chol_cond, rng.standard_normal((n_new, n_draws)))
-    eta_new = eta_new + s_new
+    joint = [np.concatenate([getattr(data, a), getattr(new_data, a)]) for a in ("x", "y", "t")]
+    sigma = _add_second_block(CovarianceBuilder(*joint)(spec.kernel), spec, new_data)
+    sigma_on = sigma[:n_obs, n_obs:]
+    r = solve_chol(cholesky(fit.sigma_u, jitter=1e-10), sigma_on).T   # (n_new, n_obs)
+    chol_c = cholesky(sigma[n_obs:, n_obs:] - matmul(r, sigma_on), jitter=DEFAULT_KERNEL_JITTER)
+    eta_new = matmul(r, u_draws) + matmul(chol_c, rng.standard_normal((n_new, n_draws)))
+    if spec.offset is not None:
+        eta_new += np.asarray(spec.offset[n_obs:], float)[:, None]
     return _summarize_draws(new_data.ids, eta_new, level)
