@@ -39,7 +39,7 @@ class NonFiniteActivation(GeoattnError):
 
 
 class NewtonDivergence(GeoattnError):
-    """Inner Newton optimization diverged (non-finite or oscillating)."""
+    """The inner Newton objective became non-finite (an oscillating fit stops unconverged)."""
 
 
 class AllRestartsFailed(GeoattnError):

@@ -18,13 +18,11 @@ can be marginalized into a single n-dimensional Gaussian prior with covariance
 Sigma_u = sd^2 D D' + Sigma_S + Q^{-1}. The inner Newton solver follows the
 standard B = I + W^{1/2} Sigma W^{1/2} reformulation, which stays stable
 when Sigma_u is nearly singular, and searches in a = Sigma_u^{-1} u
-(Rasmussen & Williams, 2006, Alg. 3.1-3.2). So neither a fit nor its
-summary factors Sigma_u: a warm start takes u = Sigma_u a, and the posterior
-covariance of u and the posterior sd of beta each come from one triangular
-solve with the factor of B. Only :func:`predict` factors Sigma_u, for the
-one Gaussian conditional of u at the new records given u at the fitted
-ones, under the model's prior over both record sets. It builds the
-conditional on each call; a :class:`FitResult` is frozen and holds no cache.
+(Rasmussen & Williams, 2006, Alg. 3.1-3.2). So nothing factors Sigma_u: a
+warm start takes u = Sigma_u a, and every posterior covariance (of u at the
+fitted or the new records, of beta) is one triangular solve with the fit's
+factor of B. Each predict call factors only the covariance it draws from;
+a :class:`FitResult` is frozen and holds no cache.
 
 The hyperparameter search keeps the fit of its best evaluation, so the
 model it returns is never fitted twice.
@@ -173,10 +171,12 @@ class FitResult:
     """A fitted model: the Gaussian approximation at the posterior mode of u.
 
     It keeps the spec and data it was fitted on (not copies) and the dense
-    operators at the mode, Sigma_u and the Cholesky factor of B, so
-    posterior recovery and prediction need nothing else. It is a value:
-    every field is set by :func:`laplace_fit`, and nothing is added or
-    overwritten afterwards, so predicting from a fit leaves it as it was.
+    operators at the mode, Sigma_u and the Cholesky factor L_B of B, so
+    prediction needs nothing else: any latent x jointly Gaussian with u a
+    priori has Laplace posterior mean Cov(x, u) a_mode and covariance
+    :meth:`posterior_cov` (Rasmussen & Williams, 2006, Alg. 3.2). It is a
+    value: every field is set by :func:`laplace_fit`, and nothing is added
+    or overwritten afterwards, so predicting from a fit leaves it as it was.
     """
 
     spec: ModelSpec
@@ -192,20 +192,21 @@ class FitResult:
     offset: np.ndarray = field(repr=False)
     psi_trace: list[float] = field(repr=False)
 
-    def posterior_cov_u(self) -> np.ndarray:
-        """V_u = Sigma_u - X'X with X = L_B^{-1} W^1/2 Sigma_u.
+    def posterior_cov(self, cross: np.ndarray, prior: np.ndarray) -> np.ndarray:
+        """Var(x | z) = prior - V'V with V = L_B^{-1} W^1/2 cross, for a latent
+        x with prior covariance ``prior`` and Cov(u, x) = ``cross``.
 
-        That is Sigma_u - Sigma_u W^1/2 B^{-1} W^1/2 Sigma_u from one
-        triangular solve and one symmetric rank-n update (Rasmussen &
-        Williams, 2006, Alg. 3.2). The result is a new C-ordered array,
-        symmetric as stored.
+        That is prior - cross' W^1/2 B^{-1} W^1/2 cross from one triangular
+        solve and one symmetric rank-n update (Rasmussen & Williams, 2006,
+        Alg. 3.2); x = u itself (cross = prior = Sigma_u) gives V_u. The
+        result is a new C-ordered array, symmetric as stored.
         """
-        # W^1/2 Sigma_u is built C-ordered, so its transpose is Fortran-
+        # W^1/2 cross is built C-ordered, so its transpose is Fortran-
         # ordered and trsm solves it from the right in place:
-        # (W^1/2 Sigma_u)' L_B^{-T} = X'
-        x_t = (self.sq_w[:, None] * self.sigma_u).T
-        x_t = solve_right_lt(self.chol_b, x_t)
-        return syrk(x_t, alpha=-1.0, out=self.sigma_u.copy())
+        # (W^1/2 cross)' L_B^{-T} = V'
+        v_t = (self.sq_w[:, None] * cross).T
+        v_t = solve_right_lt(self.chol_b, v_t)
+        return syrk(v_t, alpha=-1.0, out=prior.copy())
 
     @property
     def beta_hat(self) -> np.ndarray | None:
@@ -220,7 +221,10 @@ class FitResult:
 
         Var(beta | z) = C + R V_u R' is, by Woodbury, sd2 I - sd2^2 X'X with
         X = L_B^{-1} W^1/2 D: one triangular solve with the factor of B
-        that the fit holds, and no factor of Sigma_u.
+        that the fit holds, and no factor of Sigma_u. :meth:`posterior_cov`
+        with prior sd2 I and cross sd2 D is the same law, but at n = 1,000 its
+        rounding of the cancellation from sd2 = 1000 to variances near 0.01
+        is 1e-9 off the cancellation-free form, where this one is 1e-10 to 4e-10.
         """
         d = self.spec.design
         if d is None:
@@ -640,13 +644,13 @@ def _summarize_draws(ids, eta_draws: np.ndarray, level: float) -> Prediction:
     )
 
 
-def _draw_u(fit: FitResult, n_draws: int, rng: RngStream) -> np.ndarray:
-    # V_u is a temporary, symmetric as stored: its Fortran-ordered transpose
-    # is factored in place, to the same bits as V_u itself
-    chol_v = cholesky(fit.posterior_cov_u().T, jitter=1e-10, overwrite_a=True)
-    u_draws = matmul(chol_v, rng.standard_normal((len(fit.u_mode), n_draws)))
-    u_draws += fit.u_mode[:, None]
-    return u_draws
+def _draw(mean, cov, jitter: float, n_draws: int, seed: int) -> np.ndarray:
+    """``n_draws`` columns mean + L z, L L' = cov + jitter I, on the predict stream.
+    ``cov`` is a temporary, symmetric as stored: its transpose is factored in place."""
+    chol = cholesky(cov.T, jitter=jitter, overwrite_a=True)
+    draws = matmul(chol, RngStream(seed, _STREAM_PREDICT).standard_normal((len(mean), n_draws)))
+    draws += mean[:, None]
+    return draws
 
 
 def predict_insample(
@@ -655,11 +659,10 @@ def predict_insample(
     seed: int = 0,
     level: float = 0.95,
 ) -> Prediction:
-    """Predictive summaries at the fitted records themselves."""
-    rng = RngStream(seed, _STREAM_PREDICT)
-    u_draws = _draw_u(fit, n_draws, rng)
-    eta = fit.offset[:, None] + u_draws
-    return _summarize_draws(fit.data.ids, eta, level)
+    """Predictive summaries at the fitted records, drawn from the Laplace posterior
+    N(u_mode, ``fit.posterior_cov(Sigma_u, Sigma_u)``) (R&W, 2006, Alg. 3.2)."""
+    u_draws = _draw(fit.u_mode, fit.posterior_cov(fit.sigma_u, fit.sigma_u), 1e-10, n_draws, seed)
+    return _summarize_draws(fit.data.ids, fit.offset[:, None] + u_draws, level)
 
 
 def predict(
@@ -669,32 +672,28 @@ def predict(
     seed: int = 0,
     level: float = 0.95,
 ) -> Prediction:
-    """Predictive summaries at ``new_data``: u there is drawn, given each
-    posterior draw of u, from N(r u, Sigma_nn - r Sigma_on), r = Sigma_no
-    Sigma_u^{-1} (Rasmussen & Williams, 2006, §2.2, eq. A.6). Sigma is the prior
-    over the fitted records then ``new_data`` (a hybrid's last field nodes and
-    offsets): the kernel plus :func:`_add_second_block`. The blocks are
-    independent a priori, so this is the law of drawing each block given u and
-    extending it alone (beta, then S kriged; or S kriged, then A from the
+    """Predictive summaries at ``new_data``, drawn from the Laplace predictive
+    N(Sigma_no a_mode, Sigma_nn - V'V), V = L_B^{-1} W^1/2 Sigma_on (Rasmussen
+    & Williams, 2006, Alg. 3.2). Sigma is the prior over the fitted records
+    then ``new_data`` (a hybrid's last field nodes and offsets): the kernel
+    plus :func:`_add_second_block`. It is the law of u ~ N(u_mode, V_u) then
+    u_new | u ~ N(r u, Sigma_nn - r Sigma_on), r = Sigma_no Sigma_u^{-1} (R&W
+    eq. A.6), since r u_mode = Sigma_no a_mode and r V_u r' - r Sigma_on = -V'V.
+    The blocks are independent a priori, so it is also the law of extending
+    each block alone (beta, then S kriged; or S kriged, then A from the
     field's GMRF conditional, Rue & Held, 2005, §2.2)."""
     spec, data = fit.spec, fit.data
-    n_obs = len(data)
-    n_new = len(new_data)
+    n_obs, n_new = len(data), len(new_data)
     if spec.attention is not None and spec.attention[0].n_nodes != n_obs + n_new:
         raise ValueError(
             f"the attention field has {spec.attention[0].n_nodes} nodes, expected "
             f"{n_obs} fitted + {n_new} new records"
         )
-    rng = RngStream(seed, _STREAM_PREDICT)
-
-    u_draws = _draw_u(fit, n_draws, rng)
-
     joint = [np.concatenate([getattr(data, a), getattr(new_data, a)]) for a in ("x", "y", "t")]
     sigma = _add_second_block(CovarianceBuilder(*joint)(spec.kernel), spec, new_data)
     sigma_on = sigma[:n_obs, n_obs:]
-    r = solve_chol(cholesky(fit.sigma_u, jitter=1e-10), sigma_on).T   # (n_new, n_obs)
-    chol_c = cholesky(sigma[n_obs:, n_obs:] - matmul(r, sigma_on), jitter=DEFAULT_KERNEL_JITTER)
-    eta_new = matmul(r, u_draws) + matmul(chol_c, rng.standard_normal((n_new, n_draws)))
+    cov = fit.posterior_cov(sigma_on, sigma[n_obs:, n_obs:])
+    eta_new = _draw(matmul(sigma_on.T, fit.a_mode), cov, DEFAULT_KERNEL_JITTER, n_draws, seed)
     if spec.offset is not None:
         eta_new += np.asarray(spec.offset[n_obs:], float)[:, None]
     return _summarize_draws(new_data.ids, eta_new, level)

@@ -411,7 +411,7 @@ class TestFitResultMatchesInlineAlgebra:
         sd2 = geostat.FIXED_EFFECT_SD ** 2
         d = spec.design
         chol_su = numkit.cholesky(fit.sigma_u, jitter=1e-10)
-        # the two-sided posterior covariance, which posterior_cov_u's
+        # the two-sided posterior covariance, which posterior_cov's
         # triangular solve and rank-n update reproduce to round-off
         t_mat = fit.sq_w[:, None] * fit.sigma_u
         post_cov_u = fit.sigma_u - t_mat.T @ numkit.solve_chol(fit.chol_b, t_mat)
@@ -437,7 +437,7 @@ class TestFitResultMatchesInlineAlgebra:
         # Sigma_u - (...) cancels from entries near sd2 to entries near 1, so
         # round-off is relative to the largest entry, not to each one: the
         # two-sided formula is itself asymmetric by about 1e-11 of it
-        post_cov = fit.posterior_cov_u()
+        post_cov = fit.posterior_cov(fit.sigma_u, fit.sigma_u)
         np.testing.assert_allclose(post_cov, post_cov_u, rtol=0, atol=1e-10 * np.abs(post_cov).max())
 
     @pytest.mark.parametrize("kind, names", [
@@ -471,6 +471,19 @@ class TestFitResultMatchesInlineAlgebra:
         assert spec.attention[1] == AttnHyper(1.5, -2.0)
 
 
+def count_factorizations(monkeypatch):
+    """The list that each numkit.cholesky call appends to from now on."""
+    calls, cholesky = [], numkit.cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(numkit, "cholesky", counted)
+    monkeypatch.setattr(geostat, "cholesky", counted)
+    return calls
+
+
 class TestFitResultIsAValue:
     """A fit holds only what laplace_fit gave it, and using it changes nothing."""
 
@@ -496,14 +509,7 @@ class TestFitResultIsAValue:
 
     def test_summary_factors_nothing(self, monkeypatch):
         _, _, fit = TestPredict().fitted_mbg(seed=41, locs=(15, 20))
-        calls, cholesky = [], numkit.cholesky
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return cholesky(*args, **kwargs)
-
-        monkeypatch.setattr(numkit, "cholesky", counted)
-        monkeypatch.setattr(geostat, "cholesky", counted)
+        calls = count_factorizations(monkeypatch)
         fit.summary()
         assert len(calls) == 0
 
@@ -584,11 +590,23 @@ def parent_laplace_fit(data, spec, warm_u=None):
 
 
 class TwoSidedFit(geostat.FitResult):
-    """A fit whose posterior covariance of u is the two-sided formula."""
+    """A fit whose posterior covariances are the two-sided formula."""
 
-    def posterior_cov_u(self):
-        t_mat = self.sq_w[:, None] * self.sigma_u
-        return self.sigma_u - t_mat.T @ numkit.solve_chol(self.chol_b, t_mat)
+    def posterior_cov(self, cross, prior):
+        t_mat = self.sq_w[:, None] * cross
+        return prior - t_mat.T @ numkit.solve_chol(self.chol_b, t_mat)
+
+
+def two_sided_calls(monkeypatch):
+    """The list that each call of TwoSidedFit.posterior_cov appends to from now on."""
+    calls, posterior_cov = [], TwoSidedFit.posterior_cov
+
+    def counted(self, cross, prior):
+        calls.append(1)
+        return posterior_cov(self, cross, prior)
+
+    monkeypatch.setattr(TwoSidedFit, "posterior_cov", counted)
+    return calls
 
 
 def parent_optimize(data, template, bounds, max_iter):
@@ -625,7 +643,7 @@ class TestMatchesRefitPath:
         for name in ("mean", "lo", "hi"):
             assert np.abs(getattr(pred_got, name) - getattr(pred_want, name)).max() <= 1e-7
 
-    def test_mbg(self):
+    def test_mbg(self, monkeypatch):
         data = make_data(n_times=3, locs=(30, 40), seed=53)
         template = ModelSpec(
             kernel=KernelSpec(sigma2=0.5),
@@ -636,10 +654,13 @@ class TestMatchesRefitPath:
             data, template, OptimizerConfig(max_iter=6, bounds=bounds),
         ).fit
         want = parent_optimize(data, template, bounds, max_iter=6)
-        self.check(got, want, predict_insample(got, n_draws=300, seed=2),
-                   predict_insample(want, n_draws=300, seed=2))
+        calls = two_sided_calls(monkeypatch)
+        pred_want = predict_insample(want, n_draws=300, seed=2)
+        # the reference draws from its own two-sided covariance
+        assert len(calls) == 1
+        self.check(got, want, predict_insample(got, n_draws=300, seed=2), pred_want)
 
-    def test_hybrid(self):
+    def test_hybrid(self, monkeypatch):
         data = make_data(n_times=2, locs=(30, 35), seed=59)
         n, n_fit = len(data), len(data) - 8
         field = build_field(random_export(n, seed=4), n)
@@ -653,7 +674,10 @@ class TestMatchesRefitPath:
             fitted, template, OptimizerConfig(max_iter=6, bounds=bounds),
         ).fit
         want = parent_optimize(fitted, template, bounds, max_iter=6)
+        calls = two_sided_calls(monkeypatch)
         preds = [predict(fit, new, n_draws=300, seed=2) for fit in (got, want)]
+        # only the reference's predict reaches the two-sided covariance
+        assert len(calls) == 1
         self.check(got, want, *preds)
 
 
@@ -726,8 +750,8 @@ def law_case(kind):
 
 
 class TestPredictLaw:
-    """predict's one joint conditional against the per-block law it replaced:
-    the same law, and predict's draws follow it."""
+    """predict's Laplace predictive against the per-block law and the joint
+    conditional it replaced: the same law, and predict's draws follow it."""
 
     @pytest.mark.parametrize("kind", ["hybrid", "mbg"])
     def test_laws_agree(self, kind):
@@ -746,25 +770,46 @@ class TestPredictLaw:
     def test_draws_follow_the_per_block_law(self, kind):
         fit, new = law_case(kind)
         m, c = per_block_law(fit, new)
-        want = np.sqrt(np.diag(m @ fit.posterior_cov_u() @ m.T + c))
+        want = np.sqrt(np.diag(m @ fit.posterior_cov(fit.sigma_u, fit.sigma_u) @ m.T + c))
         got = predict(fit, new, n_draws=20_000, seed=1).sd_linpred
         # a sd from 20,000 draws has a relative standard error near 0.5%
         np.testing.assert_allclose(got, want, rtol=0.03, atol=0)
 
     @pytest.mark.parametrize("kind", ["hybrid", "mbg"])
-    def test_three_factorizations(self, kind, monkeypatch):
+    def test_predictive_is_the_joint_conditional_marginal(self, kind, monkeypatch):
         fit, new = law_case(kind)
-        calls, cholesky = [], numkit.cholesky
+        m, c = joint_law(fit, new)
+        # V_u by the two-sided formula, not by FitResult.posterior_cov
+        t_mat = fit.sq_w[:, None] * fit.sigma_u
+        v_u = fit.sigma_u - t_mat.T @ numkit.solve_chol(fit.chol_b, t_mat)
+        laws, draw = [], geostat._draw
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return cholesky(*args, **kwargs)
+        def recorded(mean, cov, jitter, n_draws, seed):
+            laws.append((mean.copy(), cov + jitter * np.eye(len(cov))))
+            return draw(mean, cov, jitter, n_draws, seed)
 
-        monkeypatch.setattr(numkit, "cholesky", counted)
-        monkeypatch.setattr(geostat, "cholesky", counted)
+        monkeypatch.setattr(geostat, "_draw", recorded)
         predict(fit, new, n_draws=10)
-        # V_u for the draws of u, Sigma_u, and the conditional covariance
-        assert len(calls) == 3
+        (mean, cov), = laws
+
+        def rel(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        # measured: means 4.0e-11 (hybrid) and 3.3e-11 (mbg), covariances 2.6e-12 and 7.0e-11
+        assert rel(mean, m @ fit.u_mode) <= 1e-9
+        assert rel(cov, m @ v_u @ m.T + c) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["hybrid", "mbg"])
+    @pytest.mark.parametrize("insample", [False, True], ids=["predict", "predict_insample"])
+    def test_one_factorization(self, insample, kind, monkeypatch):
+        fit, new = law_case(kind)
+        calls = count_factorizations(monkeypatch)
+        if insample:
+            predict_insample(fit, n_draws=10)
+        else:
+            predict(fit, new, n_draws=10)
+        # the covariance drawn from, and no factor of Sigma_u
+        assert len(calls) == 1
 
 
 class TestBetaRecovery:
