@@ -18,14 +18,24 @@ the (K, K d) block-diagonal of the attention vectors.
 The per-edge arrays of a layer are u = LeakyReLU(z), written over the score
 pre-activation z, and the attention alpha, kept both per edge and per head
 (the data of the block-diagonal matrix). Backward recovers the LeakyReLU
-slope factor from the sign of u, so it is not stored. Scratch for gathers
-and softmax terms is shared by all layers. Forward writes the per-layer
-arrays into a set of edge buffers and backward reads them from the cache,
-writing only the scratch. :func:`train` allocates one set and rewrites it
-every epoch; a :func:`forward` call without one gets its own, so the arrays
-it returns belong to the caller. Per-destination reductions work over a
-canonical edge ordering so results are bit-reproducible and independent of
-the caller's edge-list order.
+slope factor from the sign of u, so it is not stored, and then writes the
+score-input gradient d_z over u. The per-edge chains that touch K d values
+per edge run over consecutive blocks of ``_EDGE_BLOCK_ROWS`` edges, so their
+intermediates stay in cache: forward's gather, add, LeakyReLU and score;
+backward's gathers for the attention gradient and its dot product; and
+backward's slope factor and d_z. Every row of these chains depends on its
+own edge only, so blocking moves no arithmetic. What sums across edges runs
+on whole arrays, so no summation order depends on the block size: the
+segment softmax, both sparse attention products, the gradient of the
+attention vectors, which reads all of u before d_z overwrites it, and the
+scatters of d_z to nodes. The K d-wide scratch holds one block and the
+K-wide scratch every edge; both are shared by all layers. Forward writes the
+per-layer arrays into a set of edge buffers and backward reads them from the
+cache. :func:`train` allocates one set and rewrites it every epoch; a
+:func:`forward` call without one gets its own, so the arrays it returns
+belong to the caller. Per-destination reductions work over a canonical edge
+ordering so results are bit-reproducible and independent of the caller's
+edge-list order.
 
 Each layer runs on a set of edges: :func:`forward` gives every layer all of
 the graph's, while :func:`train` gives each layer only the edges whose
@@ -59,6 +69,9 @@ from .simgen import Dataset
 PREVALENCE_CLAMP = 1e-6  # predictions clamped to [eps, 1-eps] before logit
 
 _KNN_BLOCK_ROWS = 256  # rows of the distance matrix held at once in build_graph
+# edges per block of a layer's per-edge chains (see the module docstring);
+# of 256, 512 and 1024, 512 trained fastest on 22,834 edges (n = 2,200)
+_EDGE_BLOCK_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +415,16 @@ def _training_edges(graph: GraphSpec, n_layers: int, heads: int) -> list[_LayerE
 class _EdgeBuffers:
     """The edge-sized arrays of one layer, for the edges it runs on. ``u``,
     ``alpha`` and ``alpha_t`` carry values from the layer's forward pass to
-    its backward pass. The scratch arrays are shared by all layers and hold
-    nothing between layer calls."""
+    its backward pass, which writes d_z over ``u``. The scratch arrays are
+    shared by all layers and hold nothing between layer calls; the two wide
+    ones hold one block of edges, the two narrow ones every edge."""
 
     edges: _LayerEdges
-    u: np.ndarray        # (E, K*d) z, then LeakyReLU(z) in place
+    u: np.ndarray        # (E, K*d) z, then LeakyReLU(z) in place, then d_z in backward
     alpha: np.ndarray    # (E, K) attention
     alpha_t: np.ndarray  # (K, E) attention per head: the data of the block-diagonal matrix
-    scratch_kd: np.ndarray   # (E, K*d)
-    scratch_kd2: np.ndarray  # (E, K*d)
+    scratch_kd: np.ndarray   # (min(E, _EDGE_BLOCK_ROWS), K*d)
+    scratch_kd2: np.ndarray  # (min(E, _EDGE_BLOCK_ROWS), K*d)
     scratch_k: np.ndarray    # (E, K)
     scratch_k2: np.ndarray   # (E, K)
 
@@ -420,20 +434,28 @@ def _edge_buffers(edges: list[_LayerEdges], layers: list[LayerParams]) -> list[_
     running on ``edges[i]``."""
     k = layers[0].a.shape[0]
     shapes = [(e.n_edges, lay.a.size) for e, lay in zip(edges, layers)]  # (E, K*d) per layer
-    wide_size = max(n_e * kd for n_e, kd in shapes)
+    wide_size = max(min(n_e, _EDGE_BLOCK_ROWS) * kd for n_e, kd in shapes)
     narrow_size = k * max(n_e for n_e, _ in shapes)
     wide, wide2 = np.empty(wide_size), np.empty(wide_size)
     narrow, narrow2 = np.empty(narrow_size), np.empty(narrow_size)
-    return [
-        _EdgeBuffers(
+    bufs = []
+    for e, (n_e, kd) in zip(edges, shapes):
+        n_blk = min(n_e, _EDGE_BLOCK_ROWS)
+        bufs.append(_EdgeBuffers(
             edges=e, u=np.empty((n_e, kd)), alpha=np.empty((n_e, k)), alpha_t=np.empty((k, n_e)),
-            scratch_kd=wide[:n_e * kd].reshape(n_e, kd),
-            scratch_kd2=wide2[:n_e * kd].reshape(n_e, kd),
+            scratch_kd=wide[:n_blk * kd].reshape(n_blk, kd),
+            scratch_kd2=wide2[:n_blk * kd].reshape(n_blk, kd),
             scratch_k=narrow[:n_e * k].reshape(n_e, k),
             scratch_k2=narrow2[:n_e * k].reshape(n_e, k),
-        )
-        for e, (n_e, kd) in zip(edges, shapes)
-    ]
+        ))
+    return bufs
+
+
+def _edge_blocks(n_edges: int):
+    """Consecutive (rows, size) blocks of at most ``_EDGE_BLOCK_ROWS`` edges."""
+    for start in range(0, n_edges, _EDGE_BLOCK_ROWS):
+        stop = min(start + _EDGE_BLOCK_ROWS, n_edges)
+        yield slice(start, stop), stop - start
 
 
 def _heads_first(x: np.ndarray, k: int) -> np.ndarray:
@@ -479,10 +501,14 @@ def _layer_forward(edges: _LayerEdges, lay: LayerParams, h: np.ndarray,
     # u = LeakyReLU(z) = max(z, slope z) overwrites z, as 0 < slope < 1.
     # Every take uses mode="clip" (the indices are in range) because the
     # default mode still allocates a temporary.
-    z = np.take(h @ w_flat[:, :din].T, dst, axis=0, out=buf.u, mode="clip")
-    z += np.take(h @ w_flat[:, din:].T, src, axis=0, out=buf.scratch_kd, mode="clip")
-    u = np.maximum(z, np.multiply(z, slope, out=buf.scratch_kd), out=z)
-    scores = np.einsum("ekd,kd->ek", u.reshape(-1, k, d), lay.a, out=buf.scratch_k)
+    p_dst, p_src = h @ w_flat[:, :din].T, h @ w_flat[:, din:].T
+    scores = buf.scratch_k
+    for rows, m in _edge_blocks(edges.n_edges):
+        z = np.take(p_dst, dst[rows], axis=0, out=buf.u[rows], mode="clip")
+        tmp = buf.scratch_kd[:m]
+        z += np.take(p_src, src[rows], axis=0, out=tmp, mode="clip")
+        u = np.maximum(z, np.multiply(z, slope, out=tmp), out=z)
+        np.einsum("ekd,kd->ek", u.reshape(m, k, d), lay.a, out=scores[rows])
 
     smax = np.maximum.reduceat(scores, edges.seg_starts, axis=0)
     ex = np.take(smax, edges.seg, axis=0, out=buf.scratch_k2, mode="clip")
@@ -573,10 +599,12 @@ def _layer_backward(edges: _LayerEdges, lay: LayerParams, cache: _LayerCache,
     h = cache.h_in
     d_v = (s_msg.T @ h).reshape(k, d, din)
 
-    d_weighted = np.take(d_agg, dst, axis=0, out=buf.scratch_kd, mode="clip")
-    msg = np.take(cache.hv, src, axis=0, out=buf.scratch_kd2, mode="clip")
-    d_alpha = np.einsum("ekd,ekd->ek", d_weighted.reshape(-1, k, d),
-                        msg.reshape(-1, k, d), out=buf.scratch_k)
+    d_alpha = buf.scratch_k
+    for rows, m in _edge_blocks(edges.n_edges):
+        d_weighted = np.take(d_agg, dst[rows], axis=0, out=buf.scratch_kd[:m], mode="clip")
+        msg = np.take(cache.hv, src[rows], axis=0, out=buf.scratch_kd2[:m], mode="clip")
+        np.einsum("ekd,ekd->ek", d_weighted.reshape(m, k, d), msg.reshape(m, k, d),
+                  out=d_alpha[rows])
 
     # softmax backward per (destination, head)
     alpha = buf.alpha
@@ -586,14 +614,18 @@ def _layer_backward(edges: _LayerEdges, lay: LayerParams, cache: _LayerCache,
     d_score *= alpha
 
     d_a = np.einsum("ek,ekd->kd", d_score, buf.u.reshape(-1, k, d))
-    # d_u = d_score times a, head by head: one gemm with the (K, K*d)
-    # block-diagonal of a, whose zeros add nothing to the products
+    # d_u = d_score times a, head by head: a gemm with the (K, K*d)
+    # block-diagonal of a, whose zeros add nothing to the products. Each
+    # block reads its rows of u for LeakyReLU's slope factor, max(u > 0,
+    # slope), then writes d_z over them: d_a above has read all of u.
     a_bd = np.zeros((k, k * d))
     a_bd.reshape(k, k, d)[np.arange(k), np.arange(k)] = lay.a
-    d_z = np.matmul(d_score, a_bd, out=buf.scratch_kd)
-    # LeakyReLU's slope factor, max(u > 0, slope): 1 where u > 0, slope elsewhere
-    leaky = np.greater(buf.u, 0.0, out=buf.scratch_kd2)
-    d_z *= np.maximum(leaky, slope, out=leaky)
+    d_z = buf.u
+    for rows, m in _edge_blocks(edges.n_edges):
+        block = d_z[rows]
+        leaky = np.greater(block, 0.0, out=buf.scratch_kd[:m])
+        np.matmul(d_score[rows], a_bd, out=block)
+        block *= np.maximum(leaky, slope, out=leaky)
     z_dst = edges.scatter_dst(d_z)                           # (n, K*d)
     z_src = edges.scatter_src(d_z)                           # (n, K*d)
 
@@ -616,7 +648,9 @@ def gradient(
 ) -> GatModel:
     """Exact gradients of the train-node MSE for every parameter, shaped
     like ``model`` (``flatten`` lines them up with ``model.flatten``).
-    Only the scratch part of ``cache``'s edge buffers is written."""
+    Each layer's d_z is written over the ``u`` of ``cache``'s edge buffers,
+    so a cache serves one gradient call; its predictions and attention are
+    left alone."""
     if cache is None:
         _, _, cache = forward(model, graph)
     mask = graph.train_mask
@@ -650,7 +684,9 @@ def train(
     ``targets`` has one entry per node; entries at predict-role nodes are
     ignored. Returns the trained model and the per-epoch loss trace.
     Deterministic given ``config.seed``. Every epoch rewrites one set of
-    edge buffers, allocated here, and builds no attention export.
+    edge buffers, allocated here, and builds no attention export: one
+    E x K d array per layer, u, which backward reuses for d_z, plus
+    block-sized scratch shared by all layers.
 
     Each layer trains only on the edges whose destination a later step
     reads (see the module docstring): the last layer on its edges into

@@ -1,5 +1,6 @@
 """Graph attention network: forward oracle, exact gradients, training."""
 
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -51,6 +52,17 @@ def two_node_model():
     model.w_out = np.array([1.0, 1.0])
     model.b_out = 0.5
     return model
+
+
+# Edge blocks this small leave a ragged last block on every edge set the
+# block-boundary tests run on; every test graph has fewer edges than one
+# block of the default size.
+SMALL_BLOCK = 9
+
+
+def assert_ragged(n_edges):
+    assert n_edges > SMALL_BLOCK and n_edges % SMALL_BLOCK
+    assert n_edges < gatv2._EDGE_BLOCK_ROWS
 
 
 class TestForward:
@@ -342,6 +354,7 @@ class TestPerEdgeReference:
 
     def test_sparse_aggregation_equals_edge_scatter_layers(self, monkeypatch):
         graph, targets = random_graph(30, seed=37)
+        assert_ragged(graph.n_edges)
         # (16, 16) with 4 heads is the default network; slope 0.9 checks the
         # LeakyReLU forms max(z, slope z) and max(u > 0, slope) near slope 1
         for widths, heads, slope in [((4, 3), 3, 0.2), ((5,), 1, 0.2),
@@ -355,30 +368,58 @@ class TestPerEdgeReference:
 
             got = run()
             with monkeypatch.context() as patch:
+                patch.setattr(gatv2, "_EDGE_BLOCK_ROWS", SMALL_BLOCK)
+                got_in_blocks = run()
+            with monkeypatch.context() as patch:
                 patch.setattr(gatv2, "_layer_forward", scatter_layer_forward)
                 patch.setattr(gatv2, "_layer_backward", scatter_layer_backward)
                 want = run()
-            for g, w in zip(got, want, strict=True):
+            for g, b, w in zip(got, got_in_blocks, want, strict=True):
                 np.testing.assert_array_equal(g, w)
+                np.testing.assert_array_equal(b, w)
 
 
 class TestEdgeBuffers:
-    def test_wide_arrays_are_one_u_per_layer_and_two_scratch(self):
+    def test_wide_arrays_are_one_u_per_layer_and_block_scratch(self):
         # E x K*d arrays dominate training memory: each layer keeps only u
-        # for its backward pass, and all layers share two scratch arrays
-        graph, _ = random_graph(30, seed=41)
+        # for its backward pass, and all layers share block-sized scratch
+        graph, _ = random_graph(150, seed=41)
         model = init_model(3, GatConfig(widths=(4, 4), heads=3))
+        edges = gatv2._training_edges(graph, 2, heads=3)
+        sizes = [e.n_edges for e in edges]
+        assert min(sizes) > gatv2._EDGE_BLOCK_ROWS and sizes[0] != sizes[1]
+        bufs = gatv2._edge_buffers(edges, model.layers)
         wide = {}
-        edges = gatv2._layer_edges(graph, heads=3)
-        for buf in gatv2._edge_buffers([edges, edges], model.layers):
+        for buf in bufs:
             for f in fields(buf):
                 arr = getattr(buf, f.name)
                 if f.name == "edges":
                     continue
                 base = arr if arr.base is None else arr.base
-                if base.size >= graph.n_edges * 3 * 4:
+                if base.size >= min(sizes) * 3 * 4:
                     wide[id(base)] = base.nbytes
-        assert sum(wide.values()) == (2 + 2) * graph.n_edges * 3 * 4 * 8
+            assert buf.u.shape == (buf.edges.n_edges, 3 * 4)
+            assert buf.scratch_kd.shape == buf.scratch_kd2.shape == (gatv2._EDGE_BLOCK_ROWS, 3 * 4)
+        assert sorted(wide) == sorted(id(buf.u) for buf in bufs)
+        assert sum(wide.values()) == sum(sizes) * 3 * 4 * 8
+        # one pair of scratch arrays for all layers
+        assert bufs[0].scratch_kd.base is bufs[1].scratch_kd.base
+        assert bufs[0].scratch_kd2.base is bufs[1].scratch_kd2.base
+
+    def test_training_peak_is_few_edge_wide_arrays(self):
+        # the benchmark's n = 2,200 graph: two E x K*d scratch arrays besides
+        # each layer's u put the peak at 5.6 E*K*d*8 bytes, block scratch at 3.9
+        data = simgen.simulate(simgen.SimConfig(n_times=10, locs_per_time=(220, 220), seed=1))
+        graph = build_graph(data, GraphConfig())
+        config = GatConfig(epochs=2)
+        wide_bytes = graph.n_edges * config.heads * config.widths[-1] * 8
+        tracemalloc.start()
+        try:
+            train(graph, data.empirical_prevalence, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * wide_bytes
 
 
 def split_graph(n_layers):
@@ -441,7 +482,7 @@ class TestTrainingEdges:
     @pytest.mark.parametrize("widths, slope", [
         ((4,), 0.2), ((4, 3), 0.2), ((3, 3, 2), 0.2), ((4, 3), 0.9),
     ], ids=["1_layer", "2_layers", "3_layers", "slope_0.9"])
-    def test_train_equals_the_full_graph_epoch_loop(self, widths, slope):
+    def test_train_equals_the_full_graph_epoch_loop(self, widths, slope, monkeypatch):
         graph, targets = split_graph(len(widths))
         first = gatv2._training_edges(graph, len(widths), heads=2)[0]
         # nodes outside every layer's receptive field: no edge into them is trained
@@ -449,6 +490,14 @@ class TestTrainingEdges:
         config = GatConfig(widths=widths, heads=2, leaky_slope=slope, epochs=5, seed=6)
         want, want_trace = full_graph_epoch_loop(graph, targets, config)
         got, trace = train(graph, targets, config)
+        np.testing.assert_array_equal(trace, want_trace)
+        np.testing.assert_array_equal(got.flatten(), want.flatten())
+        # the pruned layers' edge sets, in many blocks with a ragged last one
+        for e in gatv2._training_edges(graph, len(widths), heads=2):
+            assert_ragged(e.n_edges)
+        with monkeypatch.context() as patch:
+            patch.setattr(gatv2, "_EDGE_BLOCK_ROWS", SMALL_BLOCK)
+            got, trace = train(graph, targets, config)
         np.testing.assert_array_equal(trace, want_trace)
         np.testing.assert_array_equal(got.flatten(), want.flatten())
 
@@ -491,7 +540,7 @@ class TestTrainingEdges:
 
 
 class TestTrain:
-    def test_matches_epoch_loop_without_reused_buffers(self):
+    def test_matches_epoch_loop_without_reused_buffers(self, monkeypatch):
         # the epoch loop as written before train() kept its edge buffers:
         # a fresh forward and gradient every epoch, then the same SGD step
         graph, targets = random_graph(40, seed=13)
@@ -511,6 +560,13 @@ class TestTrain:
             model.b_out -= lr * g.b_out
 
         got, trace = train(graph, targets, config)
+        np.testing.assert_array_equal(trace, want_trace)
+        np.testing.assert_array_equal(got.flatten(), model.flatten())
+        for e in gatv2._training_edges(graph, len(config.widths), config.heads):
+            assert_ragged(e.n_edges)
+        with monkeypatch.context() as patch:
+            patch.setattr(gatv2, "_EDGE_BLOCK_ROWS", SMALL_BLOCK)
+            got, trace = train(graph, targets, config)
         np.testing.assert_array_equal(trace, want_trace)
         np.testing.assert_array_equal(got.flatten(), model.flatten())
 
