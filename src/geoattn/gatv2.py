@@ -725,6 +725,7 @@ def train(
             lay.v -= lr * glay.v
         model.w_out -= lr * g.w_out
         model.b_out -= lr * g.b_out
+        del cache, g  # so the next forward does not run beside this epoch's pass
     return model, trace
 
 

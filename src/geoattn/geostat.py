@@ -1,9 +1,9 @@
 """Latent-Gaussian-model engine.
 
-Covariance kernels, the binomial observation model, Laplace-approximation
-fitting of the combined latent field, empirical-Bayes hyperparameter
-optimization by Nelder-Mead on the approximate log marginal likelihood, and
-posterior prediction with Monte Carlo intervals.
+Covariance kernels, the binomial observation model :class:`Binomial`,
+Laplace-approximation fitting of the combined latent field, empirical-Bayes
+hyperparameter optimization by Nelder-Mead on the approximate log marginal
+likelihood, and posterior prediction with Monte Carlo intervals.
 
 A :class:`FitResult` is the one fitted-model object: it holds the
 :class:`ModelSpec` and ``Dataset`` that :func:`laplace_fit` fitted and the
@@ -13,16 +13,18 @@ attention field over the fitted records and then the new ones.
 
 The fit works on the combined zero-mean latent u = D beta + S + A (only the
 blocks a :class:`ModelSpec` declares). The likelihood touches the latent
-state only through eta = offset + u, so fixed effects and both random fields
-can be marginalized into a single n-dimensional Gaussian prior with covariance
-Sigma_u = sd^2 D D' + Sigma_S + Q^{-1}. The inner Newton solver follows the
-standard B = I + W^{1/2} Sigma W^{1/2} reformulation, which stays stable
-when Sigma_u is nearly singular, and searches in a = Sigma_u^{-1} u
-(Rasmussen & Williams, 2006, Alg. 3.1-3.2). So nothing factors Sigma_u: a
-warm start takes u = Sigma_u a, and every posterior covariance (of u at the
-fitted or the new records, of beta) is one triangular solve with the fit's
-factor of B. Each predict call factors only the covariance it draws from;
-a :class:`FitResult` is frozen and holds no cache.
+state only through eta = offset + u, and the fit reads it only through
+:meth:`Binomial.loglik` and :meth:`Binomial.grad_w`. So fixed effects and
+both random fields can be marginalized into a single n-dimensional Gaussian
+prior with covariance Sigma_u = sd^2 D D' + Sigma_S + Q^{-1}. The inner
+Newton solver follows the standard B = I + W^{1/2} Sigma W^{1/2}
+reformulation, which stays stable when Sigma_u is nearly singular, and
+searches in a = Sigma_u^{-1} u (Rasmussen & Williams, 2006, Alg. 3.1-3.2).
+So nothing factors Sigma_u: a warm start takes u = Sigma_u a, and every
+posterior covariance (of u at the fitted or the new records, of beta) is
+one triangular solve with the fit's factor of B. Each predict call factors
+only the covariance it draws from; a :class:`FitResult` is frozen and holds
+no cache.
 
 The hyperparameter search keeps the fit of its best evaluation, so the
 model it returns is never fitted twice.
@@ -147,19 +149,36 @@ def build_design(data: Dataset) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Likelihood pieces
+# Observation model
 # ---------------------------------------------------------------------------
 
-def _binom_loglik(eta, z, n):
-    # z*eta - n*log(1 + e^eta) + log C(n, z), stable for large |eta|
-    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-    const = gammaln(n + 1) - gammaln(z + 1) - gammaln(n - z + 1)
-    return float(np.sum(z * eta - n * softplus + const))
+@dataclass(frozen=True)
+class Binomial:
+    """The observation model z_i ~ Binomial(n_i, logistic(eta_i)), as
+    :func:`laplace_fit` reads it: its log likelihood and, from
+    :meth:`grad_w`, the gradient and the negated Hessian diagonal W in eta.
+    ``log_choose`` is log C(n, z), computed once by :meth:`of`."""
 
+    z: np.ndarray
+    n: np.ndarray
+    log_choose: np.ndarray
 
-def _binom_grad_w(eta, z, n):
-    p = logistic(eta)
-    return z - n * p, n * p * (1.0 - p)
+    @classmethod
+    def of(cls, data: Dataset) -> Binomial:
+        """The counts of ``data``; ValueError unless every n_tested >= 1."""
+        if np.any(data.n_tested < 1):
+            raise ValueError("all records need n_tested >= 1")
+        z, n = data.n_pos.astype(float), data.n_tested.astype(float)
+        return cls(z, n, gammaln(n + 1) - gammaln(z + 1) - gammaln(n - z + 1))
+
+    def loglik(self, eta: np.ndarray) -> float:
+        # z*eta - n*log(1 + e^eta) + log C(n, z), stable for large |eta|
+        softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        return float(np.sum(self.z * eta - self.n * softplus + self.log_choose))
+
+    def grad_w(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = logistic(eta)
+        return self.z - self.n * p, self.n * p * (1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +301,17 @@ def laplace_fit(
     data: Dataset,
     spec: ModelSpec,
     *,
-    gaussian_response: np.ndarray | None = None,
-    gaussian_obs_sd: float | None = None,
+    likelihood: Binomial | None = None,
     warm_a: np.ndarray | None = None,
     sigma_builder: CovarianceBuilder | None = None,
 ) -> FitResult:
     """The fitted model of ``spec`` on ``data`` at fixed hyperparameters.
 
-    The observation model is z_i ~ Binomial(n_i, logistic(offset_i + u_i))
+    The observation model is ``likelihood`` (by default
+    ``Binomial.of(data)``, z_i ~ Binomial(n_i, logistic(offset_i + u_i)))
     with u ~ N(0, Sigma_u); a hybrid's A block is the field's marginal over
-    the n fitted records, its first nodes. Passing ``gaussian_response`` (with
-    ``gaussian_obs_sd``) swaps in y_i ~ N(offset_i + u_i, sd^2), which is a
-    test hook: the mode then has the closed GLS/kriging form. The returned
+    the n fitted records, its first nodes. The fit reads the likelihood only
+    through its ``loglik`` and ``grad_w`` at eta = offset + u. The returned
     :class:`FitResult` holds ``spec``, ``data`` and the operators at the
     mode, so it can be summarized and predicted from as it is.
 
@@ -313,8 +331,8 @@ def laplace_fit(
     ``converged`` is False when the loop reaches 100 iterations or the line
     search finds no ascent.
     """
-    if np.any(data.n_tested < 1):
-        raise ValueError("all records need n_tested >= 1")
+    if likelihood is None:
+        likelihood = Binomial.of(data)
 
     n = len(data)
     if sigma_builder is None:
@@ -324,28 +342,6 @@ def laplace_fit(
     sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
     offset = np.zeros(n) if spec.offset is None else np.asarray(spec.offset[:n], float)
 
-    if gaussian_response is not None:
-        if gaussian_obs_sd is None or gaussian_obs_sd <= 0:
-            raise ValueError("gaussian_response requires a positive gaussian_obs_sd")
-        y = np.asarray(gaussian_response, float)
-        inv_var = 1.0 / gaussian_obs_sd ** 2
-
-        def loglik(eta):
-            r = y - eta
-            return float(-0.5 * inv_var * r @ r - n * math.log(gaussian_obs_sd * math.sqrt(2 * math.pi)))
-
-        def grad_w(eta):
-            return (y - eta) * inv_var, np.full(n, inv_var)
-    else:
-        z = data.n_pos.astype(float)
-        trials = data.n_tested.astype(float)
-
-        def loglik(eta):
-            return _binom_loglik(eta, z, trials)
-
-        def grad_w(eta):
-            return _binom_grad_w(eta, z, trials)
-
     if warm_a is not None and np.any(warm_a):
         a = np.asarray(warm_a, float).copy()
         u = matmul(sigma_u, a)
@@ -354,7 +350,7 @@ def laplace_fit(
         a = np.zeros(n)
     b_buf = np.empty((n, n))  # every factor of B, the final one included, is made here
 
-    psi = loglik(offset + u) - 0.5 * a @ u
+    psi = likelihood.loglik(offset + u) - 0.5 * a @ u
     if not np.isfinite(psi):
         raise NewtonDivergence("objective non-finite at the starting point")
     psi_trace = [float(psi)]
@@ -363,7 +359,7 @@ def laplace_fit(
     it = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
         eta = offset + u
-        g, w = grad_w(eta)
+        g, w = likelihood.grad_w(eta)
         sq_w = np.sqrt(w)
         chol_b = _factor_b(sigma_u, sq_w, b_buf)
         rhs = w * u + g
@@ -379,7 +375,7 @@ def laplace_fit(
         for _ in range(31):
             u_try = u + step * (u_new - u)
             a_try = a + step * (a_new - a)
-            psi_try = loglik(offset + u_try) - 0.5 * a_try @ u_try
+            psi_try = likelihood.loglik(offset + u_try) - 0.5 * a_try @ u_try
             if np.isfinite(psi_try) and psi_try >= psi - tol:
                 accepted = True
                 break
@@ -396,7 +392,7 @@ def laplace_fit(
             break
 
     eta = offset + u
-    g, w = grad_w(eta)
+    g, w = likelihood.grad_w(eta)
     sq_w = np.sqrt(w)
     chol_b = _factor_b(sigma_u, sq_w, b_buf)
     logml = psi - float(np.sum(np.log(np.diag(chol_b))))
@@ -568,6 +564,7 @@ def optimize_hyperparameters(
     hi = np.array([box[n][1] for n in names])
 
     builder = CovarianceBuilder(data.x, data.y, data.t)
+    likelihood = Binomial.of(data)
     trace: list[dict] = []
     restarts: list[dict] = []
     # "a" warm-starts the next evaluation; "best" is (logml, fit, restart)
@@ -578,7 +575,8 @@ def optimize_hyperparameters(
         spec = _spec_from_params(spec_template, names, theta)
         iterations, converged = None, False
         try:
-            fit = laplace_fit(data, spec, warm_a=state["a"], sigma_builder=builder)
+            fit = laplace_fit(data, spec, likelihood=likelihood, warm_a=state["a"],
+                              sigma_builder=builder)
             value = fit.logml
             iterations, converged = fit.newton_iterations, bool(fit.converged)
             state["a"] = fit.a_mode

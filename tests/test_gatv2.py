@@ -408,7 +408,9 @@ class TestEdgeBuffers:
 
     def test_training_peak_is_few_edge_wide_arrays(self):
         # the benchmark's n = 2,200 graph: two E x K*d scratch arrays besides
-        # each layer's u put the peak at 5.6 E*K*d*8 bytes, block scratch at 3.9
+        # each layer's u put the peak at 5.6 E*K*d*8 bytes, block scratch at
+        # 3.9, and dropping each epoch's cache and gradient before the next
+        # forward at 3.6
         data = simgen.simulate(simgen.SimConfig(n_times=10, locs_per_time=(220, 220), seed=1))
         graph = build_graph(data, GraphConfig())
         config = GatConfig(epochs=2)
@@ -419,7 +421,7 @@ class TestEdgeBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * wide_bytes
+        assert peak < 3.75 * wide_bytes
 
 
 def split_graph(n_layers):

@@ -5,8 +5,9 @@ import pytest
 
 from geoattn import attnfield, evalkit, geostat, numkit, pipeline, simgen
 from geoattn.attnfield import AttnHyper, build_field
-from geoattn.errors import AllRestartsFailed
+from geoattn.errors import AllRestartsFailed, NewtonDivergence
 from geoattn.geostat import (
+    Binomial,
     CovarianceBuilder,
     KernelSpec,
     ModelSpec,
@@ -99,6 +100,67 @@ def hybrid_spec(data, seed=0, theta1=0.0, theta2=0.0, sigma2=1.0):
     )
 
 
+class Gaussian:
+    """y_i ~ N(eta_i, sd^2): a test double for :class:`Binomial`, with the
+    same two methods, under which the Laplace mode has the closed
+    GLS/kriging form."""
+
+    def __init__(self, y, sd):
+        self.y, self.inv_var = y, 1.0 / sd ** 2
+        self.log_norm = len(y) * np.log(sd * np.sqrt(2 * np.pi))
+
+    def loglik(self, eta):
+        r = self.y - eta
+        return float(-0.5 * self.inv_var * r @ r - self.log_norm)
+
+    def grad_w(self, eta):
+        return (self.y - eta) * self.inv_var, np.full(len(eta), self.inv_var)
+
+
+class NanLikelihood(Gaussian):
+    """A likelihood whose log density is NaN everywhere."""
+
+    def loglik(self, eta):
+        return float("nan")
+
+
+class TestBinomial:
+    def counts(self, n_records):
+        rng = np.random.default_rng(5)
+        n = rng.integers(1, 60, n_records)
+        z = rng.integers(0, n + 1)
+        z[:2], n[:2] = 0, (1, 40)     # no positives, one and many trials
+        z[2:4] = n[2:4]               # all positive
+        return Binomial.of(simgen.Dataset(
+            ids=np.arange(n_records), x=np.zeros(n_records), y=np.zeros(n_records),
+            t=np.ones(n_records, dtype=int), n_tested=n, n_pos=z,
+            covariates=np.zeros((n_records, 0)),
+        ))
+
+    def test_loglik_matches_scipy_binomial_pmf(self):
+        from scipy.stats import binom
+
+        lik = self.counts(40)
+        eta = np.linspace(-8.0, 8.0, 40)
+        oracle = np.sum(binom.logpmf(lik.z, lik.n, simgen.logistic(eta)))
+        assert lik.loglik(eta) == pytest.approx(oracle, rel=1e-10)
+
+    def test_grad_w_matches_central_differences(self):
+        # eta out to +-30 runs the stable softplus far into both tails; each
+        # record's loglik is differenced alone so the sum's rounding stays out
+        lik = self.counts(31)
+        eta = np.linspace(-30.0, 30.0, 31)
+        h = 1e-5
+        g, w = lik.grad_w(eta)
+        g_fd = np.empty(len(eta))
+        for i in range(len(eta)):
+            one = Binomial(lik.z[[i]], lik.n[[i]], lik.log_choose[[i]])
+            g_fd[i] = (one.loglik(eta[[i]] + h) - one.loglik(eta[[i]] - h)) / (2 * h)
+        w_fd = -(lik.grad_w(eta + h)[0] - lik.grad_w(eta - h)[0]) / (2 * h)
+        np.testing.assert_allclose(g, g_fd, rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(w, w_fd, rtol=1e-7, atol=1e-8)
+
+
 class TestLaplaceFit:
     def test_gaussian_hook_matches_kriging_oracle(self):
         # closed-form GLS/kriging on the same prior, via an independent solve
@@ -109,7 +171,7 @@ class TestLaplaceFit:
         rng = np.random.default_rng(2)
         y = rng.standard_normal(len(data))
         obs_sd = 0.7
-        fit = laplace_fit(data, spec, gaussian_response=y, gaussian_obs_sd=obs_sd)
+        fit = laplace_fit(data, spec, likelihood=Gaussian(y, obs_sd))
 
         sigma_u = (
             geostat.FIXED_EFFECT_SD ** 2 * (spec.design @ spec.design.T)
@@ -211,8 +273,15 @@ class TestLaplaceFit:
         spec = ModelSpec(
             kernel=KernelSpec(), design=build_design(data),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all records need n_tested >= 1"):
             laplace_fit(data, spec)
+
+    def test_non_finite_start_raises(self):
+        data = make_data(n_times=2, locs=(5, 6), seed=1)
+        spec = ModelSpec(kernel=KernelSpec(), design=build_design(data))
+        nan = NanLikelihood(np.zeros(len(data)), 1.0)
+        with pytest.raises(NewtonDivergence, match="non-finite at the starting point"):
+            laplace_fit(data, spec, likelihood=nan)
 
 
 class TestOptimize:
@@ -544,13 +613,13 @@ def parent_laplace_fit(data, spec, warm_u=None):
         sigma_u = sigma_s + attnfield.covariance(*spec.attention, n)
     sigma_u[np.diag_indices(n)] += 1e-8
     offset = np.zeros(n) if spec.offset is None else spec.offset[:n]
-    z, trials = data.n_pos.astype(float), data.n_tested.astype(float)
+    lik = Binomial.of(data)
 
     def psi_of(u, a):
-        return geostat._binom_loglik(offset + u, z, trials) - 0.5 * a @ u
+        return lik.loglik(offset + u) - 0.5 * a @ u
 
     def operators(u):
-        g, w = geostat._binom_grad_w(offset + u, z, trials)
+        g, w = lik.grad_w(offset + u)
         sq_w = np.sqrt(w)
         return g, w, sq_w, numkit.cholesky(sq_w[:, None] * sigma_u * sq_w[None, :] + np.eye(n))
 
