@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gatv2 import AttentionExport
-from .numkit import eigh, syrk
+from .numkit import eigh, matmul, syrk
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,15 @@ def precision(field: AttentionField, hyper: AttnHyper) -> np.ndarray:
     return tau * (eye - (beta / field.lam_max) * field.c)
 
 
+def _scaled_vectors(field: AttentionField, hyper: AttnHyper, nodes: slice) -> np.ndarray:
+    """Rows ``nodes`` of V diag(q)^{-1/2}, with V and the q_i = tau (1 - beta
+    lam_i / lam_max) from the eigendecomposition of C: Q^{-1} between two
+    node sets is the product of their rows. The field is not degenerate."""
+    lam, vec = field.c_eigh
+    q_eigs = hyper.tau * (1.0 - hyper.beta * lam / field.lam_max)
+    return vec[nodes] * np.sqrt(1.0 / q_eigs)
+
+
 def covariance(field: AttentionField, hyper: AttnHyper, n: int | None = None) -> np.ndarray:
     """Leading n x n block of Q(tau, beta)^{-1} (all of it when n is None),
     the field's marginal over its first n nodes, V[:n] diag(1/q) V[:n]' from
@@ -149,6 +158,15 @@ def covariance(field: AttentionField, hyper: AttnHyper, n: int | None = None) ->
         raise ValueError(f"attention field has {field.n_nodes} nodes, fewer than the {n} records")
     if field.degenerate:
         return (1.0 / hyper.tau) * np.eye(n)
-    lam, vec = field.c_eigh
-    q_eigs = hyper.tau * (1.0 - hyper.beta * lam / field.lam_max)
-    return syrk(vec[:n] * np.sqrt(1.0 / q_eigs))
+    return syrk(_scaled_vectors(field, hyper, slice(n)))
+
+
+def covariance_after(field: AttentionField, hyper: AttnHyper, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of Q(tau, beta)^{-1} past the first n nodes: between those
+    n and the rest, and over the rest, from the same eigendecomposition as
+    :func:`covariance`; 0 and I / tau when the field is degenerate."""
+    m = field.n_nodes - n
+    if field.degenerate:
+        return np.zeros((n, m)), (1.0 / hyper.tau) * np.eye(m)
+    rest = _scaled_vectors(field, hyper, slice(n, None))
+    return matmul(_scaled_vectors(field, hyper, slice(n)), rest.T), syrk(rest)

@@ -7,8 +7,9 @@ likelihood, and posterior prediction with Monte Carlo intervals.
 
 A :class:`FitResult` is the one fitted-model object: it holds the
 :class:`ModelSpec` and ``Dataset`` that :func:`laplace_fit` fitted and the
-operators at the mode, and the fixed-effect summaries and both predict
-functions read everything from it. A hybrid fits and predicts from one
+factor L_B at the mode; Sigma_u is rebuilt from spec and data
+(:func:`prior_cov`) when it is needed. The fixed-effect summaries and both
+predict functions read everything from it. A hybrid fits and predicts from one
 attention field over the fitted records and then the new ones.
 
 The fit works on the combined zero-mean latent u = D beta + S + A (only the
@@ -24,7 +25,9 @@ So nothing factors Sigma_u: a warm start takes u = Sigma_u a, and every
 posterior covariance (of u at the fitted or the new records, of beta) is
 one triangular solve with the fit's factor of B. Each predict call factors
 only the covariance it draws from; a :class:`FitResult` is frozen and holds
-no cache.
+no cache. A fit builds Sigma_u and one buffer that B is factored in, and
+its result keeps only the factor; kernel matrices come straight from the
+coordinates (``simgen.kernel_matrix``), with no cached distances.
 
 The hyperparameter search keeps the fit of its best evaluation, so the
 model it returns is never fitted twice.
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .attnfield import AttentionField, AttnHyper, covariance as attention_cov
+from .attnfield import AttentionField, AttnHyper, covariance as attention_cov, covariance_after
 from .errors import AllRestartsFailed, NewtonDivergence, NotPositiveDefinite
 from .evalkit import Prediction
 from .numkit import (
@@ -58,7 +61,7 @@ from .numkit import (
     solve_triangular,
     syrk,
 )
-from .simgen import Dataset, gneiting_cov, logistic, pair_distances
+from .simgen import Dataset, kernel_matrix, logistic
 
 FIXED_EFFECT_SD = math.sqrt(1000.0)  # prior sd of each fixed effect in beta
 
@@ -92,25 +95,11 @@ class KernelSpec:
             raise ValueError("need phi_s, phi_t > 0 and gamma >= 0")
 
 
-class CovarianceBuilder:
-    """Kernel matrices over fixed point sets with cached distances.
-
-    Rebuilding the matrix for new kernel parameters is O(n^2) exp calls,
-    which keeps hyperparameter search cheap.
-    """
-
-    def __init__(self, xa, ya, ta, xb=None, yb=None, tb=None):
-        self.d_s, self.d_t = pair_distances(
-            np.asarray(xa, float), np.asarray(ya, float), np.asarray(ta),
-            None if xb is None else np.asarray(xb, float),
-            None if xb is None else np.asarray(yb, float),
-            None if xb is None else np.asarray(tb),
-        )
-
-    def __call__(self, kernel: KernelSpec) -> np.ndarray:
-        out = gneiting_cov(self.d_s, self.d_t, kernel.phi_s, kernel.phi_t, kernel.gamma)
-        out *= kernel.sigma2
-        return out
+def kernel_cov(kernel: KernelSpec, rows: Dataset, cols: Dataset | None = None) -> np.ndarray:
+    """The kernel's covariance between the records ``rows`` and ``cols``
+    (``rows`` again when None), built from their coordinates."""
+    return kernel_matrix((rows.x, rows.y, rows.t), None if cols is None else (cols.x, cols.y, cols.t),
+                         kernel.phi_s, kernel.phi_t, kernel.gamma, kernel.sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +178,12 @@ class Binomial:
 class FitResult:
     """A fitted model: the Gaussian approximation at the posterior mode of u.
 
-    It keeps the spec and data it was fitted on (not copies) and the dense
-    operators at the mode, Sigma_u and the Cholesky factor L_B of B, so
-    prediction needs nothing else: any latent x jointly Gaussian with u a
-    priori has Laplace posterior mean Cov(x, u) a_mode and covariance
-    :meth:`posterior_cov` (Rasmussen & Williams, 2006, Alg. 3.2). It is a
+    It keeps the spec and data it was fitted on (not copies) and L_B, the
+    Cholesky factor of B at the mode; Sigma_u is rebuilt from spec and data
+    (:func:`prior_cov`). So prediction needs nothing else: any latent x
+    jointly Gaussian with u a priori has Laplace posterior mean
+    Cov(x, u) a_mode and covariance :meth:`posterior_cov` (Rasmussen &
+    Williams, 2006, Alg. 3.2). Its one n x n array is ``chol_b``. It is a
     value: every field is set by :func:`laplace_fit`, and nothing is added
     or overwritten afterwards, so predicting from a fit leaves it as it was.
     """
@@ -205,7 +195,6 @@ class FitResult:
     logml: float
     converged: bool
     newton_iterations: int
-    sigma_u: np.ndarray = field(repr=False)
     chol_b: np.ndarray = field(repr=False)   # B = I + W^1/2 Sigma_u W^1/2 at the mode
     sq_w: np.ndarray = field(repr=False)
     offset: np.ndarray = field(repr=False)
@@ -217,15 +206,17 @@ class FitResult:
 
         That is prior - cross' W^1/2 B^{-1} W^1/2 cross from one triangular
         solve and one symmetric rank-n update (Rasmussen & Williams, 2006,
-        Alg. 3.2); x = u itself (cross = prior = Sigma_u) gives V_u. The
-        result is a new C-ordered array, symmetric as stored.
+        Alg. 3.2); x = u itself (cross = prior = Sigma_u) gives V_u. V' is
+        the one new array; the result, symmetric as stored, is written over
+        ``prior`` (a C-ordered array, which may be ``cross`` itself) and
+        returned.
         """
         # W^1/2 cross is built C-ordered, so its transpose is Fortran-
         # ordered and trsm solves it from the right in place:
         # (W^1/2 cross)' L_B^{-T} = V'
         v_t = (self.sq_w[:, None] * cross).T
         v_t = solve_right_lt(self.chol_b, v_t)
-        return syrk(v_t, alpha=-1.0, out=prior.copy())
+        return syrk(v_t, alpha=-1.0, out=prior)
 
     @property
     def beta_hat(self) -> np.ndarray | None:
@@ -272,15 +263,37 @@ class FitResult:
         return out
 
 
-def _add_second_block(sigma: np.ndarray, spec: ModelSpec, new_data: Dataset | None = None):
-    """Add the model's second prior block to the kernel matrix ``sigma`` over the
-    fitted records (then ``new_data``'s), in place: sd^2 D D' for mbg, with D
-    stacked likewise, or the field's marginal over its first len(sigma) nodes."""
+def prior_cov(spec: ModelSpec, data: Dataset) -> np.ndarray:
+    """Sigma_u, the prior covariance of u at the records ``data`` that ``spec``
+    is fitted on, as a new array: the kernel matrix, plus the second block,
+    sd^2 D D' for mbg or the attention field's marginal over its first
+    len(data) nodes, plus the numerical nugget on the diagonal (kernel
+    matrices on near-duplicate points are singular)."""
+    sigma_u = kernel_cov(spec.kernel, data)
     if spec.design is not None:
-        d = spec.design if new_data is None else np.vstack([spec.design, build_design(new_data)])
-        return syrk(d, alpha=FIXED_EFFECT_SD ** 2, out=sigma)
-    sigma += attention_cov(*spec.attention, len(sigma))
-    return sigma
+        syrk(spec.design, alpha=FIXED_EFFECT_SD ** 2, out=sigma_u)
+    else:
+        sigma_u += attention_cov(*spec.attention, len(data))
+    sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
+    return sigma_u
+
+
+def _prior_blocks(spec: ModelSpec, data: Dataset, new_data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma_on, Sigma_nn): the prior covariance of u at the fitted records
+    ``data`` with that at ``new_data``, and at ``new_data`` alone, built as
+    those blocks only: the kernel, plus sd^2 D_o D_n' and sd^2 D_n D_n' for
+    mbg, or the attention field's blocks over its last len(new_data) nodes."""
+    sigma_on = kernel_cov(spec.kernel, data, new_data)
+    sigma_nn = kernel_cov(spec.kernel, new_data)
+    if spec.design is not None:
+        d_new = build_design(new_data)
+        sigma_on += FIXED_EFFECT_SD ** 2 * matmul(spec.design, d_new.T)
+        syrk(d_new, alpha=FIXED_EFFECT_SD ** 2, out=sigma_nn)
+    else:
+        a_on, a_nn = covariance_after(*spec.attention, len(data))
+        sigma_on += a_on
+        sigma_nn += a_nn
+    return sigma_on, sigma_nn
 
 
 def _factor_b(sigma_u: np.ndarray, sq_w: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -303,7 +316,6 @@ def laplace_fit(
     *,
     likelihood: Binomial | None = None,
     warm_a: np.ndarray | None = None,
-    sigma_builder: CovarianceBuilder | None = None,
 ) -> FitResult:
     """The fitted model of ``spec`` on ``data`` at fixed hyperparameters.
 
@@ -311,9 +323,12 @@ def laplace_fit(
     ``Binomial.of(data)``, z_i ~ Binomial(n_i, logistic(offset_i + u_i)))
     with u ~ N(0, Sigma_u); a hybrid's A block is the field's marginal over
     the n fitted records, its first nodes. The fit reads the likelihood only
-    through its ``loglik`` and ``grad_w`` at eta = offset + u. The returned
-    :class:`FitResult` holds ``spec``, ``data`` and the operators at the
-    mode, so it can be summarized and predicted from as it is.
+    through its ``loglik`` and ``grad_w`` at eta = offset + u. Each call
+    builds Sigma_u afresh (:func:`prior_cov`, the kernel from the records'
+    coordinates) and one buffer that every factor of B is made in, and
+    holds no other n x n array. The returned :class:`FitResult` holds
+    ``spec``, ``data`` and the factor of B at the mode, and not Sigma_u, so
+    it can be summarized and predicted from as it is.
 
     The search runs in a = Sigma_u^{-1} u (Rasmussen & Williams, 2006,
     Alg. 3.1). It starts at u = 0, or, given ``warm_a`` (such as the
@@ -335,11 +350,7 @@ def laplace_fit(
         likelihood = Binomial.of(data)
 
     n = len(data)
-    if sigma_builder is None:
-        sigma_builder = CovarianceBuilder(data.x, data.y, data.t)
-    sigma_u = _add_second_block(sigma_builder(spec.kernel), spec)
-    # numerical nugget: kernel matrices on near-duplicate points are singular
-    sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
+    sigma_u = prior_cov(spec, data)
     offset = np.zeros(n) if spec.offset is None else np.asarray(spec.offset[:n], float)
 
     if warm_a is not None and np.any(warm_a):
@@ -405,7 +416,6 @@ def laplace_fit(
         logml=logml,
         converged=converged,
         newton_iterations=it,
-        sigma_u=sigma_u,
         chol_b=chol_b,
         sq_w=sq_w,
         offset=offset,
@@ -563,7 +573,6 @@ def optimize_hyperparameters(
     lo = np.array([box[n][0] for n in names])
     hi = np.array([box[n][1] for n in names])
 
-    builder = CovarianceBuilder(data.x, data.y, data.t)
     likelihood = Binomial.of(data)
     trace: list[dict] = []
     restarts: list[dict] = []
@@ -575,8 +584,7 @@ def optimize_hyperparameters(
         spec = _spec_from_params(spec_template, names, theta)
         iterations, converged = None, False
         try:
-            fit = laplace_fit(data, spec, likelihood=likelihood, warm_a=state["a"],
-                              sigma_builder=builder)
+            fit = laplace_fit(data, spec, likelihood=likelihood, warm_a=state["a"])
             value = fit.logml
             iterations, converged = fit.newton_iterations, bool(fit.converged)
             state["a"] = fit.a_mode
@@ -630,16 +638,15 @@ def optimize_hyperparameters(
 # ---------------------------------------------------------------------------
 
 def _summarize_draws(ids, eta_draws: np.ndarray, level: float) -> Prediction:
-    p_draws = logistic(eta_draws)
+    """Per-record summaries of the draws, one row per record. ``eta_draws`` is
+    overwritten: its sd is taken first, then it becomes p in place and its
+    rows are partially sorted for the quantiles, after the mean is taken."""
+    sd_linpred = eta_draws.std(axis=1)
+    p_draws = logistic(eta_draws, out=eta_draws)
+    mean = p_draws.mean(axis=1)
     alpha = 1.0 - level
-    lo, hi = np.quantile(p_draws, [alpha / 2, 1.0 - alpha / 2], axis=1)
-    return Prediction(
-        ids=np.asarray(ids),
-        mean=p_draws.mean(axis=1),
-        lo=lo,
-        hi=hi,
-        sd_linpred=eta_draws.std(axis=1),
-    )
+    lo, hi = np.quantile(p_draws, [alpha / 2, 1.0 - alpha / 2], axis=1, overwrite_input=True)
+    return Prediction(ids=np.asarray(ids), mean=mean, lo=lo, hi=hi, sd_linpred=sd_linpred)
 
 
 def _draw(mean, cov, jitter: float, n_draws: int, seed: int) -> np.ndarray:
@@ -658,9 +665,16 @@ def predict_insample(
     level: float = 0.95,
 ) -> Prediction:
     """Predictive summaries at the fitted records, drawn from the Laplace posterior
-    N(u_mode, ``fit.posterior_cov(Sigma_u, Sigma_u)``) (R&W, 2006, Alg. 3.2)."""
-    u_draws = _draw(fit.u_mode, fit.posterior_cov(fit.sigma_u, fit.sigma_u), 1e-10, n_draws, seed)
-    return _summarize_draws(fit.data.ids, fit.offset[:, None] + u_draws, level)
+    N(u_mode, ``fit.posterior_cov(Sigma_u, Sigma_u)``) (R&W, 2006, Alg. 3.2).
+
+    Sigma_u is rebuilt from the fit's spec and data; the posterior covariance
+    is written over it and factored in place, and it is freed before the
+    draws are summarized."""
+    sigma_u = prior_cov(fit.spec, fit.data)
+    u_draws = _draw(fit.u_mode, fit.posterior_cov(sigma_u, sigma_u), 1e-10, n_draws, seed)
+    del sigma_u
+    u_draws += fit.offset[:, None]
+    return _summarize_draws(fit.data.ids, u_draws, level)
 
 
 def predict(
@@ -673,10 +687,11 @@ def predict(
     """Predictive summaries at ``new_data``, drawn from the Laplace predictive
     N(Sigma_no a_mode, Sigma_nn - V'V), V = L_B^{-1} W^1/2 Sigma_on (Rasmussen
     & Williams, 2006, Alg. 3.2). Sigma is the prior over the fitted records
-    then ``new_data`` (a hybrid's last field nodes and offsets): the kernel
-    plus :func:`_add_second_block`. It is the law of u ~ N(u_mode, V_u) then
-    u_new | u ~ N(r u, Sigma_nn - r Sigma_on), r = Sigma_no Sigma_u^{-1} (R&W
-    eq. A.6), since r u_mode = Sigma_no a_mode and r V_u r' - r Sigma_on = -V'V.
+    then ``new_data`` (a hybrid's last field nodes and offsets), of which
+    only the blocks Sigma_on and Sigma_nn are built (:func:`_prior_blocks`).
+    It is the law of u ~ N(u_mode, V_u) then u_new | u ~ N(r u, Sigma_nn -
+    r Sigma_on), r = Sigma_no Sigma_u^{-1} (R&W eq. A.6), since
+    r u_mode = Sigma_no a_mode and r V_u r' - r Sigma_on = -V'V.
     The blocks are independent a priori, so it is also the law of extending
     each block alone (beta, then S kriged; or S kriged, then A from the
     field's GMRF conditional, Rue & Held, 2005, §2.2)."""
@@ -687,10 +702,8 @@ def predict(
             f"the attention field has {spec.attention[0].n_nodes} nodes, expected "
             f"{n_obs} fitted + {n_new} new records"
         )
-    joint = [np.concatenate([getattr(data, a), getattr(new_data, a)]) for a in ("x", "y", "t")]
-    sigma = _add_second_block(CovarianceBuilder(*joint)(spec.kernel), spec, new_data)
-    sigma_on = sigma[:n_obs, n_obs:]
-    cov = fit.posterior_cov(sigma_on, sigma[n_obs:, n_obs:])
+    sigma_on, sigma_nn = _prior_blocks(spec, data, new_data)
+    cov = fit.posterior_cov(sigma_on, sigma_nn)
     eta_new = _draw(matmul(sigma_on.T, fit.a_mode), cov, DEFAULT_KERNEL_JITTER, n_draws, seed)
     if spec.offset is not None:
         eta_new += np.asarray(spec.offset[n_obs:], float)[:, None]

@@ -7,7 +7,9 @@ sampling of observed case counts. Everything is seeded and replayable.
 
 This module, and ``geoattn simulate`` with it, runs on numpy alone: the
 latent draw factors its covariance with numpy's LAPACK
-(``numkit.mvn_sample``), and scipy is never imported.
+(``numkit.mvn_sample``), and scipy is never imported. Its
+:func:`kernel_matrix` builds every kernel matrix, the simulator's and
+``geostat``'s, from the coordinates a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ _STREAM_COVARIATES = 4
 _STREAM_LATENT = 5
 _STREAM_TRIALS = 6
 _STREAM_BINOMIAL = 7
+
+# Rows of a kernel matrix built at once: each block's distances and scratch
+# are a few of these rows wide, never n x n.
+_KERNEL_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -133,12 +139,14 @@ class Dataset:
         )
 
 
-def gneiting_cov(d_s, d_t, phi_s: float, phi_t: float, gamma: float):
+def gneiting_cov(d_s, d_t, phi_s: float, phi_t: float, gamma: float, out=None):
     """Non-separable space-time exponential correlation.
 
     exp(-(d_s/phi_s + d_t/phi_t + gamma * d_s * d_t)); gamma = 0 reduces to
     the separable product of spatial and temporal exponentials. Accepts
-    scalars or broadcastable arrays; distances must be non-negative.
+    scalars or broadcastable arrays; distances must be non-negative. The
+    result is written into ``out`` (an array of the broadcast shape) when
+    given, else into a new array.
     """
     d_s = np.asarray(d_s, dtype=float)
     d_t = np.asarray(d_t, dtype=float)
@@ -150,7 +158,7 @@ def gneiting_cov(d_s, d_t, phi_s: float, phi_t: float, gamma: float):
         raise DomainError("gamma must be non-negative")
     # built in place: one result and one scratch array, whatever the size
     d_s, d_t = np.broadcast_arrays(d_s, d_t)
-    out = np.divide(d_s, phi_s, out=np.empty(d_s.shape))
+    out = np.divide(d_s, phi_s, out=np.empty(d_s.shape) if out is None else out)
     scratch = np.divide(d_t, phi_t, out=np.empty(d_s.shape))
     out += scratch
     if gamma:
@@ -180,6 +188,33 @@ def pair_distances(xa, ya, ta, xb=None, yb=None, tb=None):
     d_t = np.subtract(ta[:, None].astype(float), tb[None, :], out=dy)
     np.abs(d_t, out=d_t)
     return d_s, d_t
+
+
+def kernel_matrix(rows, cols, phi_s: float, phi_t: float, gamma: float,
+                  sigma2: float = 1.0) -> np.ndarray:
+    """sigma2 * gneiting_cov(*pair_distances(*rows, *cols)) between the record
+    sets ``rows`` and ``cols``, each (x, y, t); ``cols`` None means ``rows``.
+
+    It is filled :data:`_KERNEL_BLOCK_ROWS` rows at a time, so the result is
+    the only n x n array made. Each entry takes the same elementwise
+    operations in the same order as the whole-matrix form, so the bits are
+    equal. The kernel of one set is symmetric bit for bit (|dx|, |dy| and
+    |dt| do not depend on the order of the points), so there each block
+    stops at the diagonal and is mirrored above it, which measured faster.
+    """
+    xa, ya, ta = rows
+    square = cols is None
+    xb, yb, tb = rows if square else cols
+    out = np.empty((len(xa), len(xb)))
+    for r0 in range(0, len(xa), _KERNEL_BLOCK_ROWS):
+        r = slice(r0, r0 + _KERNEL_BLOCK_ROWS)
+        c = slice(0, r0 + _KERNEL_BLOCK_ROWS) if square else slice(None)
+        block = gneiting_cov(*pair_distances(xa[r], ya[r], ta[r], xb[c], yb[c], tb[c]),
+                             phi_s, phi_t, gamma, out=out[r, c])
+        block *= sigma2
+        if square:
+            out[:r0, r] = out[r, :r0].T
+    return out
 
 
 def _standardize(col: np.ndarray, noise_rng: RngStream) -> np.ndarray:
@@ -230,15 +265,21 @@ def build_covariates(coords: np.ndarray, p: int, rng: RngStream) -> np.ndarray:
     return np.column_stack([_standardize(c, rng) for c in cols])
 
 
-def logistic(eta):
-    """Numerically-stable inverse logit."""
+def logistic(eta, out=None):
+    """Numerically-stable inverse logit: with e = exp(-|eta|), 1 / (1 + e)
+    where eta >= 0 and e / (1 + e) below, so exp never overflows.
+
+    The result is written into ``out`` when given (``eta`` itself
+    included), else into a new array; the one other array made is 1 + e.
+    """
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
     pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out if out.ndim else float(out)
+    e = np.abs(eta, out=np.empty_like(eta) if out is None else out)
+    np.exp(np.negative(e, out=e), out=e)
+    den = 1.0 + e
+    np.divide(1.0, den, out=e, where=pos)
+    np.divide(e, den, out=e, where=~pos)
+    return e if e.ndim else float(e)
 
 
 def simulate(config: SimConfig) -> Dataset:
@@ -272,8 +313,7 @@ def simulate(config: SimConfig) -> Dataset:
 
     covariates = build_covariates(np.column_stack([x, y, t]), p, cov_rng)
 
-    d_s, d_t = pair_distances(x, y, t)
-    sigma = gneiting_cov(d_s, d_t, config.phi_s, config.phi_t, config.gamma)
+    sigma = kernel_matrix((x, y, t), None, config.phi_s, config.phi_t, config.gamma)
     s = mvn_sample(np.zeros(n), sigma, latent_rng, jitter=DEFAULT_KERNEL_JITTER)
 
     eta = config.beta0 + covariates @ beta + config.delta * s

@@ -161,6 +161,35 @@ class TestCovarianceBlock:
             np.testing.assert_array_equal(attnfield.covariance(field, hyper, m), np.eye(m) / 4.0)
 
 
+class TestCovarianceAfter:
+    """covariance_after(field, hyper, n) is the two blocks of Q^{-1} past the
+    first n nodes, from the same eigh as covariance."""
+
+    @pytest.mark.parametrize("beta", [0.1, 0.9])
+    def test_blocks_of_the_inverse_precision(self, beta):
+        field = build_field(random_export(23, seed=12), 23)
+        hyper = AttnHyper.from_tau_beta(1.7, beta)
+        full = np.linalg.inv(precision(field, hyper))
+        for n in (1, 15, 22):
+            cross, rest = attnfield.covariance_after(field, hyper, n)
+            for got, want in ((cross, full[:n, n:]), (rest, full[n:, n:])):
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        # the fit's leading block and these come from one factor: together
+        # they are the whole inverse
+        cross, rest = attnfield.covariance_after(field, hyper, 15)
+        whole = np.block([[attnfield.covariance(field, hyper, 15), cross], [cross.T, rest]])
+        np.testing.assert_allclose(whole, attnfield.covariance(field, hyper), rtol=0,
+                                   atol=1e-14 * np.abs(whole).max())
+
+    def test_degenerate_field_gives_zero_and_scaled_identity(self):
+        export, n = export_from_edges([(i, i, 1.0) for i in range(4)], 4)
+        field = build_field(export, n)
+        cross, rest = attnfield.covariance_after(field, AttnHyper.from_tau_beta(4.0, 0.5), 1)
+        np.testing.assert_array_equal(cross, np.zeros((1, 3)))
+        np.testing.assert_array_equal(rest, np.eye(3) / 4.0)
+
+
 def two_rings(n=10, scale=1 + 1e-4):
     """Two disjoint n-node rings, attention 0.5 per edge, the second scaled."""
     src, dst, alpha = [], [], []

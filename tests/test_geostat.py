@@ -8,15 +8,16 @@ from geoattn.attnfield import AttnHyper, build_field
 from geoattn.errors import AllRestartsFailed, NewtonDivergence
 from geoattn.geostat import (
     Binomial,
-    CovarianceBuilder,
     KernelSpec,
     ModelSpec,
     OptimizerConfig,
     build_design,
+    kernel_cov,
     laplace_fit,
     optimize_hyperparameters,
     predict,
     predict_insample,
+    prior_cov,
 )
 from conftest import random_export
 
@@ -36,19 +37,18 @@ class TestKernelMatrix:
             phi_s = float(np.exp(rng.uniform(*geostat.DEFAULT_BOUNDS["log_phi_s"])))
             phi_t = float(np.exp(rng.uniform(*geostat.DEFAULT_BOUNDS["log_phi_t"])))
             kernel = KernelSpec(sigma2=sigma2, phi_s=phi_s, phi_t=phi_t)
-            numkit.cholesky(CovarianceBuilder(data.x, data.y, data.t)(kernel), jitter=1e-8)
+            numkit.cholesky(kernel_cov(kernel, data), jitter=1e-8)
 
     def test_builder_matches_direct_evaluation(self):
         data = make_data(n_times=2, locs=(8, 12), seed=3)
         kernel = KernelSpec(sigma2=1.7, phi_s=0.3, phi_t=0.5, gamma=0.4)
-        builder = CovarianceBuilder(data.x, data.y, data.t)
         d_s = np.sqrt(
             (data.x[:, None] - data.x[None, :]) ** 2
             + (data.y[:, None] - data.y[None, :]) ** 2
         )
         d_t = np.abs(data.t[:, None] - data.t[None, :]).astype(float)
         direct = 1.7 * np.exp(-(d_s / 0.3 + d_t / 0.5 + 0.4 * d_s * d_t))
-        np.testing.assert_allclose(builder(kernel), direct, rtol=1e-13)
+        np.testing.assert_allclose(kernel_cov(kernel, data), direct, rtol=1e-13)
 
 
 class TestModelSpecValidation:
@@ -175,7 +175,7 @@ class TestLaplaceFit:
 
         sigma_u = (
             geostat.FIXED_EFFECT_SD ** 2 * (spec.design @ spec.design.T)
-            + CovarianceBuilder(data.x, data.y, data.t)(kernel)
+            + kernel_cov(kernel, data)
             + 1e-8 * np.eye(len(data))
         )
         oracle = sigma_u @ np.linalg.solve(sigma_u + obs_sd ** 2 * np.eye(len(data)), y)
@@ -296,12 +296,11 @@ class TestOptimize:
             data, template, OptimizerConfig(max_iter=200, bounds={"log_sigma2": (lo, hi)}), seed=0,
         )
         grid = np.linspace(lo, hi, 200)
-        builder = CovarianceBuilder(data.x, data.y, data.t)
         logml = []
         from dataclasses import replace
         for g in grid:
             spec_g = replace(template, kernel=replace(template.kernel, sigma2=float(np.exp(g))))
-            logml.append(laplace_fit(data, spec_g, sigma_builder=builder).logml)
+            logml.append(laplace_fit(data, spec_g).logml)
         best_grid = grid[int(np.argmax(logml))]
         cell = grid[1] - grid[0]
         assert abs(np.log(result.fit.spec.kernel.sigma2) - best_grid) <= cell
@@ -479,11 +478,12 @@ class TestFitResultMatchesInlineAlgebra:
         data, spec, fit = TestPredict().fitted_mbg()
         sd2 = geostat.FIXED_EFFECT_SD ** 2
         d = spec.design
-        chol_su = numkit.cholesky(fit.sigma_u, jitter=1e-10)
+        sigma_u = prior_cov(spec, data)
+        chol_su = numkit.cholesky(sigma_u, jitter=1e-10)
         # the two-sided posterior covariance, which posterior_cov's
         # triangular solve and rank-n update reproduce to round-off
-        t_mat = fit.sq_w[:, None] * fit.sigma_u
-        post_cov_u = fit.sigma_u - t_mat.T @ numkit.solve_chol(fit.chol_b, t_mat)
+        t_mat = fit.sq_w[:, None] * sigma_u
+        post_cov_u = sigma_u - t_mat.T @ numkit.solve_chol(fit.chol_b, t_mat)
         # beta_hat, and beta_sd as it was: Var(beta | z) = C + R V_u R'
         siu_d = numkit.solve_chol(chol_su, d)
         c_beta = sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
@@ -497,7 +497,7 @@ class TestFitResultMatchesInlineAlgebra:
         )
         # the cancellation-free form (I / sd2 + D' (Sigma_S + nugget I + W^-1)^-1 D)^-1
         # (measured 1.7e-11)
-        sigma_s = CovarianceBuilder(data.x, data.y, data.t)(spec.kernel)
+        sigma_s = kernel_cov(spec.kernel, data)
         m = sigma_s + np.diag(numkit.DEFAULT_KERNEL_JITTER + 1.0 / fit.sq_w ** 2)
         prec = np.eye(d.shape[1]) / sd2 + d.T @ np.linalg.solve(m, d)
         np.testing.assert_allclose(
@@ -506,7 +506,7 @@ class TestFitResultMatchesInlineAlgebra:
         # Sigma_u - (...) cancels from entries near sd2 to entries near 1, so
         # round-off is relative to the largest entry, not to each one: the
         # two-sided formula is itself asymmetric by about 1e-11 of it
-        post_cov = fit.posterior_cov(fit.sigma_u, fit.sigma_u)
+        post_cov = fit.posterior_cov(sigma_u, sigma_u)
         np.testing.assert_allclose(post_cov, post_cov_u, rtol=0, atol=1e-10 * np.abs(post_cov).max())
 
     @pytest.mark.parametrize("kind, names", [
@@ -574,7 +574,7 @@ class TestFitResultIsAValue:
         assert all(f.init for f in dataclasses.fields(geostat.FitResult))
         _, _, fit = TestPredict().fitted_mbg(seed=41, locs=(15, 20))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            fit.sigma_u = None
+            fit.chol_b = None
 
     def test_summary_factors_nothing(self, monkeypatch):
         _, _, fit = TestPredict().fitted_mbg(seed=41, locs=(15, 20))
@@ -589,7 +589,7 @@ class TestFitResultIsAValue:
             new = data.subset(np.arange(0, len(data), 4))
         else:
             fit, new = self.fitted_hybrid()
-        names = ("sigma_u", "chol_b", "sq_w", "a_mode")
+        names = ("chol_b", "sq_w", "a_mode")
         before = {name: getattr(fit, name).copy() for name in names}
         first = predict_insample(fit, n_draws=200, seed=3)
         predict(fit, new, n_draws=200, seed=3)
@@ -601,12 +601,55 @@ class TestFitResultIsAValue:
             np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
 
 
+class TestSummarizeDraws:
+    def test_in_place_summary_equals_the_copying_form(self):
+        # _summarize_draws overwrites its draws: sd first, then p in place,
+        # the mean before the quantiles partially sort the rows
+        eta = np.random.default_rng(4).standard_normal((40, 301)) * 3.0 - 1.0
+        p = simgen.logistic(eta)
+        alpha = 1.0 - 0.9
+        lo, hi = np.quantile(p, [alpha / 2, 1.0 - alpha / 2], axis=1)
+        got = geostat._summarize_draws(np.arange(40), eta.copy(), 0.9)
+        for name, want in (("mean", p.mean(axis=1)), ("lo", lo), ("hi", hi),
+                           ("sd_linpred", eta.std(axis=1))):
+            np.testing.assert_array_equal(getattr(got, name), want, err_msg=name)
+
+
+class TestMemory:
+    def test_search_and_insample_predict_hold_three_n_by_n_arrays(self):
+        # the search's best fit holds B's factor while the next evaluation
+        # builds Sigma_u and factors B, and predict_insample holds the fit's
+        # factor, the rebuilt Sigma_u and V': three n x n arrays, plus
+        # blocks and the draws (200 draws are a third of one)
+        import tracemalloc
+
+        optimizer = OptimizerConfig(max_iter=0, bounds={"log_sigma2": geostat.DEFAULT_BOUNDS["log_sigma2"]})
+        # a small run first, so the scipy modules it imports are not counted
+        small = make_data(n_times=2, locs=(10, 10), seed=2)
+        fit = optimize_hyperparameters(small, ModelSpec(kernel=KernelSpec(), design=build_design(small)),
+                                       optimizer).fit
+        predict_insample(fit, n_draws=10)
+        data = make_data(n_times=4, locs=(150, 150), seed=2)
+        n = len(data)
+        spec = ModelSpec(kernel=KernelSpec(), design=build_design(data))
+        tracemalloc.start()
+        try:
+            fit = optimize_hyperparameters(data, spec, optimizer).fit
+            predict_insample(fit, n_draws=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: 3.42 n^2 8-byte words; 6.06 with Sigma_u kept in the fit
+        # and two n x n distance matrices cached for the search
+        assert peak < 4 * n * n * 8
+
+
 def parent_laplace_fit(data, spec, warm_u=None):
     """laplace_fit as it was when warm starts went by u and the optimizer
     refitted at its best point: a = Sigma_u^-1 u by a factor of Sigma_u, a
     fresh B every iteration, and the two-sided posterior covariance of u."""
     n = len(data)
-    sigma_s = CovarianceBuilder(data.x, data.y, data.t)(spec.kernel)
+    sigma_s = kernel_cov(spec.kernel, data)
     if spec.kind == "mbg":
         sigma_u = sigma_s + geostat.FIXED_EFFECT_SD ** 2 * (spec.design @ spec.design.T)
     else:
@@ -653,7 +696,7 @@ def parent_laplace_fit(data, spec, warm_u=None):
     return TwoSidedFit(
         spec=spec, data=data, u_mode=u, a_mode=a,
         logml=psi - np.sum(np.log(np.diag(chol_b))), converged=converged,
-        newton_iterations=it, sigma_u=sigma_u, chol_b=chol_b,
+        newton_iterations=it, chol_b=chol_b,
         sq_w=sq_w, offset=offset, psi_trace=[],
     )
 
@@ -755,7 +798,7 @@ def parent_beta_given_u(fit):
     R = sd2 D' Sigma_u^-1 and C = sd2 I - sd2^2 D' Sigma_u^-1 D."""
     sd2 = geostat.FIXED_EFFECT_SD ** 2
     d = fit.spec.design
-    siu_d = numkit.solve_chol(numkit.cholesky(fit.sigma_u, jitter=1e-10), d)
+    siu_d = numkit.solve_chol(numkit.cholesky(prior_cov(fit.spec, fit.data), jitter=1e-10), d)
     return sd2 * siu_d.T, sd2 * np.eye(d.shape[1]) - sd2 ** 2 * (d.T @ siu_d)
 
 
@@ -767,11 +810,9 @@ def per_block_law(fit, new_data):
     Each draw's factorization jitter is kept in its covariance."""
     data, spec = fit.data, fit.spec
     n_obs, n_new = len(data), len(new_data)
-    sigma_s = CovarianceBuilder(data.x, data.y, data.t)(spec.kernel)
-    k_cross = CovarianceBuilder(
-        new_data.x, new_data.y, new_data.t, data.x, data.y, data.t,
-    )(spec.kernel)
-    k_new = CovarianceBuilder(new_data.x, new_data.y, new_data.t)(spec.kernel)
+    sigma_s = kernel_cov(spec.kernel, data)
+    k_cross = kernel_cov(spec.kernel, new_data, data)
+    k_new = kernel_cov(spec.kernel, new_data)
     krig = np.linalg.solve(sigma_s + 1e-8 * np.eye(n_obs), k_cross.T).T
     c_krig = k_new - krig @ k_cross.T + 1e-8 * np.eye(n_new)
     if spec.kind == "mbg":
@@ -780,7 +821,7 @@ def per_block_law(fit, new_data):
         g = build_design(new_data) - krig @ spec.design
         c_beta = c_beta + 1e-12 * np.eye(len(c_beta))
         return krig + g @ r_beta, g @ c_beta @ g.T + c_krig
-    r_s = np.linalg.solve(fit.sigma_u + 1e-10 * np.eye(n_obs), sigma_s).T
+    r_s = np.linalg.solve(prior_cov(spec, data) + 1e-10 * np.eye(n_obs), sigma_s).T
     c_s = sigma_s - r_s @ sigma_s + 1e-10 * np.eye(n_obs)
     q = attnfield.precision(*spec.attention)
     q_nn_inv = np.linalg.inv(q[n_obs:, n_obs:])
@@ -798,13 +839,14 @@ def joint_law(fit, new_data):
     data, spec = fit.data, fit.spec
     n_obs = len(data)
     joint = [np.concatenate([getattr(data, a), getattr(new_data, a)]) for a in ("x", "y", "t")]
-    sigma = CovarianceBuilder(*joint)(spec.kernel)
+    k = spec.kernel
+    sigma = simgen.kernel_matrix(joint, None, k.phi_s, k.phi_t, k.gamma, k.sigma2)
     if spec.kind == "mbg":
         d = np.vstack([spec.design, build_design(new_data)])
         sigma += geostat.FIXED_EFFECT_SD ** 2 * d @ d.T
     else:
         sigma += np.linalg.inv(attnfield.precision(*spec.attention))
-    m = np.linalg.solve(fit.sigma_u + 1e-10 * np.eye(n_obs), sigma[:n_obs, n_obs:]).T
+    m = np.linalg.solve(prior_cov(spec, data) + 1e-10 * np.eye(n_obs), sigma[:n_obs, n_obs:]).T
     c = sigma[n_obs:, n_obs:] - m @ sigma[:n_obs, n_obs:]
     return m, c + numkit.DEFAULT_KERNEL_JITTER * np.eye(len(new_data))
 
@@ -839,7 +881,8 @@ class TestPredictLaw:
     def test_draws_follow_the_per_block_law(self, kind):
         fit, new = law_case(kind)
         m, c = per_block_law(fit, new)
-        want = np.sqrt(np.diag(m @ fit.posterior_cov(fit.sigma_u, fit.sigma_u) @ m.T + c))
+        sigma_u = prior_cov(fit.spec, fit.data)
+        want = np.sqrt(np.diag(m @ fit.posterior_cov(sigma_u, sigma_u) @ m.T + c))
         got = predict(fit, new, n_draws=20_000, seed=1).sd_linpred
         # a sd from 20,000 draws has a relative standard error near 0.5%
         np.testing.assert_allclose(got, want, rtol=0.03, atol=0)
@@ -849,8 +892,9 @@ class TestPredictLaw:
         fit, new = law_case(kind)
         m, c = joint_law(fit, new)
         # V_u by the two-sided formula, not by FitResult.posterior_cov
-        t_mat = fit.sq_w[:, None] * fit.sigma_u
-        v_u = fit.sigma_u - t_mat.T @ numkit.solve_chol(fit.chol_b, t_mat)
+        sigma_u = prior_cov(fit.spec, fit.data)
+        t_mat = fit.sq_w[:, None] * sigma_u
+        v_u = sigma_u - t_mat.T @ numkit.solve_chol(fit.chol_b, t_mat)
         laws, draw = [], geostat._draw
 
         def recorded(mean, cov, jitter, n_draws, seed):
@@ -867,6 +911,27 @@ class TestPredictLaw:
         # measured: means 4.0e-11 (hybrid) and 3.3e-11 (mbg), covariances 2.6e-12 and 7.0e-11
         assert rel(mean, m @ fit.u_mode) <= 1e-9
         assert rel(cov, m @ v_u @ m.T + c) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["hybrid", "mbg"])
+    def test_prior_blocks_are_those_of_the_joint_prior(self, kind):
+        # the joint prior over the fitted then the new records, built whole,
+        # against the two blocks of it that predict builds alone
+        fit, new = law_case(kind)
+        data, spec = fit.data, fit.spec
+        n_obs = len(data)
+        joint = tuple(np.concatenate([getattr(data, a), getattr(new, a)]) for a in ("x", "y", "t"))
+        k = spec.kernel
+        sigma = simgen.kernel_matrix(joint, None, k.phi_s, k.phi_t, k.gamma, k.sigma2)
+        if kind == "mbg":
+            numkit.syrk(np.vstack([spec.design, build_design(new)]),
+                        alpha=geostat.FIXED_EFFECT_SD ** 2, out=sigma)
+        else:
+            sigma += attnfield.covariance(*spec.attention)
+        sigma_on, sigma_nn = geostat._prior_blocks(spec, data, new)
+        for got, want in ((sigma_on, sigma[:n_obs, n_obs:]), (sigma_nn, sigma[n_obs:, n_obs:])):
+            assert got.shape == want.shape
+            # measured: 0 (hybrid) and 1.2e-16 (mbg) of the largest entry
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("kind", ["hybrid", "mbg"])
     @pytest.mark.parametrize("insample", [False, True], ids=["predict", "predict_insample"])

@@ -105,7 +105,7 @@ class TestHeldOutFitsMatchInlineReference:
         n_tr = len(train)
         assert run.field.n_nodes == len(data)
         fit = run.optimize.fit
-        sigma_a = fit.sigma_u - geostat.CovarianceBuilder(train.x, train.y, train.t)(fit.spec.kernel)
+        sigma_a = geostat.prior_cov(fit.spec, train) - geostat.kernel_cov(fit.spec.kernel, train)
         sigma_a[np.diag_indices(n_tr)] -= numkit.DEFAULT_KERNEL_JITTER
         want = np.linalg.inv(attnfield.precision(run.field, fit.spec.attention[1]))[:n_tr, :n_tr]
         assert np.linalg.norm(sigma_a - want) <= 1e-10 * np.linalg.norm(want)

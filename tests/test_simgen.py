@@ -44,6 +44,45 @@ class TestGneitingCov:
         assert 0.0 < val <= 1.0
 
 
+class TestKernelMatrix:
+    """kernel_matrix, built a block of rows at a time, is the whole-matrix
+    form sigma2 * gneiting_cov(*pair_distances(...)) to the bit."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.75])
+    @pytest.mark.parametrize("square", [True, False], ids=["square", "cross"])
+    def test_equals_the_whole_matrix_form(self, square, gamma):
+        rng = np.random.default_rng(8)
+        # neither set is a multiple of the block size, so each has a ragged last block
+        n, m = 2 * simgen._KERNEL_BLOCK_ROWS + 7, simgen._KERNEL_BLOCK_ROWS + 3
+        rows = (rng.uniform(0, 1, n), rng.uniform(0, 1, n), rng.integers(1, 6, n))
+        cols = None if square else (rng.uniform(0, 1, m), rng.uniform(0, 1, m), rng.integers(1, 6, m))
+        want = simgen.gneiting_cov(*simgen.pair_distances(*rows, *(cols or ())), 0.3, 0.6, gamma)
+        want *= 1.7
+        got = simgen.kernel_matrix(rows, cols, 0.3, 0.6, gamma, sigma2=1.7)
+        np.testing.assert_array_equal(got, want)
+
+
+class TestLogistic:
+    def test_matches_the_two_branch_formula_in_place(self):
+        # the reference: 1 / (1 + exp(-eta)) on eta >= 0 and e / (1 + e),
+        # e = exp(eta), below, each computed on a copy of its own half
+        rng = np.random.default_rng(3)
+        eta = np.concatenate([
+            rng.standard_normal(5000) * 6, rng.standard_normal(500) * 400,
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -745.2],
+        ]).reshape(-1, 2)
+        want = np.empty_like(eta)
+        pos = eta >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+        e = np.exp(eta[~pos])
+        want[~pos] = e / (1.0 + e)
+        np.testing.assert_array_equal(simgen.logistic(eta), want)
+        got = simgen.logistic(eta, out=eta)
+        assert got is eta
+        np.testing.assert_array_equal(eta, want)
+        assert simgen.logistic(0.0) == 0.5
+
+
 class TestBuildCovariates:
     def coords(self, n=400, seed=0):
         rng = np.random.default_rng(seed)
