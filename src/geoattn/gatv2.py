@@ -15,23 +15,33 @@ nodes through the same matrix's transpose and gathers h Vᵀ onto edges only
 for the attention gradient. The score gradient reaches z as one GEMM with
 the (K, K d) block-diagonal of the attention vectors.
 
-The per-edge arrays of a layer are u = LeakyReLU(z), written over the score
-pre-activation z, and the attention alpha, kept both per edge and per head
-(the data of the block-diagonal matrix). Backward recovers the LeakyReLU
-slope factor from the sign of u, so it is not stored, and then writes the
-score-input gradient d_z over u. The per-edge chains that touch K d values
-per edge run over consecutive blocks of ``_EDGE_BLOCK_ROWS`` edges, so their
-intermediates stay in cache: forward's gather, add, LeakyReLU and score;
-backward's gathers for the attention gradient and its dot product; and
-backward's slope factor and d_z. Every row of these chains depends on its
-own edge only, so blocking moves no arithmetic. What sums across edges runs
-on whole arrays, so no summation order depends on the block size: the
-segment softmax, both sparse attention products, the gradient of the
-attention vectors, which reads all of u before d_z overwrites it, and the
-scatters of d_z to nodes. The K d-wide scratch holds one block and the
-K-wide scratch every edge; both are shared by all layers. Forward writes the
-per-layer arrays into a set of edge buffers and backward reads them from the
-cache. :func:`train` allocates one set and rewrites it every epoch; a
+The per-edge arrays of a layer are u = LeakyReLU(z) and the attention
+alpha, kept per head (the data of the block-diagonal matrix). The per-edge
+chains that touch K d values per edge run over consecutive blocks of
+``_EDGE_BLOCK_ROWS`` edges, so their intermediates stay in cache: forward's
+gather, add, LeakyReLU and score; backward's gathers for the attention
+gradient and its dot product; and backward's slope factor and d_z. Every
+row of these chains depends on its own edge only, so blocking moves no
+arithmetic. What sums across edges runs on whole arrays, so no summation
+order depends on the block size: the segment softmax, both sparse attention
+products, the gradient of the attention vectors, which reads all of a
+layer's u before d_z overwrites it, and the scatters of d_z to nodes.
+
+At most one E x K d array is held, and only for a backward pass. A layer's
+forward keeps u one block at a time, in scratch, except the last layer's in
+a training pass, which it writes into the pass's one wide array; a
+:func:`gradient` call on a prediction pass makes its own. Backward runs the
+layers last to first through that array: it reads the last layer's u
+there, if forward stored it, and recomputes every other u into it, by the same
+take, add and LeakyReLU in the same order, before that layer's
+attention-vector gradient. Backward recovers LeakyReLU's slope factor from
+the sign of u, then writes d_z over it. So the recomputed values, and all
+results, are those of storing every u, bit for bit; the cost is each
+earlier layer's two node projections and its blocked chain once more. A
+prediction :func:`forward` holds no E x K d array at all: its edge-sized
+arrays are each layer's (K, E) attention and two (E, K) scratch arrays,
+and its block scratch. The scratch is shared by all layers. :func:`train`
+allocates one set of edge buffers and rewrites it every epoch; a
 :func:`forward` call without one gets its own, so the arrays it returns
 belong to the caller. Per-destination reductions work over a canonical edge
 ordering so results are bit-reproducible and independent of the caller's
@@ -68,7 +78,9 @@ from .simgen import Dataset
 
 PREVALENCE_CLAMP = 1e-6  # predictions clamped to [eps, 1-eps] before logit
 
-_KNN_BLOCK_ROWS = 256  # rows of the distance matrix held at once in build_graph
+# rows of the distance matrix held at once in build_graph: at n = 2,200 its
+# blocks peak at about 8 MiB under tracemalloc (32 MiB at 256 rows)
+_KNN_BLOCK_ROWS = 64
 # edges per block of a layer's per-edge chains (see the module docstring);
 # of 256, 512 and 1024, 512 trained fastest on 22,834 edges (n = 2,200)
 _EDGE_BLOCK_ROWS = 512
@@ -413,36 +425,47 @@ def _training_edges(graph: GraphSpec, n_layers: int, heads: int) -> list[_LayerE
 
 @dataclass
 class _EdgeBuffers:
-    """The edge-sized arrays of one layer, for the edges it runs on. ``u``,
-    ``alpha`` and ``alpha_t`` carry values from the layer's forward pass to
-    its backward pass, which writes d_z over ``u``. The scratch arrays are
-    shared by all layers and hold nothing between layer calls; the two wide
-    ones hold one block of edges, the two narrow ones every edge."""
+    """The edge-sized arrays of one layer, for the edges it runs on.
+    ``alpha_t`` carries the layer's attention from its forward pass to its
+    backward pass. ``u`` is this layer's (E, K d) view of the one wide
+    array a training pass holds, shared by all layers, and None in a
+    prediction pass, which holds none (see :func:`train`). The scratch
+    arrays are shared by all layers and hold nothing between layer calls;
+    the two wide ones hold one block of edges, the two narrow ones every
+    edge."""
 
     edges: _LayerEdges
-    u: np.ndarray        # (E, K*d) z, then LeakyReLU(z) in place, then d_z in backward
-    alpha: np.ndarray    # (E, K) attention
-    alpha_t: np.ndarray  # (K, E) attention per head: the data of the block-diagonal matrix
+    alpha_t: np.ndarray      # (K, E) attention per head: the data of the block-diagonal matrix
+    u: np.ndarray | None     # (E, K*d) u of the last layer, d_z, or a recomputed u
     scratch_kd: np.ndarray   # (min(E, _EDGE_BLOCK_ROWS), K*d)
     scratch_kd2: np.ndarray  # (min(E, _EDGE_BLOCK_ROWS), K*d)
     scratch_k: np.ndarray    # (E, K)
     scratch_k2: np.ndarray   # (E, K)
 
 
-def _edge_buffers(edges: list[_LayerEdges], layers: list[LayerParams]) -> list[_EdgeBuffers]:
+def _wide_views(edges: list[_LayerEdges], layers: list[LayerParams]) -> list[np.ndarray]:
+    """Each layer's (E, K d) view of one new array, sized for the widest."""
+    shapes = [(e.n_edges, lay.a.size) for e, lay in zip(edges, layers)]
+    wide = np.empty(max(n_e * kd for n_e, kd in shapes))
+    return [wide[:n_e * kd].reshape(n_e, kd) for n_e, kd in shapes]
+
+
+def _edge_buffers(edges: list[_LayerEdges], layers: list[LayerParams],
+                  with_u: bool = True) -> list[_EdgeBuffers]:
     """Uninitialised edge buffers for every layer of a network, layer i
-    running on ``edges[i]``."""
+    running on ``edges[i]``; with ``with_u`` False, for a prediction pass."""
     k = layers[0].a.shape[0]
     shapes = [(e.n_edges, lay.a.size) for e, lay in zip(edges, layers)]  # (E, K*d) per layer
     wide_size = max(min(n_e, _EDGE_BLOCK_ROWS) * kd for n_e, kd in shapes)
     narrow_size = k * max(n_e for n_e, _ in shapes)
     wide, wide2 = np.empty(wide_size), np.empty(wide_size)
     narrow, narrow2 = np.empty(narrow_size), np.empty(narrow_size)
+    us = _wide_views(edges, layers) if with_u else [None] * len(layers)
     bufs = []
-    for e, (n_e, kd) in zip(edges, shapes):
+    for e, (n_e, kd), u in zip(edges, shapes, us):
         n_blk = min(n_e, _EDGE_BLOCK_ROWS)
         bufs.append(_EdgeBuffers(
-            edges=e, u=np.empty((n_e, kd)), alpha=np.empty((n_e, k)), alpha_t=np.empty((k, n_e)),
+            edges=e, alpha_t=np.empty((k, n_e)), u=u,
             scratch_kd=wide[:n_blk * kd].reshape(n_blk, kd),
             scratch_kd2=wide2[:n_blk * kd].reshape(n_blk, kd),
             scratch_k=narrow[:n_e * k].reshape(n_e, k),
@@ -451,11 +474,40 @@ def _edge_buffers(edges: list[_LayerEdges], layers: list[LayerParams]) -> list[_
     return bufs
 
 
+def _keeps_u(buf: _EdgeBuffers, is_final: bool) -> bool:
+    """Whether a layer's forward pass stores u for its backward pass: only
+    the last layer's, and only in a training pass. Every other layer's u is
+    recomputed in backward."""
+    return is_final and buf.u is not None
+
+
 def _edge_blocks(n_edges: int):
     """Consecutive (rows, size) blocks of at most ``_EDGE_BLOCK_ROWS`` edges."""
     for start in range(0, n_edges, _EDGE_BLOCK_ROWS):
         stop = min(start + _EDGE_BLOCK_ROWS, n_edges)
         yield slice(start, stop), stop - start
+
+
+def _u_blocks(edges: _LayerEdges, lay: LayerParams, h: np.ndarray, slope: float,
+              buf: _EdgeBuffers, u: np.ndarray | None):
+    """u = LeakyReLU(W [h_dst ; h_src]) block by block: yields (rows, u
+    block), the block written into ``u[rows]``, or into block scratch when
+    ``u`` is None. Forward and backward's recompute both run it, so a
+    recomputed u equals the forward's bit for bit."""
+    k, d, two_din = lay.w.shape
+    din = two_din // 2
+    w_flat = lay.w.reshape(k * d, two_din)
+    # project each node once, then gather onto edges; LeakyReLU(z) =
+    # max(z, slope z) overwrites z, as 0 < slope < 1. Every take uses
+    # mode="clip" (the indices are in range) because the default mode
+    # still allocates a temporary.
+    p_dst, p_src = h @ w_flat[:, :din].T, h @ w_flat[:, din:].T
+    for rows, m in _edge_blocks(edges.n_edges):
+        out = buf.scratch_kd2[:m] if u is None else u[rows]
+        tmp = buf.scratch_kd[:m]
+        z = np.take(p_dst, edges.dst[rows], axis=0, out=out, mode="clip")
+        z += np.take(p_src, edges.src[rows], axis=0, out=tmp, mode="clip")
+        yield rows, np.maximum(z, np.multiply(z, slope, out=tmp), out=z)
 
 
 def _heads_first(x: np.ndarray, k: int) -> np.ndarray:
@@ -472,18 +524,19 @@ class _LayerCache:
     hv: np.ndarray        # (n, K*d) value projection h Vᵀ; backward gathers it onto edges
     agg: np.ndarray       # (n, K, d) pre-activation head outputs
     attn: sp.csr_matrix   # (K*n, K*n) block-diagonal attention; its data is buf.alpha_t
-    buf: _EdgeBuffers     # this pass's per-edge u, alpha and alpha_t; owned by
+    buf: _EdgeBuffers     # this pass's alpha_t and, in training, u; owned by
                           # train() for all its epochs, else by the forward() call
 
     @property
     def alpha(self) -> np.ndarray:
-        return self.buf.alpha
+        """(E, K) attention, a view of ``buf.alpha_t``."""
+        return self.buf.alpha_t.T
 
 
 @dataclass
 class ForwardCache:
-    layers: list[_LayerCache]
-    edges: list[_LayerEdges]  # the edges each layer ran on
+    layers: list[_LayerCache]  # a training pass's are dropped as backward passes them
+    buffers: list[_EdgeBuffers]  # each layer's edges and edge arrays
     h_final: np.ndarray
     preds: np.ndarray
     alphas: list[np.ndarray]  # per-layer (E, K), for invariant checks
@@ -493,27 +546,19 @@ def _layer_forward(edges: _LayerEdges, lay: LayerParams, h: np.ndarray,
                    slope: float, is_final: bool, buf: _EdgeBuffers):
     k, d, two_din = lay.w.shape
     din = two_din // 2
-    n, dst, src = edges.n_nodes, edges.dst, edges.src
-    w_flat = lay.w.reshape(k * d, two_din)
+    n, dst = edges.n_nodes, edges.dst
     v_flat = lay.v.reshape(k * d, din)
 
-    # z = W [h_dst ; h_src]: project each node once, then gather onto edges;
-    # u = LeakyReLU(z) = max(z, slope z) overwrites z, as 0 < slope < 1.
-    # Every take uses mode="clip" (the indices are in range) because the
-    # default mode still allocates a temporary.
-    p_dst, p_src = h @ w_flat[:, :din].T, h @ w_flat[:, din:].T
     scores = buf.scratch_k
-    for rows, m in _edge_blocks(edges.n_edges):
-        z = np.take(p_dst, dst[rows], axis=0, out=buf.u[rows], mode="clip")
-        tmp = buf.scratch_kd[:m]
-        z += np.take(p_src, src[rows], axis=0, out=tmp, mode="clip")
-        u = np.maximum(z, np.multiply(z, slope, out=tmp), out=z)
-        np.einsum("ekd,kd->ek", u.reshape(m, k, d), lay.a, out=scores[rows])
+    u = buf.u if _keeps_u(buf, is_final) else None
+    for rows, u_blk in _u_blocks(edges, lay, h, slope, buf, u):
+        np.einsum("ekd,kd->ek", u_blk.reshape(-1, k, d), lay.a, out=scores[rows])
 
+    # alpha overwrites the scores, which the exponentials have read
     smax = np.maximum.reduceat(scores, edges.seg_starts, axis=0)
     ex = np.take(smax, edges.seg, axis=0, out=buf.scratch_k2, mode="clip")
     np.exp(np.subtract(scores, ex, out=ex), out=ex)
-    alpha = np.take(edges.scatter_dst(ex), dst, axis=0, out=buf.alpha, mode="clip")
+    alpha = np.take(edges.scatter_dst(ex), dst, axis=0, out=scores, mode="clip")
     np.divide(ex, alpha, out=alpha)
     buf.alpha_t[...] = alpha.T
     attn = sp.csr_matrix((buf.alpha_t.reshape(-1), edges.bd_indices, edges.bd_indptr),
@@ -541,11 +586,14 @@ def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | No
     same edge buffers every epoch, on each layer's training edges, and has
     no use for the export: with ``_export`` False the export is None and no
     edge-sized array is made for it. Without ``_buffers`` each call gets its
-    own, and every layer runs on all of the graph's edges.
+    own, every layer runs on all of the graph's edges, and no E x K d array
+    is made: each layer's u lives one block of edges at a time, and the
+    edge-sized arrays are each layer's (K, E) attention and two (E, K)
+    scratch arrays. With training buffers only the last layer stores u.
     """
     if _buffers is None:
         edges = _layer_edges(graph, model.config.heads)
-        _buffers = _edge_buffers([edges] * len(model.layers), model.layers)
+        _buffers = _edge_buffers([edges] * len(model.layers), model.layers, with_u=False)
     slope = model.config.leaky_slope
     h = graph.features
     caches, alphas = [], []
@@ -562,9 +610,10 @@ def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | No
         export = AttentionExport(
             src=graph.src.copy(),
             dst=graph.dst.copy(),
-            alpha_mean=caches[-1].alpha.mean(axis=1),
+            # mean over a C-ordered copy: the same summation as over rows
+            alpha_mean=np.ascontiguousarray(caches[-1].alpha).mean(axis=1),
         )
-    return preds, export, ForwardCache(layers=caches, edges=[b.edges for b in _buffers],
+    return preds, export, ForwardCache(layers=caches, buffers=_buffers,
                                        h_final=h, preds=preds, alphas=alphas)
 
 
@@ -574,8 +623,12 @@ def mse_loss(preds: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
 
 
 def _layer_backward(edges: _LayerEdges, lay: LayerParams, cache: _LayerCache,
-                    d_out: np.ndarray, slope: float, is_final: bool,
+                    d_out: np.ndarray, slope: float, is_final: bool, u: np.ndarray,
                     need_input_grad: bool = True):
+    """Gradients of one layer, and of its input with ``need_input_grad``.
+    ``u`` is the layer's (E, K d) view of the pass's wide array: it holds
+    the layer's u when its forward stored it, else u is recomputed into it;
+    then d_z is written over it."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     n, dst, src = edges.n_nodes, edges.dst, edges.src
@@ -598,6 +651,10 @@ def _layer_backward(edges: _LayerEdges, lay: LayerParams, cache: _LayerCache,
     s_msg = s_msg.reshape(k, n, d).transpose(1, 0, 2).reshape(n, k * d)
     h = cache.h_in
     d_v = (s_msg.T @ h).reshape(k, d, din)
+    # d_h = (s_msg V + z_dst W_dst) + z_src W_src, summed in place as each
+    # term's operand is formed, so no two of them are held at once
+    d_h = s_msg @ v_flat if need_input_grad else None
+    del s_msg
 
     d_alpha = buf.scratch_k
     for rows, m in _edge_blocks(edges.n_edges):
@@ -605,37 +662,39 @@ def _layer_backward(edges: _LayerEdges, lay: LayerParams, cache: _LayerCache,
         msg = np.take(cache.hv, src[rows], axis=0, out=buf.scratch_kd2[:m], mode="clip")
         np.einsum("ekd,ekd->ek", d_weighted.reshape(m, k, d), msg.reshape(m, k, d),
                   out=d_alpha[rows])
+    del d_agg
 
     # softmax backward per (destination, head)
-    alpha = buf.alpha
+    alpha = cache.alpha
     s_node = edges.scatter_dst(np.multiply(alpha, d_alpha, out=buf.scratch_k2))
     d_score = np.take(s_node, dst, axis=0, out=buf.scratch_k2, mode="clip")
     np.subtract(d_alpha, d_score, out=d_score)
     d_score *= alpha
 
-    d_a = np.einsum("ek,ekd->kd", d_score, buf.u.reshape(-1, k, d))
+    if not _keeps_u(buf, is_final):
+        for _ in _u_blocks(edges, lay, h, slope, buf, u):
+            pass
+    d_a = np.einsum("ek,ekd->kd", d_score, u.reshape(-1, k, d))
     # d_u = d_score times a, head by head: a gemm with the (K, K*d)
     # block-diagonal of a, whose zeros add nothing to the products. Each
     # block reads its rows of u for LeakyReLU's slope factor, max(u > 0,
     # slope), then writes d_z over them: d_a above has read all of u.
     a_bd = np.zeros((k, k * d))
     a_bd.reshape(k, k, d)[np.arange(k), np.arange(k)] = lay.a
-    d_z = buf.u
+    d_z = u
     for rows, m in _edge_blocks(edges.n_edges):
         block = d_z[rows]
         leaky = np.greater(block, 0.0, out=buf.scratch_kd[:m])
         np.matmul(d_score[rows], a_bd, out=block)
         block *= np.maximum(leaky, slope, out=leaky)
-    z_dst = edges.scatter_dst(d_z)                           # (n, K*d)
-    z_src = edges.scatter_src(d_z)                           # (n, K*d)
-
     d_w = np.empty((k * d, two_din))
-    d_w[:, :din] = z_dst.T @ h
-    d_w[:, din:] = z_src.T @ h
-
-    d_h = None
-    if need_input_grad:
-        d_h = s_msg @ v_flat + z_dst @ w_flat[:, :din] + z_src @ w_flat[:, din:]
+    halves = ((slice(None, din), edges.scatter_dst), (slice(din, None), edges.scatter_src))
+    for half, scatter in halves:
+        z_half = scatter(d_z)                                # (n, K*d)
+        d_w[:, half] = z_half.T @ h
+        if need_input_grad:
+            d_h += z_half @ w_flat[:, half]
+        del z_half
 
     return LayerParams(w=d_w.reshape(k, d, two_din), a=d_a, v=d_v), d_h
 
@@ -648,9 +707,17 @@ def gradient(
 ) -> GatModel:
     """Exact gradients of the train-node MSE for every parameter, shaped
     like ``model`` (``flatten`` lines them up with ``model.flatten``).
-    Each layer's d_z is written over the ``u`` of ``cache``'s edge buffers,
-    so a cache serves one gradient call; its predictions and attention are
-    left alone."""
+
+    Backward runs the layers last to first through one E x K d array. The
+    last layer's u is read from it when a training pass stored it there;
+    every other layer's u is recomputed into it, by the same operations as
+    in forward, before its attention-vector gradient; then each layer's d_z
+    is written over it. A cache from :func:`forward` without training
+    buffers stored no u: this call makes its own wide array, leaves the
+    cache as it was, and the cache serves any number of calls. A training
+    pass's cache serves one: its last u is overwritten, and each layer's
+    node arrays are dropped once that layer's backward has run. Predictions
+    and attention are left alone either way."""
     if cache is None:
         _, _, cache = forward(model, graph)
     mask = graph.train_mask
@@ -663,14 +730,21 @@ def gradient(
     d_h = np.outer(d_pred, model.w_out)
 
     slope = model.config.leaky_slope
+    edges = [b.edges for b in cache.buffers]
+    us = [b.u for b in cache.buffers]
+    training = us[-1] is not None
+    if not training:
+        us = _wide_views(edges, model.layers)
     grads: list[LayerParams] = [None] * len(model.layers)  # type: ignore[list-item]
     n_layers = len(model.layers)
     for li in range(n_layers - 1, -1, -1):
         grads[li], d_h = _layer_backward(
-            cache.edges[li], model.layers[li], cache.layers[li], d_h, slope,
-            is_final=li == n_layers - 1,
+            edges[li], model.layers[li], cache.layers[li], d_h, slope,
+            is_final=li == n_layers - 1, u=us[li],
             need_input_grad=li > 0,
         )
+        if training:
+            cache.layers[li] = None
     return GatModel(layers=grads, w_out=d_w_out, b_out=d_b_out, config=model.config)
 
 
@@ -684,9 +758,14 @@ def train(
     ``targets`` has one entry per node; entries at predict-role nodes are
     ignored. Returns the trained model and the per-epoch loss trace.
     Deterministic given ``config.seed``. Every epoch rewrites one set of
-    edge buffers, allocated here, and builds no attention export: one
-    E x K d array per layer, u, which backward reuses for d_z, plus
-    block-sized scratch shared by all layers.
+    edge buffers, allocated here, and builds no attention export. The one
+    E x K d array among them is shared by all layers: the last layer's
+    forward writes its u there, and backward reads it, writes d_z over it,
+    and then recomputes each earlier layer's u into it (see
+    :func:`gradient`). Every other layer's forward keeps its u one block of
+    edges at a time, in block-sized scratch shared by all layers. Each
+    layer also keeps its (K, E) attention, and two (E, K) scratch arrays
+    serve all layers.
 
     Each layer trains only on the edges whose destination a later step
     reads (see the module docstring): the last layer on its edges into

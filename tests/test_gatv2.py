@@ -245,8 +245,9 @@ def per_edge_layer_forward(edges, lay, h, slope, is_final, buf):
                                 alpha=alpha, agg=agg)
 
 
-def per_edge_layer_backward(edges, lay, c, d_out, slope, is_final, need_input_grad=True):
-    """Reference backward: every weight and input gradient is a GEMM over edges."""
+def per_edge_layer_backward(edges, lay, c, d_out, slope, is_final, u=None, need_input_grad=True):
+    """Reference backward: every weight and input gradient is a GEMM over edges.
+    It ignores the wide array ``u``."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     w, v = lay.w.reshape(k * d, two_din), lay.v.reshape(k * d, din)
@@ -294,8 +295,9 @@ def scatter_layer_forward(edges, lay, h, slope, is_final, buf):
     return out, SimpleNamespace(h_in=h, u=u, pos=pos, msg=msg, alpha=alpha, agg=agg)
 
 
-def scatter_layer_backward(edges, lay, c, d_out, slope, is_final, need_input_grad=True):
-    """Backward of :func:`scatter_layer_forward`, with per-edge ``d_msg``."""
+def scatter_layer_backward(edges, lay, c, d_out, slope, is_final, u=None, need_input_grad=True):
+    """Backward of :func:`scatter_layer_forward`, with per-edge ``d_msg``.
+    Ignores the wide array ``u``."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     n = edges.n_nodes
@@ -356,9 +358,11 @@ class TestPerEdgeReference:
         graph, targets = random_graph(30, seed=37)
         assert_ragged(graph.n_edges)
         # (16, 16) with 4 heads is the default network; slope 0.9 checks the
-        # LeakyReLU forms max(z, slope z) and max(u > 0, slope) near slope 1
+        # LeakyReLU forms max(z, slope z) and max(u > 0, slope) near slope 1;
+        # from 8 heads on, numpy's mean over a row sums pairwise, which a mean
+        # over the strided (E, K) view of the attention would not do
         for widths, heads, slope in [((4, 3), 3, 0.2), ((5,), 1, 0.2),
-                                     ((16, 16), 4, 0.2), ((4, 3), 3, 0.9)]:
+                                     ((16, 16), 4, 0.2), ((4, 3), 3, 0.9), ((2, 2), 8, 0.2)]:
             model = init_model(3, GatConfig(widths=widths, heads=heads, leaky_slope=slope, seed=4))
 
             def run():
@@ -379,49 +383,102 @@ class TestPerEdgeReference:
                 np.testing.assert_array_equal(b, w)
 
 
-class TestEdgeBuffers:
-    def test_wide_arrays_are_one_u_per_layer_and_block_scratch(self):
-        # E x K*d arrays dominate training memory: each layer keeps only u
-        # for its backward pass, and all layers share block-sized scratch
-        graph, _ = random_graph(150, seed=41)
-        model = init_model(3, GatConfig(widths=(4, 4), heads=3))
-        edges = gatv2._training_edges(graph, 2, heads=3)
-        sizes = [e.n_edges for e in edges]
-        assert min(sizes) > gatv2._EDGE_BLOCK_ROWS and sizes[0] != sizes[1]
-        bufs = gatv2._edge_buffers(edges, model.layers)
-        wide = {}
-        for buf in bufs:
-            for f in fields(buf):
-                arr = getattr(buf, f.name)
-                if f.name == "edges":
-                    continue
-                base = arr if arr.base is None else arr.base
-                if base.size >= min(sizes) * 3 * 4:
-                    wide[id(base)] = base.nbytes
-            assert buf.u.shape == (buf.edges.n_edges, 3 * 4)
-            assert buf.scratch_kd.shape == buf.scratch_kd2.shape == (gatv2._EDGE_BLOCK_ROWS, 3 * 4)
-        assert sorted(wide) == sorted(id(buf.u) for buf in bufs)
-        assert sum(wide.values()) == sum(sizes) * 3 * 4 * 8
-        # one pair of scratch arrays for all layers
-        assert bufs[0].scratch_kd.base is bufs[1].scratch_kd.base
-        assert bufs[0].scratch_kd2.base is bufs[1].scratch_kd2.base
+def wide_bases(buffers, n_wide):
+    """The distinct arrays of at least ``n_wide`` entries under the edge
+    buffers' arrays, by id."""
+    wide = {}
+    for buf in buffers:
+        for f in fields(buf):
+            arr = getattr(buf, f.name)
+            if f.name == "edges" or arr is None:
+                continue
+            base = arr if arr.base is None else arr.base
+            if base.size >= n_wide:
+                wide[id(base)] = base
+    return wide
 
-    def test_training_peak_is_few_edge_wide_arrays(self):
+
+@pytest.fixture(scope="class")
+def n2200():
+    """The benchmark's n = 2,200 records and their graph."""
+    data = simgen.simulate(simgen.SimConfig(n_times=10, locs_per_time=(220, 220), seed=1))
+    return data, build_graph(data, GraphConfig())
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEdgeBuffers:
+    def test_train_holds_one_wide_array_and_prediction_none(self, monkeypatch):
+        # E x K*d arrays dominate a pass's memory: training keeps one, shared
+        # by all layers, and a prediction pass none; all layers share the
+        # block-sized scratch
+        graph, targets = random_graph(150, seed=41)
+        config = GatConfig(widths=(4, 4, 4), heads=3, epochs=1)
+        edges = gatv2._training_edges(graph, 3, heads=3)
+        sizes = [e.n_edges for e in edges]
+        assert min(sizes) > gatv2._EDGE_BLOCK_ROWS and len(set(sizes)) > 1
+        seen = []
+        edge_buffers = gatv2._edge_buffers
+
+        def recording_edge_buffers(*args, **kwargs):
+            seen.append(edge_buffers(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(gatv2, "_edge_buffers", recording_edge_buffers)
+        model, _ = train(graph, targets, config)
+        _, _, cache = forward(model, graph)
+        bufs, pred_bufs = seen
+        assert pred_bufs is cache.buffers
+
+        n_wide = min(sizes) * 3 * 4
+        (wide,) = wide_bases(bufs, n_wide).values()
+        assert wide.size == max(sizes) * 3 * 4
+        for buf in bufs:
+            assert buf.u.shape == (buf.edges.n_edges, 3 * 4) and buf.u.base is wide
+        assert wide_bases(pred_bufs, n_wide) == {}
+        assert all(buf.u is None for buf in pred_bufs)
+        for group in (bufs, pred_bufs):
+            for buf in group:
+                block = (gatv2._EDGE_BLOCK_ROWS, 3 * 4)
+                assert buf.scratch_kd.shape == buf.scratch_kd2.shape == block
+                assert buf.scratch_kd.base is group[0].scratch_kd.base
+                assert buf.scratch_kd2.base is group[0].scratch_kd2.base
+
+    def test_training_peak_is_few_edge_wide_arrays(self, n2200):
         # the benchmark's n = 2,200 graph: two E x K*d scratch arrays besides
         # each layer's u put the peak at 5.6 E*K*d*8 bytes, block scratch at
-        # 3.9, and dropping each epoch's cache and gradient before the next
-        # forward at 3.6
-        data = simgen.simulate(simgen.SimConfig(n_times=10, locs_per_time=(220, 220), seed=1))
-        graph = build_graph(data, GraphConfig())
+        # 3.9, dropping each epoch's cache and gradient before the next
+        # forward at 3.6, and one shared u recomputed in backward, with the
+        # backward's node arrays trimmed, at 2.2
+        data, graph = n2200
         config = GatConfig(epochs=2)
         wide_bytes = graph.n_edges * config.heads * config.widths[-1] * 8
-        tracemalloc.start()
-        try:
-            train(graph, data.empirical_prevalence, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.75 * wide_bytes
+        peak = traced_peak(lambda: train(graph, data.empirical_prevalence, config))
+        assert peak < 2.3 * wide_bytes
+
+    def test_prediction_forward_peak_holds_no_edge_wide_array(self, n2200):
+        # each layer's u lives one block of edges at a time: 1.0 E*K*d*8
+        # bytes at n = 2,200, 3.3 when every layer kept its own
+        data, graph = n2200
+        config = GatConfig()
+        wide_bytes = graph.n_edges * config.heads * config.widths[-1] * 8
+        model = init_model(graph.features.shape[1], config)
+        forward(model, graph)  # warm-up, so no first-call allocation counts
+        assert traced_peak(lambda: forward(model, graph)) < 1.25 * wide_bytes
+
+    def test_build_graph_peak_is_small_distance_blocks(self, n2200):
+        # 64-row distance blocks: 0.75 E*K*d*8 bytes at n = 2,200, 2.9 at 256 rows
+        data, graph = n2200
+        config = GatConfig()
+        wide_bytes = graph.n_edges * config.heads * config.widths[-1] * 8
+        assert traced_peak(lambda: build_graph(data, GraphConfig())) < 0.85 * wide_bytes
 
 
 def split_graph(n_layers):
@@ -463,6 +520,65 @@ def full_graph_epoch_loop(graph, targets, config):
         model.w_out -= lr * g.w_out
         model.b_out -= lr * g.b_out
     return model, trace
+
+
+def stored_u_epoch_loop(graph, targets, config, monkeypatch):
+    """Training as it ran before backward recomputed u: every layer's
+    forward stores its u in an E x K*d array of its own, and its backward
+    reads it there and writes d_z over it."""
+    model = init_model(graph.features.shape[1], config)
+    edges = gatv2._training_edges(graph, len(config.widths), config.heads)
+    trace = np.empty(config.epochs)
+    lr = config.learning_rate
+    with monkeypatch.context() as patch:
+        patch.setattr(gatv2, "_keeps_u", lambda buf, is_final: True)
+        for epoch in range(config.epochs):
+            bufs = gatv2._edge_buffers(edges, model.layers)
+            for buf in bufs:
+                buf.u = np.empty_like(buf.u)
+            _, _, cache = forward(model, graph, _buffers=bufs, _export=False)
+            trace[epoch] = mse_loss(cache.preds, targets, graph.train_mask)
+            g = gradient(model, graph, targets, cache)
+            for lay, glay in zip(model.layers, g.layers):
+                lay.w -= lr * glay.w
+                lay.a -= lr * glay.a
+                lay.v -= lr * glay.v
+            model.w_out -= lr * g.w_out
+            model.b_out -= lr * g.b_out
+    return model, trace
+
+
+class TestRecomputedU:
+    @pytest.mark.parametrize("widths", [(16,), (8, 8), (8, 8, 8)], ids=["1", "2", "3"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["all_train", "split"])
+    def test_train_equals_the_stored_u_loop(self, widths, masked, monkeypatch):
+        graph, targets = split_graph(len(widths))
+        if not masked:
+            graph = replace(graph, train_mask=np.ones(graph.n_nodes, bool))
+        config = GatConfig(widths=widths, heads=2, epochs=4, seed=3)
+        for block in (gatv2._EDGE_BLOCK_ROWS, SMALL_BLOCK):
+            with monkeypatch.context() as patch:
+                patch.setattr(gatv2, "_EDGE_BLOCK_ROWS", block)
+                want, want_trace = stored_u_epoch_loop(graph, targets, config, monkeypatch)
+                got, trace = train(graph, targets, config)
+            np.testing.assert_array_equal(trace, want_trace)
+            np.testing.assert_array_equal(got.flatten(), want.flatten())
+
+    def test_prediction_cache_gradient_equals_the_training_pass(self):
+        # a prediction forward stores no u, so its gradient recomputes every
+        # layer's and overwrites nothing in the cache: it serves two calls
+        graph, targets = split_graph(3)
+        config = GatConfig(widths=(8, 8, 8), heads=2, seed=4)
+        model = init_model(graph.features.shape[1], config)
+        bufs = gatv2._edge_buffers(gatv2._training_edges(graph, 3, config.heads), model.layers)
+        _, _, train_cache = forward(model, graph, _buffers=bufs, _export=False)
+        want = gradient(model, graph, targets, train_cache).flatten()
+        _, _, cache = forward(model, graph)
+        alphas = [a.copy() for a in cache.alphas]
+        for _ in range(2):
+            np.testing.assert_array_equal(gradient(model, graph, targets, cache).flatten(), want)
+        for got, kept in zip(cache.alphas, alphas, strict=True):
+            np.testing.assert_array_equal(got, kept)
 
 
 class TestTrainingEdges:
