@@ -149,16 +149,22 @@ def _scaled_vectors(field: AttentionField, hyper: AttnHyper, nodes: slice) -> np
     return vec[nodes] * np.sqrt(1.0 / q_eigs)
 
 
-def covariance(field: AttentionField, hyper: AttnHyper, n: int | None = None) -> np.ndarray:
+def covariance(field: AttentionField, hyper: AttnHyper, n: int | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Leading n x n block of Q(tau, beta)^{-1} (all of it when n is None),
     the field's marginal over its first n nodes, V[:n] diag(1/q) V[:n]' from
-    the eigendecomposition of C; I / tau when the field is degenerate."""
+    the eigendecomposition of C; I / tau when the field is degenerate. With
+    ``out`` (symmetric, C-ordered, n x n) the marginal is added into ``out``,
+    which is returned, so no second n x n array is made."""
     n = field.n_nodes if n is None else n
     if n > field.n_nodes:
         raise ValueError(f"attention field has {field.n_nodes} nodes, fewer than the {n} records")
     if field.degenerate:
-        return (1.0 / hyper.tau) * np.eye(n)
-    return syrk(_scaled_vectors(field, hyper, slice(n)))
+        if out is None:
+            return (1.0 / hyper.tau) * np.eye(n)
+        out[np.diag_indices_from(out)] += 1.0 / hyper.tau
+        return out
+    return syrk(_scaled_vectors(field, hyper, slice(n)), out=out)
 
 
 def covariance_after(field: AttentionField, hyper: AttnHyper, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -268,12 +268,13 @@ def prior_cov(spec: ModelSpec, data: Dataset) -> np.ndarray:
     is fitted on, as a new array: the kernel matrix, plus the second block,
     sd^2 D D' for mbg or the attention field's marginal over its first
     len(data) nodes, plus the numerical nugget on the diagonal (kernel
-    matrices on near-duplicate points are singular)."""
+    matrices on near-duplicate points are singular). The second block is
+    added into the kernel matrix in place, so one n x n array is made."""
     sigma_u = kernel_cov(spec.kernel, data)
     if spec.design is not None:
         syrk(spec.design, alpha=FIXED_EFFECT_SD ** 2, out=sigma_u)
     else:
-        sigma_u += attention_cov(*spec.attention, len(data))
+        attention_cov(*spec.attention, len(data), out=sigma_u)
     sigma_u[np.diag_indices_from(sigma_u)] += DEFAULT_KERNEL_JITTER
     return sigma_u
 

@@ -19,8 +19,9 @@ cores: on a 2-core box ``dpotrf`` at n = 1,000 took 9.8 ms alone and
 19.6 ms right after a numpy product. So a fit or ``cv`` process makes all
 of its n-sized dense products in scipy's pool. What stays on numpy's pool
 switches pools once per stage, not once per Newton step: the GATv2 network
-(``gatv2``), vector-vector dots, which OpenBLAS runs on one thread at these
-sizes, and the simulator (``mvn_sample``).
+(``gatv2``), whose float32 GEMMs run on numpy's pool, vector-vector dots,
+which OpenBLAS runs on one thread at these sizes, and the simulator
+(``mvn_sample``).
 
 Reruns are byte-identical for a fixed BLAS build and thread count. The
 two OpenBLAS builds do not give equal bits for every shape, and a thread

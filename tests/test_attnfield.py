@@ -160,6 +160,24 @@ class TestCovarianceBlock:
         for m in (1, 2, 4):
             np.testing.assert_array_equal(attnfield.covariance(field, hyper, m), np.eye(m) / 4.0)
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_out_receives_the_block_added_in_place(self, degenerate):
+        # the prior adds the field's marginal into its kernel matrix this way
+        if degenerate:
+            field = build_field(*export_from_edges([(i, i, 1.0) for i in range(6)], 6))
+        else:
+            field = build_field(random_export(23, seed=12), 23)
+        hyper = AttnHyper.from_tau_beta(1.7, 0.6)
+        base = np.random.default_rng(3).standard_normal((5, 5))
+        base = base @ base.T
+        out = base.copy()
+        got = attnfield.covariance(field, hyper, 5, out=out)
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(got, out)
+        want = base + attnfield.covariance(field, hyper, 5)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        np.testing.assert_array_equal(out, out.T)
+
 
 class TestCovarianceAfter:
     """covariance_after(field, hyper, n) is the two blocks of Q^{-1} past the

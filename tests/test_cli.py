@@ -362,6 +362,22 @@ def test_bad_model_config_exits_two(case, tmp_path, dataset_csv, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [-1.0, 0.0])
+def test_nonpositive_weight_init_scale_exits_two(scale, tmp_path, dataset_csv, capsys):
+    # -1.0 once ended in numpy's uniform() traceback, and 0.0 trained a
+    # network in which only the output bias could move
+    config = tmp_path / "gat.json"
+    config.write_text(json.dumps({"version": 1, "gat": {"epochs": 2, "weight_init_scale": scale}}))
+    code = cli.main([
+        "fit", "--kind", "gat_only", "--dataset", str(dataset_csv),
+        "--config", str(config), "--out", str(tmp_path / "out"),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "weight_init_scale must be finite and > 0" in err
+    assert "Traceback" not in err
+
+
 SIM_CONFIG = {"version": 1, "seed": 3, "n_times": 2, "locs_per_time": [10, 10]}
 
 # values the hand-written conversions once truncated, coerced or crashed on
@@ -690,6 +706,15 @@ class TestBadCheckpointExitsTwo:
             payload["params"][0] = float("nan")
 
         code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, dataset_csv, nan_param)
+        assert code == cli.EXIT_VALIDATION
+        assert "cannot load checkpoint: checkpoint params must be finite" in capsys.readouterr().err
+
+    def test_checkpoint_params_beyond_float32_range(self, tmp_path, dataset_csv, capsys):
+        # finite as a double, inf once rounded to the network's float32
+        def huge_param(payload):
+            payload["params"][0] = 1e39
+
+        code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, dataset_csv, huge_param)
         assert code == cli.EXIT_VALIDATION
         assert "cannot load checkpoint: checkpoint params must be finite" in capsys.readouterr().err
 

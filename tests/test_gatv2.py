@@ -49,9 +49,17 @@ def two_node_model():
     model.layers[0].w[0] = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, -1.0, -1.0, 0.0]])
     model.layers[0].a[0] = np.array([1.0, -1.0])
     model.layers[0].v[0] = np.array([[1.0, 2.0], [3.0, 4.0]])
-    model.w_out = np.array([1.0, 1.0])
-    model.b_out = 0.5
+    model.w_out[:] = 1.0
+    model.b_out = model.w_out.dtype.type(0.5)
     return model
+
+
+@pytest.fixture
+def float64_network(monkeypatch):
+    """The network in double precision, for the tests whose tolerances are
+    set from float64's round-off: hand values, finite differences and the
+    per-edge references. The graph and model must be built under it."""
+    monkeypatch.setattr(gatv2, "_DTYPE", np.float64)
 
 
 # Edge blocks this small leave a ragged last block on every edge set the
@@ -66,6 +74,7 @@ def assert_ragged(n_edges):
 
 
 class TestForward:
+    @pytest.mark.usefixtures("float64_network")
     def test_two_node_hand_value(self):
         # worked by hand: scores per destination are (1.2, 2.0) and (0.4, 1.2),
         # both give the self/other softmax weight 1/(1 + e^0.8), and the
@@ -115,6 +124,7 @@ class TestForward:
         _, export, _ = forward(model, graph)
         np.testing.assert_allclose(export.alpha_mean, 0.25, atol=1e-15)
 
+    @pytest.mark.usefixtures("float64_network")
     def test_attention_rows_sum_to_one_every_layer_and_head(self):
         graph = ring_graph(9, d0=3, seed=2)
         model = init_model(3, GatConfig(widths=(4, 3), heads=3, seed=5))
@@ -139,6 +149,9 @@ class TestForward:
         b, _, _ = forward(model, shuffled)
         np.testing.assert_array_equal(a, b)
 
+    # an infinite readout weight meets ELU outputs of both signs, and
+    # float32 matmul reports the inf - inf it sums as a RuntimeWarning
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_detection(self):
         graph = ring_graph(4, d0=2, seed=0)
         model = init_model(2, GatConfig(widths=(2,), heads=1, seed=0))
@@ -166,6 +179,7 @@ def max_rel_error(analytic, numeric):
     return np.max(np.abs(analytic - numeric) / scale)
 
 
+@pytest.mark.usefixtures("float64_network")
 class TestGradient:
     def test_zero_residuals_give_zero_gradient(self):
         graph = ring_graph(5, d0=2, seed=1)
@@ -327,6 +341,7 @@ def scatter_layer_backward(edges, lay, c, d_out, slope, is_final, u=None, need_i
     return grads, d_h
 
 
+@pytest.mark.usefixtures("float64_network")
 class TestPerEdgeReference:
     def test_forward_and_gradient_match_per_edge_layers(self, monkeypatch):
         graph, targets = random_graph(30, seed=31)
@@ -455,26 +470,29 @@ class TestEdgeBuffers:
         # the benchmark's n = 2,200 graph: two E x K*d scratch arrays besides
         # each layer's u put the peak at 5.6 E*K*d*8 bytes, block scratch at
         # 3.9, dropping each epoch's cache and gradient before the next
-        # forward at 3.6, and one shared u recomputed in backward, with the
-        # backward's node arrays trimmed, at 2.2
+        # forward at 3.6, one shared u recomputed in backward, with the
+        # backward's node arrays trimmed, at 2.2, and the network in float32
+        # at 1.12
         data, graph = n2200
         config = GatConfig(epochs=2)
         wide_bytes = graph.n_edges * config.heads * config.widths[-1] * 8
         peak = traced_peak(lambda: train(graph, data.empirical_prevalence, config))
-        assert peak < 2.3 * wide_bytes
+        assert peak < 1.2 * wide_bytes
 
     def test_prediction_forward_peak_holds_no_edge_wide_array(self, n2200):
         # each layer's u lives one block of edges at a time: 1.0 E*K*d*8
-        # bytes at n = 2,200, 3.3 when every layer kept its own
+        # bytes at n = 2,200 in float64, 0.52 in float32, 3.3 when every
+        # layer kept its own
         data, graph = n2200
         config = GatConfig()
         wide_bytes = graph.n_edges * config.heads * config.widths[-1] * 8
         model = init_model(graph.features.shape[1], config)
         forward(model, graph)  # warm-up, so no first-call allocation counts
-        assert traced_peak(lambda: forward(model, graph)) < 1.25 * wide_bytes
+        assert traced_peak(lambda: forward(model, graph)) < 0.6 * wide_bytes
 
     def test_build_graph_peak_is_small_distance_blocks(self, n2200):
-        # 64-row distance blocks: 0.75 E*K*d*8 bytes at n = 2,200, 2.9 at 256 rows
+        # 64-row distance blocks of float64 distances: 0.75 E*K*d*8 bytes at
+        # n = 2,200, 2.9 at 256 rows
         data, graph = n2200
         config = GatConfig()
         wide_bytes = graph.n_edges * config.heads * config.widths[-1] * 8
@@ -581,6 +599,97 @@ class TestRecomputedU:
             np.testing.assert_array_equal(got, kept)
 
 
+def float_arrays(cache, grads=None):
+    """(name, array) for every float array of a pass: its node arrays, its
+    edge buffers and edge sets' sum matrices, and the gradient ``grads``."""
+    out = [("h_final", cache.h_final), ("preds", cache.preds)]
+    out += [(f"alphas[{i}]", a) for i, a in enumerate(cache.alphas)]
+    for i, c in enumerate(cache.layers):
+        out += [(f"layers[{i}].{name}", getattr(c, name)) for name in ("h_in", "hv", "agg")]
+        out.append((f"layers[{i}].attn", c.attn.data))
+    for i, buf in enumerate(cache.buffers):
+        out += [(f"buffers[{i}].{f.name}", getattr(buf, f.name)) for f in fields(buf)
+                if f.name != "edges" and getattr(buf, f.name) is not None]
+        out += [(f"buffers[{i}].sum_dst", buf.edges.sum_dst.data),
+                (f"buffers[{i}].sum_src", buf.edges.sum_src.data)]
+    if grads is not None:
+        for i, lay in enumerate(grads.layers):
+            out += [(f"grad[{i}].{name}", getattr(lay, name)) for name in ("w", "a", "v")]
+        out += [("grad.w_out", grads.w_out), ("grad.b_out", np.asarray(grads.b_out))]
+    return out
+
+
+def train_and_predict(graph, targets, config):
+    """Trained weights, loss trace, predictions and attention."""
+    model, trace = train(graph, targets, config)
+    preds, export, _ = forward(model, graph)
+    return model.flatten(), trace, preds, export.alpha_mean
+
+
+class TestFloat32:
+    def test_network_matches_float64_training(self, monkeypatch):
+        # 120 records, a third of them predict-role, 300 epochs of the
+        # default network. Measured float32 - float64: predictions 1.4e-7,
+        # attention 2.4e-8, loss trace 2.0e-7 relative.
+        graph, targets = split_graph(2)
+        config = GatConfig(epochs=300, seed=1)
+        assert gatv2._DTYPE is np.float32
+        weights, trace, preds, alpha = train_and_predict(graph, targets, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(gatv2, "_DTYPE", np.float64)
+            graph64 = replace(graph)
+            want_weights, want_trace, want_preds, want_alpha = train_and_predict(
+                graph64, targets, config)
+        assert weights.dtype == np.float32 and want_weights.dtype == np.float64
+        for got in (trace, preds, alpha, want_trace, want_preds, want_alpha):
+            assert got.dtype == np.float64
+        np.testing.assert_allclose(preds, want_preds, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(alpha, want_alpha, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(trace, want_trace, rtol=1e-6, atol=0)
+
+    def test_gradient_matches_float64_at_the_same_parameters(self, monkeypatch):
+        # float32-exact features and parameters in both; measured 8.2e-8 of
+        # the largest entry
+        graph, targets = split_graph(2)
+        model = init_model(graph.features.shape[1], GatConfig(seed=2))
+        got = gradient(model, graph, targets).flatten()
+        with monkeypatch.context() as patch:
+            patch.setattr(gatv2, "_DTYPE", np.float64)
+            graph64 = replace(graph)
+            model64 = init_model(graph.features.shape[1], GatConfig(seed=2))
+            model64.set_flat(model.flatten().astype(np.float64))
+            want = gradient(model64, graph64, targets).flatten()
+        assert got.dtype == np.float32 and want.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
+    def test_no_float64_array_in_a_pass(self, monkeypatch):
+        # one float64 operand widens a whole product under numpy 2's
+        # promotion rules; only what forward returns is float64
+        graph, targets = split_graph(3)
+        config = GatConfig(widths=(8, 8, 8), heads=2, epochs=2, seed=1)
+        seen = []
+        real_gradient = gatv2.gradient
+
+        def checking_gradient(model, graph, targets, cache=None):
+            before = float_arrays(cache)
+            grads = real_gradient(model, graph, targets, cache)
+            seen.append(before + float_arrays(replace(cache, layers=[]), grads))
+            return grads
+
+        monkeypatch.setattr(gatv2, "gradient", checking_gradient)
+        model, trace = train(graph, targets, config)
+        assert len(seen) == config.epochs
+        assert graph.features.dtype == np.float32
+        for arrays in seen:
+            assert {name: a.dtype for name, a in arrays if a.dtype != np.float32} == {}
+        assert model.flatten().dtype == np.float32 and isinstance(model.b_out, np.float32)
+        assert trace.dtype == np.float64
+        preds, export, cache = forward(model, graph)
+        assert preds.dtype == export.alpha_mean.dtype == np.float64
+        arrays = float_arrays(cache, real_gradient(model, graph, targets, cache))
+        assert {name: a.dtype for name, a in arrays if a.dtype != np.float32} == {}
+
+
 class TestTrainingEdges:
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_each_layer_keeps_the_receptive_field(self, n_layers):
@@ -621,13 +730,15 @@ class TestTrainingEdges:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_the_loss_never_reads_fails_only_the_full_forward(self):
-        # a predict-role ring with huge features, linked to no train-role node
+        # a predict-role ring with huge features, linked to no train-role node:
+        # the largest finite value of the network's float type, so that the
+        # features are finite and their projections overflow
         n = 6
         ring = np.arange(n)
         src = np.concatenate([ring, ring, np.roll(ring, 1)])
         dst = np.concatenate([ring, np.roll(ring, 1), ring])
         features = np.random.default_rng(2).standard_normal((2 * n, 2))
-        features[n:] = 1e308
+        features[n:] = np.finfo(gatv2._DTYPE).max
         graph = GraphSpec(n_nodes=2 * n, features=features, src=np.concatenate([src, src + n]),
                           dst=np.concatenate([dst, dst + n]), train_mask=np.arange(2 * n) < n)
         config = GatConfig(widths=(3,), heads=2, epochs=3, weight_init_scale=8.0, seed=1)
@@ -847,6 +958,13 @@ class TestBuildGraph:
             )
 
 
+class TestGatConfig:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_weight_init_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="weight_init_scale must be finite and > 0"):
+            GatConfig(weight_init_scale=scale)
+
+
 class TestCheckpointAndExport:
     def test_checkpoint_roundtrip(self, tmp_path):
         # every field off its default, so a field lost on save or load shows
@@ -859,6 +977,19 @@ class TestCheckpointAndExport:
         np.testing.assert_array_equal(back.flatten(), model.flatten())
         assert back.config == model.config
         assert extra["k_neighbors"] == 8
+
+    def test_float64_params_load_rounded(self, tmp_path, monkeypatch):
+        # a checkpoint written by a float64 network, as before the network
+        # ran in float32
+        with monkeypatch.context() as patch:
+            patch.setattr(gatv2, "_DTYPE", np.float64)
+            model = init_model(3, GatConfig(widths=(3,), heads=2, seed=4))
+        path = tmp_path / "model.json"
+        gatv2.save_checkpoint(model, path)
+        back, _ = gatv2.load_checkpoint(path)
+        assert back.flatten().dtype == np.float32
+        assert not np.array_equal(model.flatten().astype(np.float32), model.flatten())
+        np.testing.assert_array_equal(back.flatten(), model.flatten().astype(np.float32))
 
     def test_attention_csv_roundtrip(self, tmp_path):
         export = AttentionExport(
