@@ -22,7 +22,9 @@ Each JSON section is the dataclass of the same name, read by
 is ``simgen.SimConfig``. Two fields are set by the caller and are never
 JSON keys: ``gat.seed`` is the top-level ``seed`` (unused in a cv spec,
 since ``cv --seed`` seeds every fold), and a fit's ``kind`` is ``fit
---kind``.
+--kind``. A hybrid ``fit`` runs its checkpoint's network on the graph that
+network was trained on, so each ``graph`` or ``gat`` key its config gives
+must repeat the checkpoint's value.
 
 Each command loads only what it runs. This module imports ``evalkit``,
 ``simgen`` and ``jsonconfig`` at the top, and none of them loads scipy, so
@@ -329,7 +331,7 @@ def cmd_fit(args) -> int:
                        extra={"dry_run": True})
         return EXIT_OK
 
-    model = None
+    gat = None
     if args.kind == "hybrid":
         try:
             model, ckpt_extra = gatv2.load_checkpoint(args.gat_checkpoint)
@@ -345,8 +347,19 @@ def cmd_fit(args) -> int:
         graph = asdict(spec.graph)
         graph.update((k, v) for k, v in typed(ckpt_extra, dict, "checkpoint extra").items()
                      if k in graph)
-        spec = replace(spec, graph=typed_dataclass(graph, gatv2.GraphConfig, "checkpoint extra"))
-    run = pipeline.run_insample(data, spec, seed=seed, model=model)
+        graph = typed_dataclass(graph, gatv2.GraphConfig, "checkpoint extra")
+        # a graph or network the config gives must be the checkpoint's
+        for section, trained in (("graph", graph), ("gat", model.config)):
+            for key in raw.get(section, {}):
+                given, want = getattr(getattr(spec, section), key), getattr(trained, key)
+                if given != want:
+                    raise ValidationFailure(
+                        f"fit config {section}.{key} is {json.dumps(given)}, "
+                        f"the checkpoint's network has {json.dumps(want)}"
+                    )
+        spec = replace(spec, graph=graph)
+        gat = pipeline.train_gat(data, np.ones(len(data), dtype=bool), spec, seed, model=model)
+    run = pipeline.run_insample(data, spec, seed=seed, gat=gat)
 
     extra: dict = {"kind": args.kind, "n_records": len(data)}
     gat = run.gat
@@ -385,8 +398,6 @@ def cmd_fit(args) -> int:
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    if args.mode not in ("truth", "empirical"):
-        raise ValidationFailure("mode must be 'truth' or 'empirical'")
     pred_specs = []
     for entry in args.pred:
         if "=" not in entry:

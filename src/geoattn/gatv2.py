@@ -28,24 +28,23 @@ products, the gradient of the attention vectors, which reads all of a
 layer's u before d_z overwrites it, and the scatters of d_z to nodes.
 
 At most one E x K d array is held, and only for a backward pass. A layer's
-forward keeps u one block at a time, in scratch, except the last layer's in
-a training pass, which it writes into the pass's one wide array; a
-:func:`gradient` call on a prediction pass makes its own. Backward runs the
-layers last to first through that array: it reads the last layer's u
-there, if forward stored it, and recomputes every other u into it, by the same
-take, add and LeakyReLU in the same order, before that layer's
-attention-vector gradient. Backward recovers LeakyReLU's slope factor from
-the sign of u, then writes d_z over it. So the recomputed values, and all
-results, are those of storing every u, bit for bit; the cost is each
-earlier layer's two node projections and its blocked chain once more. A
-prediction :func:`forward` holds no E x K d array at all: its edge-sized
-arrays are each layer's (K, E) attention and two (E, K) scratch arrays,
-and its block scratch. The scratch is shared by all layers. :func:`train`
-allocates one set of edge buffers and rewrites it every epoch; a
-:func:`forward` call without one gets its own, so the arrays it returns
-belong to the caller. Per-destination reductions work over a canonical edge
-ordering so results are bit-reproducible and independent of the caller's
-edge-list order.
+forward keeps u one block at a time, in block-sized scratch, except the
+last layer's in a training pass, which it writes into the one wide array
+that pass makes; a :func:`gradient` call on a prediction pass makes its own.
+Backward runs the layers last to first through that array: it reads the
+last layer's u there, if forward stored it, and recomputes every other u
+into it, by the same take, add and LeakyReLU in the same order, before that
+layer's attention-vector gradient. Backward recovers LeakyReLU's slope
+factor from the sign of u, then writes d_z over it. So the recomputed
+values, and all results, are those of storing every u, bit for bit; the
+cost is each earlier layer's two node projections and its blocked chain
+once more. A prediction :func:`forward` holds no E x K d array at all: its
+edge-sized arrays are each layer's (K, E) attention and, during one layer
+call, two (E, K) arrays. Each layer call allocates its own scratch, which
+holds nothing past that call, so every array a pass returns belongs to the
+caller. Per-destination reductions work over a canonical edge ordering so
+results are bit-reproducible and independent of the caller's edge-list
+order.
 
 Each layer runs on a set of edges: :func:`forward` gives every layer all of
 the graph's, while :func:`train` gives each layer only the edges whose
@@ -447,62 +446,11 @@ def _training_edges(graph: GraphSpec, n_layers: int, heads: int) -> list[_LayerE
     return edges
 
 
-@dataclass
-class _EdgeBuffers:
-    """The edge-sized arrays of one layer, for the edges it runs on.
-    ``alpha_t`` carries the layer's attention from its forward pass to its
-    backward pass. ``u`` is this layer's (E, K d) view of the one wide
-    array a training pass holds, shared by all layers, and None in a
-    prediction pass, which holds none (see :func:`train`). The scratch
-    arrays are shared by all layers and hold nothing between layer calls;
-    the two wide ones hold one block of edges, the two narrow ones every
-    edge."""
-
-    edges: _LayerEdges
-    alpha_t: np.ndarray      # (K, E) attention per head: the data of the block-diagonal matrix
-    u: np.ndarray | None     # (E, K*d) u of the last layer, d_z, or a recomputed u
-    scratch_kd: np.ndarray   # (min(E, _EDGE_BLOCK_ROWS), K*d)
-    scratch_kd2: np.ndarray  # (min(E, _EDGE_BLOCK_ROWS), K*d)
-    scratch_k: np.ndarray    # (E, K)
-    scratch_k2: np.ndarray   # (E, K)
-
-
 def _wide_views(edges: list[_LayerEdges], layers: list[LayerParams]) -> list[np.ndarray]:
     """Each layer's (E, K d) view of one new array, sized for the widest."""
     shapes = [(e.n_edges, lay.a.size) for e, lay in zip(edges, layers)]
     wide = np.empty(max(n_e * kd for n_e, kd in shapes), dtype=_DTYPE)
     return [wide[:n_e * kd].reshape(n_e, kd) for n_e, kd in shapes]
-
-
-def _edge_buffers(edges: list[_LayerEdges], layers: list[LayerParams],
-                  with_u: bool = True) -> list[_EdgeBuffers]:
-    """Uninitialised edge buffers for every layer of a network, layer i
-    running on ``edges[i]``; with ``with_u`` False, for a prediction pass."""
-    k = layers[0].a.shape[0]
-    shapes = [(e.n_edges, lay.a.size) for e, lay in zip(edges, layers)]  # (E, K*d) per layer
-    wide_size = max(min(n_e, _EDGE_BLOCK_ROWS) * kd for n_e, kd in shapes)
-    narrow_size = k * max(n_e for n_e, _ in shapes)
-    wide, wide2 = np.empty(wide_size, dtype=_DTYPE), np.empty(wide_size, dtype=_DTYPE)
-    narrow, narrow2 = np.empty(narrow_size, dtype=_DTYPE), np.empty(narrow_size, dtype=_DTYPE)
-    us = _wide_views(edges, layers) if with_u else [None] * len(layers)
-    bufs = []
-    for e, (n_e, kd), u in zip(edges, shapes, us):
-        n_blk = min(n_e, _EDGE_BLOCK_ROWS)
-        bufs.append(_EdgeBuffers(
-            edges=e, alpha_t=np.empty((k, n_e), dtype=_DTYPE), u=u,
-            scratch_kd=wide[:n_blk * kd].reshape(n_blk, kd),
-            scratch_kd2=wide2[:n_blk * kd].reshape(n_blk, kd),
-            scratch_k=narrow[:n_e * k].reshape(n_e, k),
-            scratch_k2=narrow2[:n_e * k].reshape(n_e, k),
-        ))
-    return bufs
-
-
-def _keeps_u(buf: _EdgeBuffers, is_final: bool) -> bool:
-    """Whether a layer's forward pass stores u for its backward pass: only
-    the last layer's, and only in a training pass. Every other layer's u is
-    recomputed in backward."""
-    return is_final and buf.u is not None
 
 
 def _edge_blocks(n_edges: int):
@@ -512,8 +460,13 @@ def _edge_blocks(n_edges: int):
         yield slice(start, stop), stop - start
 
 
+def _block_scratch(n_edges: int, kd: int) -> np.ndarray:
+    """An uninitialised (rows, K d) array for one block of a layer's edges."""
+    return np.empty((min(n_edges, _EDGE_BLOCK_ROWS), kd), dtype=_DTYPE)
+
+
 def _u_blocks(edges: _LayerEdges, lay: LayerParams, h: np.ndarray, slope: float,
-              buf: _EdgeBuffers, u: np.ndarray | None):
+              u: np.ndarray | None):
     """u = LeakyReLU(W [h_dst ; h_src]) block by block: yields (rows, u
     block), the block written into ``u[rows]``, or into block scratch when
     ``u`` is None. Forward and backward's recompute both run it, so a
@@ -526,9 +479,11 @@ def _u_blocks(edges: _LayerEdges, lay: LayerParams, h: np.ndarray, slope: float,
     # mode="clip" (the indices are in range) because the default mode
     # still allocates a temporary.
     p_dst, p_src = h @ w_flat[:, :din].T, h @ w_flat[:, din:].T
+    tmp_block = _block_scratch(edges.n_edges, k * d)
+    out_block = _block_scratch(edges.n_edges, k * d) if u is None else None
     for rows, m in _edge_blocks(edges.n_edges):
-        out = buf.scratch_kd2[:m] if u is None else u[rows]
-        tmp = buf.scratch_kd[:m]
+        out = out_block[:m] if u is None else u[rows]
+        tmp = tmp_block[:m]
         z = np.take(p_dst, edges.dst[rows], axis=0, out=out, mode="clip")
         z += np.take(p_src, edges.src[rows], axis=0, out=tmp, mode="clip")
         yield rows, np.maximum(z, np.multiply(z, slope, out=tmp), out=z)
@@ -547,45 +502,50 @@ class _LayerCache:
     h_in: np.ndarray      # (n, d_in) layer input: graph features or the previous layer's output
     hv: np.ndarray        # (n, K*d) value projection h Vᵀ; backward gathers it onto edges
     agg: np.ndarray       # (n, K, d) pre-activation head outputs
-    attn: sp.csr_matrix   # (K*n, K*n) block-diagonal attention; its data is buf.alpha_t
-    buf: _EdgeBuffers     # this pass's alpha_t and, in training, u; owned by
-                          # train() for all its epochs, else by the forward() call
+    attn: sp.csr_matrix   # (K*n, K*n) block-diagonal attention; its data is alpha_t
+    alpha_t: np.ndarray   # (K, E) attention per head
+    u: np.ndarray | None  # (E, K*d) u, if forward stored it; else backward recomputes it
 
     @property
     def alpha(self) -> np.ndarray:
-        """(E, K) attention, a view of ``buf.alpha_t``."""
-        return self.buf.alpha_t.T
+        """(E, K) attention, a view of ``alpha_t``."""
+        return self.alpha_t.T
 
 
 @dataclass
 class ForwardCache:
     layers: list[_LayerCache]  # a training pass's are dropped as backward passes them
-    buffers: list[_EdgeBuffers]  # each layer's edges and edge arrays
+    edges: list[_LayerEdges]   # the edges each layer ran on
+    wide: list[np.ndarray] | None  # a training pass's (E, K*d) views of its one wide array
     h_final: np.ndarray
     preds: np.ndarray
     alphas: list[np.ndarray]  # per-layer (E, K), for invariant checks
 
 
 def _layer_forward(edges: _LayerEdges, lay: LayerParams, h: np.ndarray,
-                   slope: float, is_final: bool, buf: _EdgeBuffers):
+                   slope: float, is_final: bool, u: np.ndarray | None = None):
+    """One layer on ``edges``; with ``u``, an (E, K d) array, its u is
+    stored there for backward, else kept one block at a time."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     n, dst = edges.n_nodes, edges.dst
     v_flat = lay.v.reshape(k * d, din)
 
-    scores = buf.scratch_k
-    u = buf.u if _keeps_u(buf, is_final) else None
-    for rows, u_blk in _u_blocks(edges, lay, h, slope, buf, u):
+    scores = np.empty((edges.n_edges, k), dtype=_DTYPE)
+    for rows, u_blk in _u_blocks(edges, lay, h, slope, u):
         np.einsum("ekd,kd->ek", u_blk.reshape(-1, k, d), lay.a, out=scores[rows])
 
     # alpha overwrites the scores, which the exponentials have read
     smax = np.maximum.reduceat(scores, edges.seg_starts, axis=0)
-    ex = np.take(smax, edges.seg, axis=0, out=buf.scratch_k2, mode="clip")
+    ex = np.take(smax, edges.seg, axis=0, out=np.empty_like(scores), mode="clip")
     np.exp(np.subtract(scores, ex, out=ex), out=ex)
     alpha = np.take(edges.scatter_dst(ex), dst, axis=0, out=scores, mode="clip")
     np.divide(ex, alpha, out=alpha)
-    buf.alpha_t[...] = alpha.T
-    attn = sp.csr_matrix((buf.alpha_t.reshape(-1), edges.bd_indices, edges.bd_indptr),
+    # each (E, K) array goes once read: they set a prediction pass's peak
+    del ex
+    alpha_t = np.ascontiguousarray(alpha.T)
+    del alpha, scores
+    attn = sp.csr_matrix((alpha_t.reshape(-1), edges.bd_indices, edges.bd_indptr),
                          shape=(k * n, k * n))
 
     # head k aggregates A_k @ (h V_kᵀ), A_k holding alpha[:, k] at (dst, src):
@@ -598,39 +558,38 @@ def _layer_forward(edges: _LayerEdges, lay: LayerParams, h: np.ndarray,
         out = _elu(agg.mean(axis=1))
     else:
         out = _elu(agg).reshape(n, k * d)
-    return out, _LayerCache(h_in=h, hv=hv, agg=agg, attn=attn, buf=buf)
+    return out, _LayerCache(h_in=h, hv=hv, agg=agg, attn=attn, alpha_t=alpha_t, u=u)
 
 
-def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | None = None,
-            _export: bool = True):
+def forward(model: GatModel, graph: GraphSpec, _edges: list[_LayerEdges] | None = None):
     """Run the network; returns (predictions, attention export, cache).
 
     Raises :class:`NonFiniteActivation` if any output is non-finite.
-    ``_buffers`` and ``_export`` are for :func:`train`, which rewrites the
-    same edge buffers every epoch, on each layer's training edges, and has
-    no use for the export: with ``_export`` False the export is None and no
-    edge-sized array is made for it. Without ``_buffers`` each call gets its
-    own, every layer runs on all of the graph's edges, and no E x K d array
-    is made: each layer's u lives one block of edges at a time, and the
-    edge-sized arrays are each layer's (K, E) attention and two (E, K)
-    scratch arrays. With training buffers only the last layer stores u.
+    Without ``_edges`` this is a prediction pass: every layer runs on all
+    of the graph's edges, and no E x K d array is made, since each layer's
+    u lives one block of edges at a time. ``_edges``, each layer's training
+    edges, makes a training pass for :func:`train`: it makes one E x K d
+    array, where the last layer stores its u for :func:`gradient`, and its
+    export is None, as training has no use for one.
     """
-    if _buffers is None:
-        edges = _layer_edges(graph, model.config.heads)
-        _buffers = _edge_buffers([edges] * len(model.layers), model.layers, with_u=False)
+    n_layers = len(model.layers)
+    training = _edges is not None
+    if not training:
+        _edges = [_layer_edges(graph, model.config.heads)] * n_layers
+    wide = _wide_views(_edges, model.layers) if training else None
     slope = model.config.leaky_slope
     h = graph.features
-    caches, alphas = [], []
-    n_layers = len(model.layers)
-    for li, (lay, buf) in enumerate(zip(model.layers, _buffers)):
-        h, cache = _layer_forward(buf.edges, lay, h, slope, li == n_layers - 1, buf)
+    caches = []
+    for li, (lay, edges) in enumerate(zip(model.layers, _edges)):
+        is_final = li == n_layers - 1
+        h, cache = _layer_forward(edges, lay, h, slope, is_final,
+                                  wide[li] if training and is_final else None)
         caches.append(cache)
-        alphas.append(cache.alpha)
     preds = h @ model.w_out + model.b_out
     if not np.all(np.isfinite(preds)):
         raise NonFiniteActivation()
     export = None
-    if _export:
+    if not training:
         export = AttentionExport(
             src=graph.src.copy(),
             dst=graph.dst.copy(),
@@ -639,7 +598,8 @@ def forward(model: GatModel, graph: GraphSpec, _buffers: list[_EdgeBuffers] | No
             alpha_mean=np.ascontiguousarray(caches[-1].alpha).mean(axis=1, dtype=np.float64),
         )
     return preds.astype(np.float64), export, ForwardCache(
-        layers=caches, buffers=_buffers, h_final=h, preds=preds, alphas=alphas)
+        layers=caches, edges=_edges, wide=wide, h_final=h, preds=preds,
+        alphas=[c.alpha for c in caches])
 
 
 def mse_loss(preds: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
@@ -651,15 +611,13 @@ def _layer_backward(edges: _LayerEdges, lay: LayerParams, cache: _LayerCache,
                     d_out: np.ndarray, slope: float, is_final: bool, u: np.ndarray,
                     need_input_grad: bool = True):
     """Gradients of one layer, and of its input with ``need_input_grad``.
-    ``u`` is the layer's (E, K d) view of the pass's wide array: it holds
-    the layer's u when its forward stored it, else u is recomputed into it;
-    then d_z is written over it."""
+    The layer's u is the one its forward stored, ``cache.u``, or else is
+    recomputed into ``u``, an (E, K d) array; then d_z is written over it."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     n, dst, src = edges.n_nodes, edges.dst, edges.src
     w_flat = lay.w.reshape(k * d, two_din)
     v_flat = lay.v.reshape(k * d, din)
-    buf = cache.buf
 
     if is_final:
         d_pre = (d_out * _elu_grad(cache.agg.mean(axis=1))) / k
@@ -681,24 +639,28 @@ def _layer_backward(edges: _LayerEdges, lay: LayerParams, cache: _LayerCache,
     d_h = s_msg @ v_flat if need_input_grad else None
     del s_msg
 
-    d_alpha = buf.scratch_k
+    d_alpha = np.empty((edges.n_edges, k), dtype=_DTYPE)
+    block, block2 = _block_scratch(edges.n_edges, k * d), _block_scratch(edges.n_edges, k * d)
     for rows, m in _edge_blocks(edges.n_edges):
-        d_weighted = np.take(d_agg, dst[rows], axis=0, out=buf.scratch_kd[:m], mode="clip")
-        msg = np.take(cache.hv, src[rows], axis=0, out=buf.scratch_kd2[:m], mode="clip")
+        d_weighted = np.take(d_agg, dst[rows], axis=0, out=block[:m], mode="clip")
+        msg = np.take(cache.hv, src[rows], axis=0, out=block2[:m], mode="clip")
         np.einsum("ekd,ekd->ek", d_weighted.reshape(m, k, d), msg.reshape(m, k, d),
                   out=d_alpha[rows])
     del d_agg
 
     # softmax backward per (destination, head)
     alpha = cache.alpha
-    s_node = edges.scatter_dst(np.multiply(alpha, d_alpha, out=buf.scratch_k2))
-    d_score = np.take(s_node, dst, axis=0, out=buf.scratch_k2, mode="clip")
+    d_score = np.multiply(alpha, d_alpha, out=np.empty_like(d_alpha))
+    s_node = edges.scatter_dst(d_score)
+    np.take(s_node, dst, axis=0, out=d_score, mode="clip")
     np.subtract(d_alpha, d_score, out=d_score)
     d_score *= alpha
 
-    if not _keeps_u(buf, is_final):
-        for _ in _u_blocks(edges, lay, h, slope, buf, u):
+    if cache.u is None:
+        for _ in _u_blocks(edges, lay, h, slope, u):
             pass
+    else:
+        u = cache.u
     d_a = np.einsum("ek,ekd->kd", d_score, u.reshape(-1, k, d))
     # d_u = d_score times a, head by head: a gemm with the (K, K*d)
     # block-diagonal of a, whose zeros add nothing to the products. Each
@@ -708,10 +670,10 @@ def _layer_backward(edges: _LayerEdges, lay: LayerParams, cache: _LayerCache,
     a_bd.reshape(k, k, d)[np.arange(k), np.arange(k)] = lay.a
     d_z = u
     for rows, m in _edge_blocks(edges.n_edges):
-        block = d_z[rows]
-        leaky = np.greater(block, 0.0, out=buf.scratch_kd[:m])
-        np.matmul(d_score[rows], a_bd, out=block)
-        block *= np.maximum(leaky, slope, out=leaky)
+        d_z_rows = d_z[rows]
+        leaky = np.greater(d_z_rows, 0.0, out=block[:m])
+        np.matmul(d_score[rows], a_bd, out=d_z_rows)
+        d_z_rows *= np.maximum(leaky, slope, out=leaky)
     d_w = np.empty((k * d, two_din), dtype=_DTYPE)
     halves = ((slice(None, din), edges.scatter_dst), (slice(din, None), edges.scatter_src))
     for half, scatter in halves:
@@ -737,12 +699,12 @@ def gradient(
     last layer's u is read from it when a training pass stored it there;
     every other layer's u is recomputed into it, by the same operations as
     in forward, before its attention-vector gradient; then each layer's d_z
-    is written over it. A cache from :func:`forward` without training
-    buffers stored no u: this call makes its own wide array, leaves the
-    cache as it was, and the cache serves any number of calls. A training
-    pass's cache serves one: its last u is overwritten, and each layer's
-    node arrays are dropped once that layer's backward has run. Predictions
-    and attention are left alone either way."""
+    is written over it. A prediction pass's cache stored no u: this call
+    makes its own wide array, leaves the cache as it was, and the cache
+    serves any number of calls. A training pass's cache serves one: its
+    wide array is written over, and each layer's node arrays are dropped
+    once that layer's backward has run. Predictions and attention are left
+    alone either way."""
     if cache is None:
         _, _, cache = forward(model, graph)
     mask = graph.train_mask
@@ -757,16 +719,13 @@ def gradient(
     d_h = np.outer(d_pred, model.w_out)
 
     slope = model.config.leaky_slope
-    edges = [b.edges for b in cache.buffers]
-    us = [b.u for b in cache.buffers]
-    training = us[-1] is not None
-    if not training:
-        us = _wide_views(edges, model.layers)
+    training = cache.wide is not None
+    us = cache.wide if training else _wide_views(cache.edges, model.layers)
     grads: list[LayerParams] = [None] * len(model.layers)  # type: ignore[list-item]
     n_layers = len(model.layers)
     for li in range(n_layers - 1, -1, -1):
         grads[li], d_h = _layer_backward(
-            edges[li], model.layers[li], cache.layers[li], d_h, slope,
+            cache.edges[li], model.layers[li], cache.layers[li], d_h, slope,
             is_final=li == n_layers - 1, u=us[li],
             need_input_grad=li > 0,
         )
@@ -784,15 +743,14 @@ def train(
 
     ``targets`` has one entry per node; entries at predict-role nodes are
     ignored. Returns the trained model and the per-epoch loss trace.
-    Deterministic given ``config.seed``. Every epoch rewrites one set of
-    edge buffers, allocated here, and builds no attention export. The one
-    E x K d array among them is shared by all layers: the last layer's
-    forward writes its u there, and backward reads it, writes d_z over it,
-    and then recomputes each earlier layer's u into it (see
-    :func:`gradient`). Every other layer's forward keeps its u one block of
-    edges at a time, in block-sized scratch shared by all layers. Each
-    layer also keeps its (K, E) attention, and two (E, K) scratch arrays
-    serve all layers.
+    Deterministic given ``config.seed``. Every epoch runs one training
+    pass, :func:`forward` on each layer's training edges, and its
+    :func:`gradient`, and drops both before the next epoch. The pass builds
+    no attention export and holds one E x K d array, shared by all layers:
+    the last layer's forward writes its u there, and backward reads it,
+    writes d_z over it, and then recomputes each earlier layer's u into it.
+    Every other layer's forward keeps its u one block of edges at a time.
+    Each layer also keeps its (K, E) attention.
 
     Each layer trains only on the edges whose destination a later step
     reads (see the module docstring): the last layer on its edges into
@@ -812,12 +770,11 @@ def train(
         raise ValueError("no train-role nodes")
     model = init_model(graph.features.shape[1], config)
     edges = _training_edges(graph, len(config.widths), config.heads)
-    buffers = _edge_buffers(edges, model.layers)
     trace = np.empty(config.epochs)
     lr = config.learning_rate
     for epoch in range(config.epochs):
         try:
-            _, _, cache = forward(model, graph, _buffers=buffers, _export=False)
+            _, _, cache = forward(model, graph, _edges=edges)
         except NonFiniteActivation as err:
             raise NonFiniteActivation(epoch=epoch) from err
         loss = mse_loss(cache.preds, targets, graph.train_mask)

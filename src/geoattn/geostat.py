@@ -68,6 +68,9 @@ FIXED_EFFECT_SD = math.sqrt(1000.0)  # prior sd of each fixed effect in beta
 NEWTON_MAX_ITER = 100
 
 _STREAM_PREDICT = 201  # stream id reserved for predictive draws
+# the central interval of every prediction, which its files and scores
+# name lo95, hi95 and coverage95
+INTERVAL_LEVEL = 0.95
 
 _log = logging.getLogger("geoattn")
 
@@ -638,14 +641,14 @@ def optimize_hyperparameters(
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _summarize_draws(ids, eta_draws: np.ndarray, level: float) -> Prediction:
+def _summarize_draws(ids, eta_draws: np.ndarray) -> Prediction:
     """Per-record summaries of the draws, one row per record. ``eta_draws`` is
     overwritten: its sd is taken first, then it becomes p in place and its
     rows are partially sorted for the quantiles, after the mean is taken."""
     sd_linpred = eta_draws.std(axis=1)
     p_draws = logistic(eta_draws, out=eta_draws)
     mean = p_draws.mean(axis=1)
-    alpha = 1.0 - level
+    alpha = 1.0 - INTERVAL_LEVEL
     lo, hi = np.quantile(p_draws, [alpha / 2, 1.0 - alpha / 2], axis=1, overwrite_input=True)
     return Prediction(ids=np.asarray(ids), mean=mean, lo=lo, hi=hi, sd_linpred=sd_linpred)
 
@@ -663,7 +666,6 @@ def predict_insample(
     fit: FitResult,
     n_draws: int = 2000,
     seed: int = 0,
-    level: float = 0.95,
 ) -> Prediction:
     """Predictive summaries at the fitted records, drawn from the Laplace posterior
     N(u_mode, ``fit.posterior_cov(Sigma_u, Sigma_u)``) (R&W, 2006, Alg. 3.2).
@@ -675,7 +677,7 @@ def predict_insample(
     u_draws = _draw(fit.u_mode, fit.posterior_cov(sigma_u, sigma_u), 1e-10, n_draws, seed)
     del sigma_u
     u_draws += fit.offset[:, None]
-    return _summarize_draws(fit.data.ids, u_draws, level)
+    return _summarize_draws(fit.data.ids, u_draws)
 
 
 def predict(
@@ -683,7 +685,6 @@ def predict(
     new_data: Dataset,
     n_draws: int = 2000,
     seed: int = 0,
-    level: float = 0.95,
 ) -> Prediction:
     """Predictive summaries at ``new_data``, drawn from the Laplace predictive
     N(Sigma_no a_mode, Sigma_nn - V'V), V = L_B^{-1} W^1/2 Sigma_on (Rasmussen
@@ -708,4 +709,4 @@ def predict(
     eta_new = _draw(matmul(sigma_on.T, fit.a_mode), cov, DEFAULT_KERNEL_JITTER, n_draws, seed)
     if spec.offset is not None:
         eta_new += np.asarray(spec.offset[n_obs:], float)[:, None]
-    return _summarize_draws(new_data.ids, eta_new, level)
+    return _summarize_draws(new_data.ids, eta_new)

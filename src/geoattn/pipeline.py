@@ -2,12 +2,13 @@
 
 One :class:`PipelineModelSpec` describes everything needed to fit one model
 kind. :func:`fit_and_predict` is the only place a spec becomes a fit: it
-trains the GATv2 network (or runs a given trained one, or takes a given
-network pass), turns its predictions into a logit offset and its attention
-into a GMRF prior, fits the latent Gaussian model, and predicts at held-out
-records or, with none, at the training records; a hybrid fits and predicts
-from one attention field over both. Cross-validation calls it once per
-fold; the command-line ``fit`` goes through :func:`run_insample`.
+trains the GATv2 network (or takes a given network pass), turns its
+predictions into a logit offset and its attention into a GMRF prior, fits
+the latent Gaussian model, and predicts at held-out records or, with none,
+at the training records; a hybrid fits and predicts from one attention
+field over both. Cross-validation calls it once per fold; the command-line
+``fit`` goes through :func:`run_insample`, and a hybrid ``fit`` passes it
+the pass of its checkpoint's network.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ class PipelineModelSpec:
     attention_start: attnfield.AttnHyper = field(default_factory=attnfield.AttnHyper)
     optimizer: geostat.OptimizerConfig = field(default_factory=geostat.OptimizerConfig)
     n_draws: int = 2000
-    level: float = 0.95
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {', '.join(MODEL_KINDS)}, got {self.kind!r}")
         if self.n_draws < 1:
             raise ValueError("n_draws must be >= 1")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError("level must lie in (0, 1)")
         # bad bounds are refused before anything is fitted
         geostat.searched_params(self.optimizer.bounds, self.kind)
 
@@ -123,15 +121,13 @@ def fit_and_predict(
     test: Dataset | None,
     spec: PipelineModelSpec,
     seed: int = 0,
-    model: gatv2.GatModel | None = None,
     gat: GatArtifacts | None = None,
 ) -> PipelineRun:
     """Fit on ``train`` and predict prevalence at ``test`` records.
 
     With ``test`` None the predictions are at the ``train`` records. A given
-    trained ``model`` stands in for training the network, and a given
     network pass ``gat`` over these same train and test records stands in
-    for building the graph and running the network (mbg uses neither).
+    for building the graph and training the network (mbg uses none).
     """
     n_tr = len(train)
     fld = None
@@ -142,7 +138,7 @@ def fit_and_predict(
         joint = train if test is None else concat_datasets(train, test)
         n_joint = len(joint)
         if gat is None:
-            gat = train_gat(joint, np.arange(n_joint) < n_tr, spec, seed, model)
+            gat = train_gat(joint, np.arange(n_joint) < n_tr, spec, seed)
         if spec.kind == "gat_only":
             new = slice(None) if test is None else slice(n_tr, None)
             pred = gat_only_prediction(joint.ids[new], gat.preds[new])
@@ -154,7 +150,7 @@ def fit_and_predict(
             attention=(fld, spec.attention_start),
         )
     result = geostat.optimize_hyperparameters(train, template, spec.optimizer, seed=seed)
-    draws = dict(n_draws=spec.n_draws, seed=seed, level=spec.level)
+    draws = dict(n_draws=spec.n_draws, seed=seed)
     pred = (geostat.predict_insample(result.fit, **draws) if test is None
             else geostat.predict(result.fit, test, **draws))
     return PipelineRun(prediction=pred, optimize=result, gat=gat, field=fld)
@@ -164,7 +160,7 @@ def run_insample(
     data: Dataset,
     spec: PipelineModelSpec,
     seed: int = 0,
-    model: gatv2.GatModel | None = None,
+    gat: GatArtifacts | None = None,
 ) -> PipelineRun:
     """Full-data fit of one model with predictions at the observed records.
 
@@ -174,4 +170,4 @@ def run_insample(
     with ``getattr``: removing or renaming a traced function breaks every
     traced benchmark run.
     """
-    return fit_and_predict(data, None, spec, seed=seed, model=model)
+    return fit_and_predict(data, None, spec, seed=seed, gat=gat)

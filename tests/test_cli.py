@@ -123,8 +123,9 @@ def fit_mbg(dataset, config, out):
 
 
 def fit_gat_then_hybrid(tmp_path, gat_dataset, hybrid_dataset, edit_checkpoint=None,
-                        widths=(4,)):
-    """``fit gat_only`` on one dataset, then ``fit hybrid`` with its checkpoint."""
+                        widths=(4,), hybrid_sections=None):
+    """``fit gat_only`` on one dataset, then ``fit hybrid`` with its checkpoint;
+    ``hybrid_sections`` are added to the hybrid fit's config."""
     gat_config = tmp_path / "gat.json"
     # a graph other than the default, which the hybrid fit must take from the checkpoint
     gat_config.write_text(json.dumps({
@@ -144,6 +145,7 @@ def fit_gat_then_hybrid(tmp_path, gat_dataset, hybrid_dataset, edit_checkpoint=N
     hybrid_config.write_text(json.dumps({
         "version": 1, "seed": 5, "n_draws": 50,
         "optimizer": {"max_iter": 2, "bounds": {"theta2": [-15.0, 15.0]}},
+        **(hybrid_sections or {}),
     }))
     code = cli.main([
         "fit", "--kind", "hybrid", "--dataset", str(hybrid_dataset),
@@ -318,7 +320,8 @@ class TestBadArgumentsExitTwo:
 
 BAD_MODEL_CONFIGS = {
     "zero_draws": ({"n_draws": 0}, "n_draws must be >= 1"),
-    "level_above_one": ({"level": 1.5}, "level must lie in (0, 1)"),
+    # the interval is always the central 95%, as lo95, hi95 and coverage95 name it
+    "level_above_one": ({"level": 1.5}, "unknown key(s) in fit config: level"),
     "empty_bound": (
         {"optimizer": {"bounds": {"log_sigma2": [1.0, 1.0]}}}, "lo < hi",
     ),
@@ -751,6 +754,36 @@ class TestBadCheckpointExitsTwo:
         assert "Traceback" not in err
 
 
+class TestHybridConfigMatchesCheckpoint:
+    # the checkpoint's network was trained with k_neighbors 5, time_scale
+    # 0.5, 3 epochs and widths [4]
+    @pytest.mark.parametrize("sections, message", [
+        ({"graph": {"k_neighbors": 3}}, "fit config graph.k_neighbors is 3, the checkpoint's network has 5"),
+        ({"graph": {"time_scale": 0.1}}, "fit config graph.time_scale is 0.1, the checkpoint's network has 0.5"),
+        ({"gat": {"epochs": 500, "widths": [2]}}, "fit config gat.epochs is 500, the checkpoint's network has 3"),
+        ({"gat": {"widths": [2]}}, "fit config gat.widths is [2], the checkpoint's network has [4]"),
+    ], ids=["k_neighbors", "time_scale", "epochs", "widths"])
+    def test_disagreeing_config_exits_two(self, sections, message, tmp_path, dataset_csv, capsys):
+        code, _, _ = fit_gat_then_hybrid(tmp_path, dataset_csv, dataset_csv,
+                                         hybrid_sections=sections)
+        assert code == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "hybrid" / "predictions.csv").exists()
+
+    def test_repeating_the_checkpoint_runs_as_omitting_it(self, tmp_path, dataset_csv):
+        outs = {}
+        for name, sections in [("omitted", None), ("repeated", {
+            "graph": {"k_neighbors": 5, "time_scale": 0.5}, "gat": {"epochs": 3, "widths": [4]},
+        })]:
+            (tmp_path / name).mkdir()
+            code, _, _ = fit_gat_then_hybrid(tmp_path / name, dataset_csv, dataset_csv,
+                                             hybrid_sections=sections)
+            assert code == cli.EXIT_OK
+            outs[name] = tmp_path / name / "hybrid"
+        for f in ("predictions.csv", "attention.csv", "fit.json", "field_structure.csv"):
+            assert (outs["omitted"] / f).read_bytes() == (outs["repeated"] / f).read_bytes()
+
+
 class TestHybridFitMatchesInlineReference:
     def test_predictions_and_exported_field(self, tmp_path):
         data = simgen.simulate(simgen.SimConfig(n_times=3, locs_per_time=(15, 15), seed=8))
@@ -775,7 +808,7 @@ class TestHybridFitMatchesInlineReference:
             attention=(field, spec.attention_start),
         )
         result = geostat.optimize_hyperparameters(data, template, spec.optimizer, seed=5)
-        want = geostat.predict_insample(result.fit, n_draws=spec.n_draws, seed=5, level=spec.level)
+        want = geostat.predict_insample(result.fit, n_draws=spec.n_draws, seed=5)
 
         got = evalkit.read_prediction_csv(out / "predictions.csv")
         np.testing.assert_array_equal(got.ids, want.ids)

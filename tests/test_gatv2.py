@@ -1,7 +1,7 @@
 """Graph attention network: forward oracle, exact gradients, training."""
 
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -239,9 +239,9 @@ def random_graph(n, seed):
     return graph, rng.uniform(0, 1, n)
 
 
-def per_edge_layer_forward(edges, lay, h, slope, is_final, buf):
+def per_edge_layer_forward(edges, lay, h, slope, is_final, u=None):
     """Reference layer: gather features onto edges, then project per edge.
-    It allocates every array itself and ignores the edge buffers ``buf``."""
+    It allocates every array itself and ignores ``u``."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     w = lay.w.reshape(k * d, two_din)
@@ -259,7 +259,7 @@ def per_edge_layer_forward(edges, lay, h, slope, is_final, buf):
                                 alpha=alpha, agg=agg)
 
 
-def per_edge_layer_backward(edges, lay, c, d_out, slope, is_final, u=None, need_input_grad=True):
+def per_edge_layer_backward(edges, lay, c, d_out, slope, is_final, u, need_input_grad=True):
     """Reference backward: every weight and input gradient is a GEMM over edges.
     It ignores the wide array ``u``."""
     k, d, two_din = lay.w.shape
@@ -288,10 +288,10 @@ def per_edge_layer_backward(edges, lay, c, d_out, slope, is_final, u=None, need_
     return grads, d_h
 
 
-def scatter_layer_forward(edges, lay, h, slope, is_final, buf):
+def scatter_layer_forward(edges, lay, h, slope, is_final, u=None):
     """The layer as it was before the sparse aggregation: messages formed per
     edge, weighted and scattered to destinations. Same arithmetic, so the
-    results must match bit for bit. Ignores the edge buffers ``buf``."""
+    results must match bit for bit. Ignores ``u``."""
     k, d, two_din = lay.w.shape
     din = two_din // 2
     w_flat, v_flat = lay.w.reshape(k * d, two_din), lay.v.reshape(k * d, din)
@@ -309,7 +309,7 @@ def scatter_layer_forward(edges, lay, h, slope, is_final, buf):
     return out, SimpleNamespace(h_in=h, u=u, pos=pos, msg=msg, alpha=alpha, agg=agg)
 
 
-def scatter_layer_backward(edges, lay, c, d_out, slope, is_final, u=None, need_input_grad=True):
+def scatter_layer_backward(edges, lay, c, d_out, slope, is_final, u, need_input_grad=True):
     """Backward of :func:`scatter_layer_forward`, with per-edge ``d_msg``.
     Ignores the wide array ``u``."""
     k, d, two_din = lay.w.shape
@@ -398,18 +398,34 @@ class TestPerEdgeReference:
                 np.testing.assert_array_equal(b, w)
 
 
-def wide_bases(buffers, n_wide):
-    """The distinct arrays of at least ``n_wide`` entries under the edge
-    buffers' arrays, by id."""
+def pass_arrays(cache, grads=None):
+    """(name, array) for every array a pass holds: its node arrays, each
+    layer's attention and stored u, its wide array's views, its edge sets'
+    sum matrices, and the gradient ``grads``."""
+    out = [("h_final", cache.h_final), ("preds", cache.preds)]
+    out += [(f"alphas[{i}]", a) for i, a in enumerate(cache.alphas)]
+    for i, c in enumerate(cache.layers):
+        out += [(f"layers[{i}].{name}", getattr(c, name))
+                for name in ("h_in", "hv", "agg", "alpha_t", "u") if getattr(c, name) is not None]
+        out.append((f"layers[{i}].attn", c.attn.data))
+    out += [(f"wide[{i}]", view) for i, view in enumerate(cache.wide or [])]
+    for i, e in enumerate(cache.edges):
+        out += [(f"edges[{i}].sum_dst", e.sum_dst.data), (f"edges[{i}].sum_src", e.sum_src.data)]
+    if grads is not None:
+        for i, lay in enumerate(grads.layers):
+            out += [(f"grad[{i}].{name}", getattr(lay, name)) for name in ("w", "a", "v")]
+        out += [("grad.w_out", grads.w_out), ("grad.b_out", np.asarray(grads.b_out))]
+    return out
+
+
+def wide_bases(cache, n_wide):
+    """The distinct arrays of at least ``n_wide`` entries under a pass's
+    arrays, by id."""
     wide = {}
-    for buf in buffers:
-        for f in fields(buf):
-            arr = getattr(buf, f.name)
-            if f.name == "edges" or arr is None:
-                continue
-            base = arr if arr.base is None else arr.base
-            if base.size >= n_wide:
-                wide[id(base)] = base
+    for _, arr in pass_arrays(cache):
+        base = arr if arr.base is None else arr.base
+        if base.size >= n_wide:
+            wide[id(base)] = base
     return wide
 
 
@@ -431,40 +447,46 @@ def traced_peak(run):
 
 class TestEdgeBuffers:
     def test_train_holds_one_wide_array_and_prediction_none(self, monkeypatch):
-        # E x K*d arrays dominate a pass's memory: training keeps one, shared
-        # by all layers, and a prediction pass none; all layers share the
-        # block-sized scratch
+        # E x K*d arrays dominate a pass's memory: a training pass holds one,
+        # shared by its layers' views, and a prediction pass none
         graph, targets = random_graph(150, seed=41)
         config = GatConfig(widths=(4, 4, 4), heads=3, epochs=1)
         edges = gatv2._training_edges(graph, 3, heads=3)
         sizes = [e.n_edges for e in edges]
         assert min(sizes) > gatv2._EDGE_BLOCK_ROWS and len(set(sizes)) > 1
-        seen = []
-        edge_buffers = gatv2._edge_buffers
-
-        def recording_edge_buffers(*args, **kwargs):
-            seen.append(edge_buffers(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(gatv2, "_edge_buffers", recording_edge_buffers)
-        model, _ = train(graph, targets, config)
-        _, _, cache = forward(model, graph)
-        bufs, pred_bufs = seen
-        assert pred_bufs is cache.buffers
-
         n_wide = min(sizes) * 3 * 4
-        (wide,) = wide_bases(bufs, n_wide).values()
+        seen = []
+        real_gradient = gatv2.gradient
+
+        def recording_gradient(model, graph, targets, cache=None):
+            seen.append((cache.wide, wide_bases(cache, n_wide), [c.u for c in cache.layers]))
+            return real_gradient(model, graph, targets, cache)
+
+        monkeypatch.setattr(gatv2, "gradient", recording_gradient)
+        model, _ = train(graph, targets, config)
+        ((views, bases, us),) = seen
+        (wide,) = bases.values()
         assert wide.size == max(sizes) * 3 * 4
-        for buf in bufs:
-            assert buf.u.shape == (buf.edges.n_edges, 3 * 4) and buf.u.base is wide
-        assert wide_bases(pred_bufs, n_wide) == {}
-        assert all(buf.u is None for buf in pred_bufs)
-        for group in (bufs, pred_bufs):
-            for buf in group:
-                block = (gatv2._EDGE_BLOCK_ROWS, 3 * 4)
-                assert buf.scratch_kd.shape == buf.scratch_kd2.shape == block
-                assert buf.scratch_kd.base is group[0].scratch_kd.base
-                assert buf.scratch_kd2.base is group[0].scratch_kd2.base
+        for view, n_edges in zip(views, sizes, strict=True):
+            assert view.shape == (n_edges, 3 * 4) and view.base is wide
+        # the last layer stores its u there; backward recomputes the others'
+        assert us[-1] is views[-1] and us[:-1] == [None, None]
+
+        _, _, cache = forward(model, graph)
+        assert cache.wide is None and all(c.u is None for c in cache.layers)
+        assert wide_bases(cache, n_wide) == {}
+
+    def test_training_forward_returns_no_export(self):
+        graph, _ = split_graph(2)
+        model = init_model(graph.features.shape[1], GatConfig(widths=(4, 3), heads=2, seed=1))
+        edges = gatv2._training_edges(graph, 2, heads=2)
+        assert edges[0].n_edges < graph.n_edges
+        preds, export, cache = forward(model, graph, _edges=edges)
+        assert export is None and cache.edges is edges
+        # the nodes the loss reads get the full graph's predictions
+        want, want_export, _ = forward(model, graph)
+        assert want_export is not None
+        np.testing.assert_array_equal(preds[graph.train_mask], want[graph.train_mask])
 
     def test_training_peak_is_few_edge_wide_arrays(self, n2200):
         # the benchmark's n = 2,200 graph: two E x K*d scratch arrays besides
@@ -481,14 +503,15 @@ class TestEdgeBuffers:
 
     def test_prediction_forward_peak_holds_no_edge_wide_array(self, n2200):
         # each layer's u lives one block of edges at a time: 1.0 E*K*d*8
-        # bytes at n = 2,200 in float64, 0.52 in float32, 3.3 when every
-        # layer kept its own
+        # bytes at n = 2,200 in float64, 0.52 in float32 with (E, K)
+        # scratch shared by all layers, 0.45 with each layer call's own, 3.3
+        # when every layer kept its own u
         data, graph = n2200
         config = GatConfig()
         wide_bytes = graph.n_edges * config.heads * config.widths[-1] * 8
         model = init_model(graph.features.shape[1], config)
         forward(model, graph)  # warm-up, so no first-call allocation counts
-        assert traced_peak(lambda: forward(model, graph)) < 0.6 * wide_bytes
+        assert traced_peak(lambda: forward(model, graph)) < 0.5 * wide_bytes
 
     def test_build_graph_peak_is_small_distance_blocks(self, n2200):
         # 64-row distance blocks of float64 distances: 0.75 E*K*d*8 bytes at
@@ -548,13 +571,17 @@ def stored_u_epoch_loop(graph, targets, config, monkeypatch):
     edges = gatv2._training_edges(graph, len(config.widths), config.heads)
     trace = np.empty(config.epochs)
     lr = config.learning_rate
+    layer_forward = gatv2._layer_forward
+
+    def storing_layer_forward(edges, lay, h, slope, is_final, u=None):
+        u = np.empty((edges.n_edges, lay.a.size), dtype=gatv2._DTYPE)
+        return layer_forward(edges, lay, h, slope, is_final, u)
+
     with monkeypatch.context() as patch:
-        patch.setattr(gatv2, "_keeps_u", lambda buf, is_final: True)
+        patch.setattr(gatv2, "_layer_forward", storing_layer_forward)
         for epoch in range(config.epochs):
-            bufs = gatv2._edge_buffers(edges, model.layers)
-            for buf in bufs:
-                buf.u = np.empty_like(buf.u)
-            _, _, cache = forward(model, graph, _buffers=bufs, _export=False)
+            _, _, cache = forward(model, graph, _edges=edges)
+            assert all(c.u is not None for c in cache.layers)
             trace[epoch] = mse_loss(cache.preds, targets, graph.train_mask)
             g = gradient(model, graph, targets, cache)
             for lay, glay in zip(model.layers, g.layers):
@@ -588,8 +615,8 @@ class TestRecomputedU:
         graph, targets = split_graph(3)
         config = GatConfig(widths=(8, 8, 8), heads=2, seed=4)
         model = init_model(graph.features.shape[1], config)
-        bufs = gatv2._edge_buffers(gatv2._training_edges(graph, 3, config.heads), model.layers)
-        _, _, train_cache = forward(model, graph, _buffers=bufs, _export=False)
+        edges = gatv2._training_edges(graph, 3, config.heads)
+        _, _, train_cache = forward(model, graph, _edges=edges)
         want = gradient(model, graph, targets, train_cache).flatten()
         _, _, cache = forward(model, graph)
         alphas = [a.copy() for a in cache.alphas]
@@ -597,26 +624,6 @@ class TestRecomputedU:
             np.testing.assert_array_equal(gradient(model, graph, targets, cache).flatten(), want)
         for got, kept in zip(cache.alphas, alphas, strict=True):
             np.testing.assert_array_equal(got, kept)
-
-
-def float_arrays(cache, grads=None):
-    """(name, array) for every float array of a pass: its node arrays, its
-    edge buffers and edge sets' sum matrices, and the gradient ``grads``."""
-    out = [("h_final", cache.h_final), ("preds", cache.preds)]
-    out += [(f"alphas[{i}]", a) for i, a in enumerate(cache.alphas)]
-    for i, c in enumerate(cache.layers):
-        out += [(f"layers[{i}].{name}", getattr(c, name)) for name in ("h_in", "hv", "agg")]
-        out.append((f"layers[{i}].attn", c.attn.data))
-    for i, buf in enumerate(cache.buffers):
-        out += [(f"buffers[{i}].{f.name}", getattr(buf, f.name)) for f in fields(buf)
-                if f.name != "edges" and getattr(buf, f.name) is not None]
-        out += [(f"buffers[{i}].sum_dst", buf.edges.sum_dst.data),
-                (f"buffers[{i}].sum_src", buf.edges.sum_src.data)]
-    if grads is not None:
-        for i, lay in enumerate(grads.layers):
-            out += [(f"grad[{i}].{name}", getattr(lay, name)) for name in ("w", "a", "v")]
-        out += [("grad.w_out", grads.w_out), ("grad.b_out", np.asarray(grads.b_out))]
-    return out
 
 
 def train_and_predict(graph, targets, config):
@@ -671,9 +678,9 @@ class TestFloat32:
         real_gradient = gatv2.gradient
 
         def checking_gradient(model, graph, targets, cache=None):
-            before = float_arrays(cache)
+            before = pass_arrays(cache)
             grads = real_gradient(model, graph, targets, cache)
-            seen.append(before + float_arrays(replace(cache, layers=[]), grads))
+            seen.append(before + pass_arrays(replace(cache, layers=[]), grads))
             return grads
 
         monkeypatch.setattr(gatv2, "gradient", checking_gradient)
@@ -686,7 +693,7 @@ class TestFloat32:
         assert trace.dtype == np.float64
         preds, export, cache = forward(model, graph)
         assert preds.dtype == export.alpha_mean.dtype == np.float64
-        arrays = float_arrays(cache, real_gradient(model, graph, targets, cache))
+        arrays = pass_arrays(cache, real_gradient(model, graph, targets, cache))
         assert {name: a.dtype for name, a in arrays if a.dtype != np.float32} == {}
 
 
@@ -753,15 +760,16 @@ class TestTrainingEdges:
         # with nothing to drop, training copies no edge array of the graph
         graph = ring_graph(12, d0=3, seed=4)
         seen = []
-        edge_buffers = gatv2._edge_buffers
+        real_forward = gatv2.forward
 
-        def recording_edge_buffers(edges, layers):
-            seen.append(edges)
-            return edge_buffers(edges, layers)
+        def recording_forward(model, graph, _edges=None):
+            seen.append(_edges)
+            return real_forward(model, graph, _edges)
 
-        monkeypatch.setattr(gatv2, "_edge_buffers", recording_edge_buffers)
+        monkeypatch.setattr(gatv2, "forward", recording_forward)
         train(graph, np.full(12, 0.5), GatConfig(widths=(3, 2), heads=2, epochs=2))
-        (edges,) = seen
+        edges, again = seen
+        assert again is edges  # one set of edges for every epoch
         assert len(edges) == 2 and edges[0] is edges[1]
         assert edges[0].src is graph.src and edges[0].dst is graph.dst
         assert edges[0].seg_starts is graph.dst_starts and edges[0].seg is graph.dst
@@ -770,8 +778,8 @@ class TestTrainingEdges:
 
 class TestTrain:
     def test_matches_epoch_loop_without_reused_buffers(self, monkeypatch):
-        # the epoch loop as written before train() kept its edge buffers:
-        # a fresh forward and gradient every epoch, then the same SGD step
+        # a fresh full-graph forward and gradient every epoch, then the
+        # same SGD step
         graph, targets = random_graph(40, seed=13)
         config = GatConfig(widths=(4, 3), heads=3, epochs=6, seed=5)
         model = init_model(graph.features.shape[1], config)

@@ -419,13 +419,6 @@ class TestPredict:
         assert np.abs(a.lo - b.lo).max() <= 0.01
         assert np.abs(a.hi - b.hi).max() <= 0.01
 
-    def test_nested_quantile_levels(self):
-        data, spec, fit = self.fitted_mbg(seed=41, locs=(15, 20))
-        pred95 = predict_insample(fit, n_draws=2000, seed=7, level=0.95)
-        pred90 = predict_insample(fit, n_draws=2000, seed=7, level=0.90)
-        assert np.all(pred90.lo >= pred95.lo - 1e-12)
-        assert np.all(pred90.hi <= pred95.hi + 1e-12)
-
     def test_hybrid_offset_passthrough(self):
         # sigma2 -> 0 and tau -> +inf zero both latent fields
         data = make_data(n_times=2, locs=(20, 25), seed=43)
@@ -607,9 +600,9 @@ class TestSummarizeDraws:
         # the mean before the quantiles partially sort the rows
         eta = np.random.default_rng(4).standard_normal((40, 301)) * 3.0 - 1.0
         p = simgen.logistic(eta)
-        alpha = 1.0 - 0.9
+        alpha = 1.0 - geostat.INTERVAL_LEVEL
         lo, hi = np.quantile(p, [alpha / 2, 1.0 - alpha / 2], axis=1)
-        got = geostat._summarize_draws(np.arange(40), eta.copy(), 0.9)
+        got = geostat._summarize_draws(np.arange(40), eta.copy())
         for name, want in (("mean", p.mean(axis=1)), ("lo", lo), ("hi", hi),
                            ("sd_linpred", eta.std(axis=1))):
             np.testing.assert_array_equal(getattr(got, name), want, err_msg=name)

@@ -45,7 +45,7 @@ def reference_fit_and_predict(train, test, spec, seed=0):
             kernel=spec.kernel, design=geostat.build_design(train),
         )
         result = optimize(template)
-        pred = geostat.predict(result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level)
+        pred = geostat.predict(result.fit, test, n_draws=spec.n_draws, seed=seed)
         return pipeline.PipelineRun(prediction=pred, optimize=result)
 
     joint = pipeline.concat_datasets(train, test)
@@ -63,7 +63,7 @@ def reference_fit_and_predict(train, test, spec, seed=0):
         attention=(joint_field, spec.attention_start),
     )
     result = optimize(template)
-    pred = geostat.predict(result.fit, test, n_draws=spec.n_draws, seed=seed, level=spec.level)
+    pred = geostat.predict(result.fit, test, n_draws=spec.n_draws, seed=seed)
     return pipeline.PipelineRun(prediction=pred, optimize=result)
 
 
